@@ -29,6 +29,7 @@ from .dynamics import (
     define_event,
     simulate,
 )
+from .dsl import escape
 from .errors import TmkitError
 from .model import (
     ACTION_KINDS,
@@ -360,30 +361,26 @@ def _wire_edge(
 # DOT
 
 
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def to_dot(doc: Union[Document, StaticModel]) -> str:
     """Graphviz text: one cluster per thimac, boxes for actions,
     cylinders for storages, dashed edges for triggers."""
     model = doc.model if isinstance(doc, Document) else doc
-    lines = [f'digraph "{_dot_escape(model.name)}" {{', "  rankdir=LR;"]
+    lines = [f'digraph "{escape(model.name)}" {{', "  rankdir=LR;"]
 
     def emit_thimac(thimac: Thimac, depth: int) -> None:
         pad = "  " * depth
-        lines.append(f'{pad}subgraph "cluster_{_dot_escape(thimac.id)}" {{')
-        lines.append(f'{pad}  label="{_dot_escape(thimac.name)}";')
+        lines.append(f'{pad}subgraph "cluster_{escape(thimac.id)}" {{')
+        lines.append(f'{pad}  label="{escape(thimac.name)}";')
         for action in model.actions_of(thimac.id):
             local = action.id.rsplit("/", 1)[-1]
             lines.append(
-                f'{pad}  "{_dot_escape(action.id)}" '
-                f'[shape=box, label="{_dot_escape(f"{action.kind}: {local}")}"];'
+                f'{pad}  "{escape(action.id)}" '
+                f'[shape=box, label="{escape(f"{action.kind}: {local}")}"];'
             )
         for storage in model.storages_of(thimac.id):
             lines.append(
-                f'{pad}  "{_dot_escape(storage.id)}" '
-                f'[shape=cylinder, label="{_dot_escape(storage.name)}"];'
+                f'{pad}  "{escape(storage.id)}" '
+                f'[shape=cylinder, label="{escape(storage.name)}"];'
             )
         for child in model.children_of(thimac.id):
             emit_thimac(child, depth + 1)
@@ -392,13 +389,13 @@ def to_dot(doc: Union[Document, StaticModel]) -> str:
     for thimac in model.children_of(None):
         emit_thimac(thimac, 1)
     for flow in model.flows:
-        lines.append(f'  "{_dot_escape(flow.src)}" -> "{_dot_escape(flow.dst)}";')
+        lines.append(f'  "{escape(flow.src)}" -> "{escape(flow.dst)}";')
     for trigger in model.triggers:
         attrs = "style=dashed"
         if trigger.condition is not None:
-            attrs += f', label="{_dot_escape(trigger.condition)}"'
+            attrs += f', label="{escape(trigger.condition)}"'
         lines.append(
-            f'  "{_dot_escape(trigger.src)}" -> "{_dot_escape(trigger.dst)}" '
+            f'  "{escape(trigger.src)}" -> "{escape(trigger.dst)}" '
             f"[{attrs}];"
         )
     lines.append("}")
@@ -408,17 +405,17 @@ def to_dot(doc: Union[Document, StaticModel]) -> str:
 def chronology_to_dot(chronology: ChronologyGraph) -> str:
     lines = ['digraph "chronology" {', "  rankdir=LR;"]
     for event in chronology.events:
-        label = f"{event.id}\\n{_dot_escape(event.label)}"
-        lines.append(f'  "{event.id}" [shape=box, label="{label}"];')
+        label = f"{escape(event.id)}\\n{escape(event.label)}"
+        lines.append(f'  "{escape(event.id)}" [shape=box, label="{label}"];')
     for edge in chronology.edges:
         parts = []
         if edge.guard is not None:
-            parts.append(_dot_escape(edge.guard))
+            parts.append(escape(edge.guard))
         bound = chronology.loop_bounds.get((edge.src, edge.dst))
         if bound is not None:
             parts.append(f"max {bound}")
         attrs = f' [label="{"; ".join(parts)}"]' if parts else ""
-        lines.append(f'  "{edge.src}" -> "{edge.dst}"{attrs};')
+        lines.append(f'  "{escape(edge.src)}" -> "{escape(edge.dst)}"{attrs};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

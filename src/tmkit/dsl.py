@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NoReturn, Optional, Union
 
 from .dynamics import (
@@ -39,7 +40,7 @@ from .dynamics import (
     define_event,
 )
 from .errors import TmkitError
-from .model import ACTION_KINDS, ModelBuilder, StaticModel
+from .model import ACTION_KINDS, ModelBuilder, StaticModel, grouped
 
 KEYWORDS = frozenset(
     {
@@ -464,7 +465,9 @@ def parse(text: str) -> Document:
 # formatter
 
 
-def _escape(text: str) -> str:
+def escape(text: str) -> str:
+    """Backslash-escape ``\\`` and ``"`` for a double-quoted string.  DOT
+    quotes its strings the same way, so ``convert`` uses this too."""
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
@@ -503,12 +506,12 @@ class _Formatter:
         inner = "  " * (depth + 1)
         head = f"{pad}thimac {thimac.id.rsplit('/', 1)[-1]}"
         if thimac.note is not None:
-            head += f' "{_escape(thimac.note)}"'
+            head += f' "{escape(thimac.note)}"'
         self.lines.append(head + " {")
         for action in self.model.actions_of(thimac.id):
             line = f"{inner}{action.kind} {action.id.rsplit('/', 1)[-1]}"
             if action.label is not None:
-                line += f' "{_escape(action.label)}"'
+                line += f' "{escape(action.label)}"'
             if action.anchor is not None:
                 line += f" @{action.anchor}"
             self.lines.append(line)
@@ -520,21 +523,28 @@ class _Formatter:
         self.lines.append(pad + "}")
 
     def _emit_edges(self, scope: tuple[str, ...], owner: str, pad: str) -> None:
-        for flow in self.model.flows:
-            if self._grouping_owner(flow) != owner:
-                continue
+        flows, triggers = self._edges_by_owner
+        for flow in flows.get(owner, ()):
             src = self._print_ref(flow.src, scope, owner)
             dst = self._print_ref(flow.dst, scope, owner)
             self.lines.append(f"{pad}{src} -> {dst}")
-        for trigger in self.model.triggers:
-            if self._grouping_owner(trigger) != owner:
-                continue
+        for trigger in triggers.get(owner, ()):
             src = self._print_ref(trigger.src, scope, owner)
             dst = self._print_ref(trigger.dst, scope, owner)
             line = f"{pad}{src} ~> {dst}"
             if trigger.condition is not None:
-                line += f' if "{_escape(trigger.condition)}"'
+                line += f' if "{escape(trigger.condition)}"'
             self.lines.append(line)
+
+    @cached_property
+    def _edges_by_owner(self) -> tuple[dict, dict]:
+        """Flows and triggers grouped by the thimac that prints them, in
+        model order.  Built when the first thimac's edges are written, so
+        a model with no thimac to print raises nothing here."""
+        return (
+            grouped((self._grouping_owner(f), f) for f in self.model.flows),
+            grouped((self._grouping_owner(t), t) for t in self.model.triggers),
+        )
 
     def _grouping_owner(self, edge) -> Optional[str]:
         owner = self.model.node_owner(edge.src)
@@ -567,7 +577,7 @@ def format_document(doc: Union[Document, StaticModel]) -> str:
         for event in doc.events:
             members = ", ".join(sorted(event.region))
             lines.append(
-                f'  event {event.id} "{_escape(event.label)}" {{ {members} }}'
+                f'  event {event.id} "{escape(event.label)}" {{ {members} }}'
             )
         lines.append("}")
 
@@ -577,7 +587,7 @@ def format_document(doc: Union[Document, StaticModel]) -> str:
         for edge in doc.chronology.edges:
             line = f"  {edge.src} -> {edge.dst}"
             if edge.guard is not None:
-                line += f' if "{_escape(edge.guard)}"'
+                line += f' if "{escape(edge.guard)}"'
             bound = doc.chronology.loop_bounds.get((edge.src, edge.dst))
             if bound is not None:
                 line += f" max {bound}"

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import TmkitError
-from .model import StaticModel
+from .model import Flow, StaticModel
 
 
 class DynamicsError(TmkitError):
@@ -180,23 +180,23 @@ def define_event(
 
 
 def _weak_components(model: StaticModel, members: frozenset[str]) -> list[list[str]]:
+    """Weak components of the region, as sorted member lists ordered by
+    their least vertex.  Storages on a flow with a member endpoint join the
+    graph as vertices, so only edges incident to the region are visited."""
     bridge_storages = {
         node
-        for flow in model.flows
-        for node in (flow.src, flow.dst)
+        for member in members
+        for edge in model.edges_at.get(member, ())
+        if isinstance(edge, Flow)
+        for node in (edge.src, edge.dst)
         if node in model.storages_by_id
-        and (flow.src in members or flow.dst in members)
     }
     vertices = members | bridge_storages
-    neighbours: dict[str, set[str]] = {v: set() for v in vertices}
-    for edge in (*model.flows, *model.triggers):
-        if edge.src in vertices and edge.dst in vertices:
-            neighbours[edge.src].add(edge.dst)
-            neighbours[edge.dst].add(edge.src)
     components: list[list[str]] = []
     unvisited = set(vertices)
-    while unvisited:
-        start = min(unvisited)
+    for start in sorted(vertices):
+        if start not in unvisited:
+            continue
         stack = [start]
         unvisited.discard(start)
         component = []
@@ -204,10 +204,11 @@ def _weak_components(model: StaticModel, members: frozenset[str]) -> list[list[s
             node = stack.pop()
             if node in members:
                 component.append(node)
-            for nxt in neighbours[node]:
-                if nxt in unvisited:
-                    unvisited.discard(nxt)
-                    stack.append(nxt)
+            for edge in model.edges_at.get(node, ()):
+                for nxt in (edge.src, edge.dst):
+                    if nxt in unvisited:
+                        unvisited.discard(nxt)
+                        stack.append(nxt)
         if component:
             components.append(sorted(component))
     return components
@@ -279,32 +280,34 @@ def build_chronology(
 def _find_cycle(
     vertices: set[str], edges: list[tuple[str, str]]
 ) -> Optional[list[str]]:
+    """The first cycle a depth-first search from the least vertex meets,
+    as the path from its entry vertex; None for an acyclic graph.  The
+    search keeps its own stack, so path length is not bounded by Python's
+    recursion limit."""
     adjacency: dict[str, list[str]] = {}
     for src, dst in edges:
         adjacency.setdefault(src, []).append(dst)
     WHITE, GREY, BLACK = 0, 1, 2
     color = {v: WHITE for v in vertices}
-    path: list[str] = []
-
-    def visit(node: str) -> Optional[list[str]]:
-        color[node] = GREY
-        path.append(node)
-        for nxt in adjacency.get(node, ()):
-            if color[nxt] == GREY:
-                return path[path.index(nxt):]
-            if color[nxt] == WHITE:
-                cycle = visit(nxt)
-                if cycle is not None:
-                    return cycle
-        color[node] = BLACK
-        path.pop()
-        return None
 
     for vertex in sorted(vertices):
-        if color[vertex] == WHITE:
-            cycle = visit(vertex)
-            if cycle is not None:
-                return cycle
+        if color[vertex] != WHITE:
+            continue
+        color[vertex] = GREY
+        path = [vertex]
+        pending = [iter(adjacency.get(vertex, ()))]
+        while pending:
+            for nxt in pending[-1]:
+                if color[nxt] == GREY:
+                    return path[path.index(nxt):]
+                if color[nxt] == WHITE:
+                    color[nxt] = GREY
+                    path.append(nxt)
+                    pending.append(iter(adjacency.get(nxt, ())))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
     return None
 
 

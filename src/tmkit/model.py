@@ -11,9 +11,10 @@ which checks references as elements are added; everything after that --
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, TypeVar
 
 from .errors import TmkitError
 
@@ -24,6 +25,9 @@ ACTION_KINDS = ("create", "process", "release", "transfer", "receive")
 TRANSPORT_KINDS = frozenset({"release", "transfer", "receive"})
 
 _STORAGE = "storage"
+
+_K = TypeVar("_K")
+_V = TypeVar("_V")
 
 #: Legal (from-kind, to-kind) pairs for a flow whose endpoints share an
 #: owner.  Kept as data so the table can be amended in one place.
@@ -112,6 +116,13 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class StaticModel:
+    """An immutable model.
+
+    The lookups below read indexes that are built on first use and cached,
+    so each index costs one pass over the model however often it is asked.
+    The grouped indexes keep declaration order within each group.
+    """
+
     name: str
     thimacs: tuple[Thimac, ...] = ()
     actions: tuple[Action, ...] = ()
@@ -153,26 +164,50 @@ class StaticModel:
 
     @cached_property
     def flows_from(self) -> dict[str, tuple[Flow, ...]]:
-        out: dict[str, list[Flow]] = {}
-        for f in self.flows:
-            out.setdefault(f.src, []).append(f)
-        return {k: tuple(v) for k, v in out.items()}
+        return grouped((f.src, f) for f in self.flows)
 
     @cached_property
     def flows_into(self) -> dict[str, tuple[Flow, ...]]:
-        out: dict[str, list[Flow]] = {}
-        for f in self.flows:
-            out.setdefault(f.dst, []).append(f)
-        return {k: tuple(v) for k, v in out.items()}
+        return grouped((f.dst, f) for f in self.flows)
+
+    @cached_property
+    def edges_at(self) -> dict[str, tuple[Flow | Trigger, ...]]:
+        """Node id -> the flows, then the triggers, that have it as an
+        endpoint (whether or not the other endpoint exists)."""
+        return grouped(
+            (node, edge)
+            for edge in (*self.flows, *self.triggers)
+            for node in (edge.src, edge.dst)
+        )
+
+    @cached_property
+    def children_by_parent(self) -> dict[Optional[str], tuple[Thimac, ...]]:
+        return grouped((t.parent, t) for t in self.thimacs)
+
+    @cached_property
+    def actions_by_owner(self) -> dict[str, tuple[Action, ...]]:
+        return grouped((a.owner, a) for a in self.actions)
+
+    @cached_property
+    def storages_by_owner(self) -> dict[str, tuple[Storage, ...]]:
+        return grouped((s.owner, s) for s in self.storages)
 
     def children_of(self, thimac_id: Optional[str]) -> tuple[Thimac, ...]:
-        return tuple(t for t in self.thimacs if t.parent == thimac_id)
+        return self.children_by_parent.get(thimac_id, ())
 
     def actions_of(self, thimac_id: str) -> tuple[Action, ...]:
-        return tuple(a for a in self.actions if a.owner == thimac_id)
+        return self.actions_by_owner.get(thimac_id, ())
 
     def storages_of(self, thimac_id: str) -> tuple[Storage, ...]:
-        return tuple(s for s in self.storages if s.owner == thimac_id)
+        return self.storages_by_owner.get(thimac_id, ())
+
+
+def grouped(pairs: Iterable[tuple[_K, _V]]) -> dict[_K, tuple[_V, ...]]:
+    """Values grouped by key, each group in the order the pairs came."""
+    out: dict[_K, list[_V]] = {}
+    for key, value in pairs:
+        out.setdefault(key, []).append(value)
+    return {k: tuple(v) for k, v in out.items()}
 
 
 class ModelBuilder:
@@ -187,6 +222,8 @@ class ModelBuilder:
         self._flows: list[Flow] = []
         self._triggers: list[Trigger] = []
         self._ids: set[str] = set()
+        self._thimac_ids: set[str] = set()
+        self._node_ids: set[str] = set()  # actions and storages
         self._counters: dict[str, int] = {}
 
     # -- id management -----------------------------------------------------
@@ -208,13 +245,11 @@ class ModelBuilder:
         return candidate
 
     def _require_node(self, node_id: str, what: str) -> None:
-        if not any(a.id == node_id for a in self._actions) and not any(
-            s.id == node_id for s in self._storages
-        ):
+        if node_id not in self._node_ids:
             raise ModelError(f"{what} references unknown node {node_id!r}")
 
     def _require_thimac(self, thimac_id: str, what: str) -> None:
-        if not any(t.id == thimac_id for t in self._thimacs):
+        if thimac_id not in self._thimac_ids:
             raise ModelError(f"{what} references unknown thimac {thimac_id!r}")
 
     # -- element insertion ---------------------------------------------------
@@ -230,6 +265,7 @@ class ModelBuilder:
             self._require_thimac(parent, "thimac")
         tid = self._claim(id, "thimac")
         self._thimacs.append(Thimac(tid, name, parent, note))
+        self._thimac_ids.add(tid)
         return tid
 
     def add_action(
@@ -243,6 +279,7 @@ class ModelBuilder:
         self._require_thimac(owner, "action")
         aid = self._claim(id, "action")
         self._actions.append(Action(aid, kind, owner, label, anchor))
+        self._node_ids.add(aid)
         return aid
 
     def add_storage(
@@ -251,6 +288,7 @@ class ModelBuilder:
         self._require_thimac(owner, "storage")
         sid = self._claim(id, "storage")
         self._storages.append(Storage(sid, owner, name))
+        self._node_ids.add(sid)
         return sid
 
     def add_flow(self, src: str, dst: str, id: Optional[str] = None) -> str:
@@ -531,9 +569,9 @@ def _through_removed(
     in breadth-first discovery order.  ``first`` must itself be removed."""
     found: list[str] = []
     seen = {first}
-    queue = [first]
+    queue = deque([first])
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         edges = model.flows_from.get(node, ()) if forward else model.flows_into.get(node, ())
         for edge in edges:
             nxt = edge.dst if forward else edge.src
@@ -542,7 +580,7 @@ def _through_removed(
             seen.add(nxt)
             if nxt in removed:
                 queue.append(nxt)
-            elif nxt not in found:
+            else:
                 found.append(nxt)
     return found
 

@@ -1,12 +1,15 @@
 """Seeded random builders for property and acceptance tests.
 
-Two families:
+Four families:
 
 * ``random_document`` -- arbitrary well-formed documents (path ids, unique
   local names) for round-trip checks.  Shapes are unconstrained, so the
   models need not pass validation; round-tripping must not care.
 * ``random_legal_model`` -- models wired exclusively from legal exchange
   chains, so they validate with zero errors and can feed ``simplify``.
+* ``random_raw_model`` -- models assembled without the builder: dangling
+  parents, owners and endpoints, storage-to-storage flows, self-loops.
+  Oracles for the model's indexes run on these.
 * ``random_argument`` -- implicational arguments for the soundness sweep.
 
 Everything is driven by a caller-owned ``random.Random`` so a seed pins
@@ -16,14 +19,19 @@ from random import Random
 
 import tmkit
 from tmkit import (
+    Action,
     Argument,
     ChronEdge,
     Document,
+    Flow,
     Implication,
     Literal,
     ModelBuilder,
     Origin,
     StaticModel,
+    Storage,
+    Thimac,
+    Trigger,
     build_chronology,
     define_event,
 )
@@ -190,6 +198,41 @@ def random_legal_model(rng: Random) -> StaticModel:
         builder.add_flow(owner, sid)
 
     return builder.build()
+
+
+def random_raw_model(rng: Random) -> StaticModel:
+    """A model that skips every builder check.  Ids are unique; anything
+    else goes, including references to ids that exist nowhere."""
+    thimacs = [f"t{i}" for i in range(rng.randint(1, 5))]
+    owners = thimacs + ["ghost_t"]
+    actions = [
+        Action(f"a{i}", rng.choice(tmkit.ACTION_KINDS), rng.choice(owners))
+        for i in range(rng.randint(1, 12))
+    ]
+    storages = [
+        Storage(f"s{i}", rng.choice(owners), f"s{i}")
+        for i in range(rng.randint(0, 4))
+    ]
+    nodes = [a.id for a in actions] + [s.id for s in storages] + ["ghost_n"]
+    flows = [
+        Flow(f"f{i}", rng.choice(nodes), rng.choice(nodes))
+        for i in range(rng.randint(0, 2 * len(nodes)))
+    ]
+    triggers = [
+        Trigger(f"g{i}", rng.choice(nodes), rng.choice(nodes))
+        for i in range(rng.randint(0, len(nodes)))
+    ]
+    return StaticModel(
+        "raw",
+        thimacs=tuple(
+            Thimac(t, t, rng.choice([None, None, "ghost_t", *thimacs]))
+            for t in thimacs
+        ),
+        actions=tuple(actions),
+        storages=tuple(storages),
+        flows=tuple(flows),
+        triggers=tuple(triggers),
+    )
 
 
 def random_argument(rng: Random) -> Argument:

@@ -335,6 +335,27 @@ def test_chronology_to_dot():
     assert '"E1" -> "E2" [label="go; max 2"];' in text
 
 
+def test_chronology_to_dot_escapes_event_ids():
+    quoted, slashed = 'say "hi"', "back\\slash"
+    text = json.dumps({
+        "name": "m",
+        "thimacs": [{"id": "t", "name": "t", "parent": None, "note": None}],
+        "actions": [{"id": "t/a", "kind": "create", "owner": "t",
+                     "label": None, "anchor": None}],
+        "storages": [], "flows": [], "triggers": [],
+        "events": [{"id": quoted, "label": "one", "region": ["t/a"]},
+                   {"id": slashed, "label": "two", "region": ["t/a"]}],
+        "chronology": {"edges": [{"from": quoted, "to": slashed,
+                                  "guard": None, "max": None}]},
+    })
+    lines = chronology_to_dot(from_json(text).chronology).splitlines()
+    assert lines[2:5] == [
+        '  "say \\"hi\\"" [shape=box, label="say \\"hi\\"\\none"];',
+        '  "back\\\\slash" [shape=box, label="back\\\\slash\\ntwo"];',
+        '  "say \\"hi\\"" -> "back\\\\slash";',
+    ]
+
+
 # ---------------------------------------------------------------------------
 # JSON
 

@@ -1,6 +1,7 @@
 """Events, chronologies, simulation, conformance, and the file formats."""
 from random import Random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,10 +30,12 @@ from tmkit.dynamics import (
     UnboundedCycleError,
     UnknownActionError,
     UnknownEventError,
+    _find_cycle,
+    _weak_components,
 )
 
 from conftest import load_scenario
-from generators import random_document
+from generators import random_document, random_raw_model
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -95,6 +98,36 @@ def test_triggers_connect_regions_too():
     builder.add_trigger("t/a", "t/b")
     event = define_event(builder.build(), "E1", "x", ["t/a", "t/b"])
     assert event.region == frozenset({"t/a", "t/b"})
+
+
+@given(seeds)
+@settings(max_examples=80, deadline=None)
+def test_region_components_match_networkx(seed):
+    rng = Random(seed)
+    model = random_raw_model(rng)
+    members = frozenset(
+        rng.sample(sorted(model.actions_by_id), rng.randint(1, len(model.actions)))
+    )
+    bridges = {
+        node
+        for f in model.flows
+        if f.src in members or f.dst in members
+        for node in (f.src, f.dst)
+        if node in model.storages_by_id
+    }
+    graph = nx.DiGraph()
+    graph.add_nodes_from(members | bridges)
+    graph.add_edges_from(
+        (e.src, e.dst)
+        for e in (*model.flows, *model.triggers)
+        if e.src in graph and e.dst in graph
+    )
+    expected = [
+        sorted(component & members)
+        for component in sorted(nx.weakly_connected_components(graph), key=min)
+        if component & members
+    ]
+    assert _weak_components(model, members) == expected
 
 
 def test_check_coverage_lists_the_uncovered():
@@ -182,6 +215,73 @@ def test_initial_events_are_sorted():
     events = events_over(one_action_model(), 3)
     graph = build_chronology(events, [ChronEdge("E3", "E2")])
     assert graph.initial_events == ("E1", "E3")
+
+
+def test_a_long_chain_chronology_builds():
+    events = events_over(one_action_model(), 3000)
+    chain = [ChronEdge(f"E{i}", f"E{i + 1}") for i in range(1, 3000)]
+    graph = build_chronology(events, chain)
+    assert graph.initial_events == ("E1",)
+    with pytest.raises(UnboundedCycleError) as exc:
+        build_chronology(events, [*chain, ChronEdge("E3000", "E2999")])
+    assert exc.value.cycle == ["E2999", "E3000"]
+
+
+def recursive_find_cycle(vertices, edges):
+    """The recursive depth-first search that ``_find_cycle`` replaces,
+    kept as the reference for its visit order."""
+    adjacency = {}
+    for src, dst in edges:
+        adjacency.setdefault(src, []).append(dst)
+    color = dict.fromkeys(vertices, "white")
+    path = []
+
+    def visit(node):
+        color[node] = "grey"
+        path.append(node)
+        for nxt in adjacency.get(node, ()):
+            if color[nxt] == "grey":
+                return path[path.index(nxt):]
+            if color[nxt] == "white":
+                cycle = visit(nxt)
+                if cycle is not None:
+                    return cycle
+        color[node] = "black"
+        path.pop()
+        return None
+
+    for vertex in sorted(vertices):
+        if color[vertex] == "white":
+            cycle = visit(vertex)
+            if cycle is not None:
+                return cycle
+    return None
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_find_cycle_matches_networkx(seed):
+    rng = Random(seed)
+    vertices = {f"E{i}" for i in range(rng.randint(1, 10))}
+    edges = [
+        (rng.choice(sorted(vertices)), rng.choice(sorted(vertices)))
+        for _ in range(rng.randint(0, 14))
+    ]
+    graph = nx.DiGraph(edges)
+    graph.add_nodes_from(vertices)
+    try:
+        nx.find_cycle(graph)
+        has_cycle = True
+    except nx.NetworkXNoCycle:
+        has_cycle = False
+
+    cycle = _find_cycle(vertices, edges)
+    assert (cycle is not None) == has_cycle
+    assert cycle == recursive_find_cycle(vertices, edges)
+    if cycle is not None:
+        assert len(set(cycle)) == len(cycle)
+        for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
+            assert (src, dst) in edges
 
 
 # ---------------------------------------------------------------------------

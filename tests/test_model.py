@@ -21,7 +21,7 @@ from tmkit import (
     validate,
 )
 
-from generators import random_document, random_legal_model
+from generators import random_document, random_legal_model, random_raw_model
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -104,6 +104,32 @@ def test_children_of_none_lists_roots():
     model = builder.build()
     assert [t.id for t in model.children_of(None)] == ["outer"]
     assert [t.id for t in model.children_of("outer")] == ["outer/inner"]
+
+
+# ---------------------------------------------------------------------------
+# indexes
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_grouping_indexes_match_linear_scans(seed):
+    model = random_raw_model(Random(seed))
+    owners = {None, "ghost_t", *(t.id for t in model.thimacs)}
+    for owner in owners:
+        assert model.children_of(owner) == tuple(
+            t for t in model.thimacs if t.parent == owner
+        )
+        assert model.actions_of(owner) == tuple(
+            a for a in model.actions if a.owner == owner
+        )
+        assert model.storages_of(owner) == tuple(
+            s for s in model.storages if s.owner == owner
+        )
+    nodes = {"ghost_n", *model.actions_by_id, *model.storages_by_id}
+    for node in nodes:
+        assert set(model.edges_at.get(node, ())) == {
+            e for e in (*model.flows, *model.triggers) if node in (e.src, e.dst)
+        }
 
 
 # ---------------------------------------------------------------------------
