@@ -15,10 +15,9 @@ back as models that ``validate`` can complain about, not as exceptions.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
-
-import jsonschema
 
 from .dynamics import (
     ChronEdge,
@@ -130,11 +129,77 @@ class FlowchartDoc:
     description: Optional[str] = None
 
 
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    # a bool is not an integer; a float with no fraction is
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+
+
+def _violation(value: object, schema: dict, path: str = "$") -> Optional[str]:
+    """The first way ``value`` breaks ``schema``, as ``"path: message"``,
+    or None.  Keywords are read depth first in the schema's own order, and
+    only those the two schemas here use; paths and messages keep the
+    wording of the Python JSON Schema validator this replaced.  A
+    ``pattern`` must match the whole string, as JSON Schema's ``$`` does,
+    so a trailing newline is no match."""
+    for keyword, rule in schema.items():
+        if keyword == "type":
+            names = rule if isinstance(rule, list) else [rule]
+            if not any(_TYPES[name](value) for name in names):
+                listed = ", ".join(map(repr, names))
+                return f"{path}: {value!r} is not of type {listed}"
+        elif keyword == "enum":
+            if value not in rule:
+                return f"{path}: {value!r} is not one of {rule!r}"
+        elif keyword == "pattern":
+            if isinstance(value, str) and not re.fullmatch(rule, value):
+                return f"{path}: {value!r} does not match {rule!r}"
+        elif keyword == "minimum":
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if number and value < rule:
+                return f"{path}: {value!r} is less than the minimum of {rule!r}"
+        elif isinstance(value, list):
+            if keyword == "minItems" and len(value) < rule:
+                short = "should be non-empty" if rule == 1 else "is too short"
+                return f"{path}: {value!r} {short}"
+            if keyword == "items":
+                for index, item in enumerate(value):
+                    found = _violation(item, rule, f"{path}[{index}]")
+                    if found:
+                        return found
+        elif isinstance(value, dict):
+            if keyword == "required":
+                for name in rule:
+                    if name not in value:
+                        return f"{path}: {name!r} is a required property"
+            elif keyword == "additionalProperties" and rule is False:
+                known = schema.get("properties", {})
+                extras = sorted(k for k in value if k not in known)
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    listed = ", ".join(map(repr, extras))
+                    return (
+                        f"{path}: Additional properties are not allowed "
+                        f"({listed} {verb} unexpected)"
+                    )
+            elif keyword == "properties":
+                for name, subschema in rule.items():
+                    if name in value:
+                        found = _violation(value[name], subschema, f"{path}.{name}")
+                        if found:
+                            return found
+    return None
+
+
 def _check_schema(data: object, schema: dict, what: str) -> None:
-    try:
-        jsonschema.validate(data, schema)
-    except jsonschema.ValidationError as exc:
-        raise ConvertError(f"{what}: {exc.json_path}: {exc.message}") from exc
+    found = _violation(data, schema)
+    if found:
+        raise ConvertError(f"{what}: {found}")
 
 
 def load_flowchart(text: str) -> FlowchartDoc:

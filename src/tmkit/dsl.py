@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NoReturn, Optional, Union
+from typing import Container, NoReturn, Optional, Union
 
 from .dynamics import (
     ChronEdge,
@@ -185,6 +185,16 @@ def _tokenize(text: str) -> list[_Token]:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _resolve(name: str, scope: tuple[str, ...], nodes: Container[str]) -> Optional[str]:
+    """The node ``name`` means inside ``scope``: the innermost enclosing
+    thimac's ``scope/name`` that exists, walking outward; None if none does."""
+    for i in range(len(scope), -1, -1):
+        candidate = "/".join((*scope[:i], name))
+        if candidate in nodes:
+            return candidate
+    return None
 
 
 class _Parser:
@@ -390,13 +400,6 @@ class _Parser:
 
     # -- resolution ----------------------------------------------------------
 
-    def _lookup(self, token: _Token, scope: tuple[str, ...]) -> Optional[str]:
-        for i in range(len(scope), -1, -1):
-            candidate = "/".join((*scope[:i], token.value))
-            if candidate in self._nodes:
-                return candidate
-        return None
-
     def _resolve(self, have_events: bool, have_chronology: bool) -> Document:
         for scope, src, dst in self._pending_flows:
             src_id, dst_id = self._endpoints(scope, src, dst)
@@ -410,7 +413,7 @@ class _Parser:
         for event_id, label, ref_tokens in self._pending_events:
             region = []
             for token in ref_tokens:
-                ref = self._lookup(token, ())
+                ref = _resolve(token.value, (), self._nodes)
                 if ref is None or self._nodes[ref] != "action":
                     self._error(token, "a declared action")
                 region.append(ref)
@@ -440,10 +443,10 @@ class _Parser:
     def _endpoints(
         self, scope: tuple[str, ...], src: _Token, dst: _Token
     ) -> tuple[str, str]:
-        src_id = self._lookup(src, scope)
+        src_id = _resolve(src.value, scope, self._nodes)
         if src_id is None:
             self._error(src, "a declared action or storage")
-        dst_id = self._lookup(dst, scope)
+        dst_id = _resolve(dst.value, scope, self._nodes)
         if dst_id is None:
             self._error(dst, "a declared action or storage")
         if src_id == dst_id:
@@ -477,19 +480,12 @@ class _Formatter:
         self.nodes = set(model.actions_by_id) | set(model.storages_by_id)
         self.lines: list[str] = []
 
-    def _resolves_to(self, ref: str, scope: tuple[str, ...]) -> Optional[str]:
-        for i in range(len(scope), -1, -1):
-            candidate = "/".join((*scope[:i], ref))
-            if candidate in self.nodes:
-                return candidate
-        return None
-
     def _print_ref(self, node_id: str, scope: tuple[str, ...], owner: str) -> str:
         local = node_id.rsplit("/", 1)[-1]
         if self.model.node_owner(node_id) == owner:
-            if self._resolves_to(local, scope) == node_id:
+            if _resolve(local, scope, self.nodes) == node_id:
                 return local
-        if self._resolves_to(node_id, scope) == node_id:
+        if _resolve(node_id, scope, self.nodes) == node_id:
             return node_id
         raise FormatError(
             f"{node_id!r} cannot be written unambiguously from {owner!r}"

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import TmkitError
-from .model import Flow, StaticModel
+from .model import Flow, StaticModel, grouped
 
 
 class DynamicsError(TmkitError):
@@ -93,10 +93,7 @@ class ChronologyGraph:
 
     @cached_property
     def successors(self) -> dict[str, tuple[ChronEdge, ...]]:
-        out: dict[str, list[ChronEdge]] = {}
-        for edge in self.edges:
-            out.setdefault(edge.src, []).append(edge)
-        return {k: tuple(v) for k, v in out.items()}
+        return grouped((edge.src, edge) for edge in self.edges)
 
     @cached_property
     def initial_events(self) -> tuple[str, ...]:
@@ -470,13 +467,19 @@ def trace_from_json(text: str) -> Trace:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"trace is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "steps" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("steps"), Iterable):
         raise ScenarioError("trace must be an object with a 'steps' list")
     steps = []
     for entry in payload["steps"]:
         if not isinstance(entry, dict) or "event" not in entry:
             raise ScenarioError("each trace step needs an 'event' field")
-        steps.append((str(entry["event"]), int(entry.get("index", len(steps)))))
+        try:
+            index = int(entry.get("index", len(steps)))
+        except (TypeError, ValueError, OverflowError):
+            raise ScenarioError(
+                f"trace step index {entry['index']!r} is not an integer"
+            ) from None
+        steps.append((str(entry["event"]), index))
     return Trace(tuple(steps), str(payload.get("scenario", "trace")))
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, TypeVar
 
 from .errors import TmkitError
@@ -420,26 +422,35 @@ def _check_trigger_sources(model) -> Iterator[Diagnostic]:
 
 def _check_containment(model) -> Iterator[Diagnostic]:
     known = model.thimacs_by_id
-    flagged: set[str] = set()
+    # For each thimac walked so far, the first cycle member up its parent
+    # chain (None if the chain ends); for each member of a reported cycle,
+    # the cycle and its place in it.  Every walk stops at a known verdict.
+    meets: dict[str, Optional[str]] = {}
+    cycles: dict[str, tuple[tuple[str, ...], int]] = {}
     for thimac in model.thimacs:
-        if thimac.id in flagged:
+        if thimac.id in cycles:
             continue
-        seen: list[str] = []
+        path: dict[str, int] = {}
         current: Optional[str] = thimac.id
-        while current is not None and current in known:
-            if current in seen:
-                cycle = seen[seen.index(current):]
-                for member in cycle:
-                    flagged.add(member)
-                yield Diagnostic(
-                    "error",
-                    "R5",
-                    thimac.id,
-                    "containment cycle: " + " -> ".join(cycle + [current]),
-                )
-                break
-            seen.append(current)
+        while current in known and current not in meets and current not in path:
+            path[current] = len(path)
             current = known[current].parent
+        if current in path:
+            cycle = tuple(path)[path[current]:]
+            for place, member in enumerate(cycle):
+                cycles[member] = (cycle, place)
+                meets[member] = member
+            met = current
+        else:
+            met = meets.get(current)  # None where the chain ends or dangles
+        for node in path:
+            meets.setdefault(node, met)
+        if met is not None:
+            cycle, place = cycles[met]
+            loop = (*cycle[place:], *cycle[:place], met)
+            yield Diagnostic(
+                "error", "R5", thimac.id, "containment cycle: " + " -> ".join(loop)
+            )
 
 
 def _check_references(model) -> Iterator[Diagnostic]:
@@ -534,7 +545,7 @@ def simplify(model: StaticModel) -> StaticModel:
         if flow.src in removed or flow.dst not in removed:
             continue
         start = flow.src
-        for end in _through_removed(model, flow.dst, removed, forward=True):
+        for _, end in _through_removed(model, flow.dst, removed, forward=True):
             if end == start or (start, end) in present:
                 continue
             counter += 1
@@ -564,25 +575,24 @@ def simplify(model: StaticModel) -> StaticModel:
 
 def _through_removed(
     model: StaticModel, first: str, removed: set[str], forward: bool
-) -> list[str]:
-    """Surviving nodes reachable from ``first`` via removed nodes only,
-    in breadth-first discovery order.  ``first`` must itself be removed."""
-    found: list[str] = []
+) -> Iterator[tuple[int, str]]:
+    """Surviving nodes reachable from ``first`` via removed nodes only, each
+    with its distance in flows, lazily in breadth-first discovery order.
+    ``first`` must itself be removed."""
+    flows = model.flows_from if forward else model.flows_into
     seen = {first}
-    queue = deque([first])
+    queue = deque([(first, 0)])
     while queue:
-        node = queue.popleft()
-        edges = model.flows_from.get(node, ()) if forward else model.flows_into.get(node, ())
-        for edge in edges:
+        node, depth = queue.popleft()
+        for edge in flows.get(node, ()):
             nxt = edge.dst if forward else edge.src
             if nxt in seen:
                 continue
             seen.add(nxt)
             if nxt in removed:
-                queue.append(nxt)
+                queue.append((nxt, depth + 1))
             else:
-                found.append(nxt)
-    return found
+                yield depth + 1, nxt
 
 
 def _nearest_surviving(
@@ -590,29 +600,9 @@ def _nearest_surviving(
 ) -> Optional[str]:
     """Closest surviving node along flows from ``node``; lexicographically
     smallest id on a distance tie, None when the chain dead-ends."""
-    layer = [node]
-    seen = {node}
-    while layer:
-        survivors: list[str] = []
-        next_layer: list[str] = []
-        for current in layer:
-            edges = (
-                model.flows_from.get(current, ())
-                if forward
-                else model.flows_into.get(current, ())
-            )
-            for edge in edges:
-                nxt = edge.dst if forward else edge.src
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                if nxt in removed:
-                    next_layer.append(nxt)
-                else:
-                    survivors.append(nxt)
-        if survivors:
-            return min(survivors)
-        layer = next_layer
+    found = _through_removed(model, node, removed, forward)
+    for _, ties in groupby(found, itemgetter(0)):
+        return min(survivor for _, survivor in ties)
     return None
 
 

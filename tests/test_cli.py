@@ -214,6 +214,38 @@ def test_conform_rejects_unreadable_traces(tmp_path):
     assert "not valid JSON" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "trace, complaint",
+    [
+        ({"steps": [{"event": "E1", "index": "x"}]}, "index 'x' is not an integer"),
+        ({"steps": [{"event": "E1", "index": None}]}, "index None is not an integer"),
+        ({"steps": 5}, "'steps' list"),
+    ],
+)
+def test_conform_refuses_malformed_trace_steps(tmp_path, trace, complaint):
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps(trace))
+    result = invoke("conform", model_arg(), trace_file)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ") and complaint in result.stderr
+    assert "Traceback" not in result.output + result.stderr
+
+
+def test_conform_still_reads_string_indexes(tmp_path):
+    trace_file = tmp_path / "trace.json"
+    invoke(
+        "simulate", model_arg(),
+        "--scenario", scenario_arg("ordering_invalid"), "-o", trace_file,
+    )
+    data = json.loads(trace_file.read_text())
+    for step in data["steps"]:
+        step["index"] = str(step["index"])
+    trace_file.write_text(json.dumps(data))
+    result = invoke("conform", model_arg(), trace_file)
+    assert result.exit_code == 0
+    assert result.stdout == "ok\n"
+
+
 # ---------------------------------------------------------------------------
 # prove / validate-arg
 

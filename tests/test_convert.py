@@ -1,7 +1,13 @@
 """Flowchart import, DOT and JSON output, and plain-text reports."""
+import copy
 import json
+import re
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +30,10 @@ from tmkit import (
     to_json,
     validate,
 )
+from tmkit import convert
+from tmkit.convert import FLOWCHART_SCHEMA, MODEL_SCHEMA
 
+from conftest import read_fixture
 from generators import random_document
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -427,6 +436,177 @@ def test_json_round_trips_generated_documents(seed):
     again = from_json(to_json(doc))
     assert structurally_equal_documents(doc, again)
     assert to_json(again) == to_json(doc)
+
+
+# ---------------------------------------------------------------------------
+# schema checking
+
+SCHEMA_KEYWORDS = {
+    "type", "enum", "pattern", "minimum", "minItems", "items", "required",
+    "properties", "additionalProperties",
+}
+
+
+def subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from subschemas(sub)
+    if "items" in schema:
+        yield from subschemas(schema["items"])
+
+
+@pytest.mark.parametrize("schema", [MODEL_SCHEMA, FLOWCHART_SCHEMA])
+def test_schemas_use_only_the_keywords_the_checker_reads(schema):
+    for sub in subschemas(schema):
+        assert set(sub) <= SCHEMA_KEYWORDS, sorted(set(sub) - SCHEMA_KEYWORDS)
+        types = sub.get("type", [])
+        assert set(types if isinstance(types, list) else [types]) <= set(
+            convert._TYPES
+        )
+        assert sub.get("additionalProperties", False) is False
+        for name in sub.get("properties", {}):
+            # such names print as ``$.name``; others would need brackets
+            assert re.fullmatch(r"[a-zA-Z][a-zA-Z0-9_]*", name)
+
+
+@pytest.mark.parametrize("schema", [MODEL_SCHEMA, FLOWCHART_SCHEMA])
+def test_schema_patterns_are_anchored(schema):
+    patterns = [sub["pattern"] for sub in subschemas(schema) if "pattern" in sub]
+    assert patterns or schema is MODEL_SCHEMA
+    for pattern in patterns:
+        assert pattern.startswith("^") and pattern.endswith("$")
+
+
+def test_ids_with_a_trailing_newline_are_refused():
+    with pytest.raises(ConvertError, match=r"lanes\[0\]: 'a\\n' does not match"):
+        load_flowchart(chart_text([], [], lanes=("a\n",)))
+    with pytest.raises(ConvertError, match=r"nodes\[0\]\.id: 'x\\n' does not match"):
+        load_flowchart(chart_text([("x\n", "a", "start")], []))
+
+
+def test_schema_messages_keep_their_wording():
+    chart = {"name": "c", "lanes": ["a"], "nodes": [], "edges": []}
+    cases = [
+        ({"name": "m"}, MODEL_SCHEMA, "$: 'thimacs' is a required property"),
+        (
+            {**chart, "zz": 1, "aa": 2},
+            FLOWCHART_SCHEMA,
+            "$: Additional properties are not allowed ('aa', 'zz' were unexpected)",
+        ),
+        ({**chart, "lanes": []}, FLOWCHART_SCHEMA, "$.lanes: [] should be non-empty"),
+        (
+            {**chart, "nodes": [{"id": "x", "lane": "a", "kind": "box"}]},
+            FLOWCHART_SCHEMA,
+            "$.nodes[0].kind: 'box' is not one of ['start', 'end', 'activity', "
+            "'decision', 'message-send', 'message-receive']",
+        ),
+    ]
+    for data, schema, message in cases:
+        assert convert._violation(data, schema) == message
+
+    doc = json.loads(to_json(report_doc()))
+    edge = doc["chronology"]["edges"][0]
+    for value, message in (
+        (0, "0 is less than the minimum of 1"),
+        (True, "True is not of type 'integer', 'null'"),
+        (2.5, "2.5 is not of type 'integer', 'null'"),
+        (2.0, None),
+    ):
+        edge["max"] = value
+        found = convert._violation(doc, MODEL_SCHEMA)
+        assert found == (message and f"$.chronology.edges[0].max: {message}")
+
+
+def _anchored_pattern(validator, pattern, instance, schema):
+    if validator.is_type(instance, "string") and not re.fullmatch(pattern, instance):
+        yield jsonschema.ValidationError(f"{instance!r} does not match {pattern!r}")
+
+
+# jsonschema with JSON Schema's whole-string ``pattern``: the oracle
+AnchoredValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator, {"pattern": _anchored_pattern}
+)
+
+_ODD_VALUES = (
+    None, True, 0, 1, -3, 0.0, 2.0, 0.5, "", "x", "a\n", "9z", "create",
+    "activity", [], {}, ["a"], {"id": "x"},
+)
+
+
+def mutate(rng, data):
+    """One random edit somewhere in a JSON value: end a string in a
+    newline, replace a value, drop a key or an item, add a key, or wrap a
+    value in a list.  Returns the edited value."""
+    box = [data]
+    slots = [(box, 0)]
+    for container, key in slots:
+        child = container[key]
+        if isinstance(child, dict):
+            slots.extend((child, k) for k in child)
+        elif isinstance(child, list):
+            slots.extend((child, i) for i in range(len(child)))
+    container, key = rng.choice(slots)
+    roll = rng.random()
+    if roll < 0.2 and isinstance(container[key], str):
+        container[key] += "\n"
+    elif roll < 0.5 or container is box:
+        container[key] = copy.deepcopy(rng.choice(_ODD_VALUES))
+    elif roll < 0.75:
+        del container[key]
+    elif isinstance(container[key], dict):
+        container[key][rng.choice(["zz", "aa", "id", "max", "edges"])] = 1
+    else:
+        container[key] = [container[key]]
+    return box[0]
+
+
+ORACLES = {
+    id(schema): (AnchoredValidator(schema), jsonschema.Draft202012Validator(schema))
+    for schema in (MODEL_SCHEMA, FLOWCHART_SCHEMA)
+}
+
+
+def check_against_jsonschema(data, schema):
+    anchored, stock = ORACLES[id(schema)]
+    errors = list(anchored.iter_errors(data))
+    found = [f"{e.json_path}: {e.message}" for e in errors]
+    ours = convert._violation(data, schema)
+    assert (ours is None) == (not found)
+    if len(found) == 1:
+        assert ours == found[0]
+    elif found:
+        assert ours in found
+    # stock jsonschema differs only on strings that end in a newline
+    assert [f"{e.json_path}: {e.message}" for e in stock.iter_errors(data)] == [
+        message
+        for message, e in zip(found, errors)
+        if not (e.validator == "pattern" and e.instance.endswith("\n"))
+    ]
+
+
+@given(seeds)
+@settings(max_examples=300, deadline=None)
+def test_schema_checker_agrees_with_jsonschema(ordering_doc, seed):
+    rng = Random(seed)
+    data, schema = rng.choice([
+        (lambda: to_json(ordering_doc), MODEL_SCHEMA),
+        (lambda: to_json(random_document(rng)), MODEL_SCHEMA),
+        (lambda: read_fixture("ordering_chart.json"), FLOWCHART_SCHEMA),
+    ])
+    data = json.loads(data())
+    for _ in range(rng.randint(1, 3)):
+        data = mutate(rng, data)
+    check_against_jsonschema(data, schema)
+
+
+def test_the_cli_imports_without_jsonschema():
+    src = str(Path(convert.__file__).parents[1])
+    probe = "import sys, tmkit.cli; print('jsonschema' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {probe}"],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------

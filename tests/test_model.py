@@ -1,4 +1,5 @@
 """Model assembly, validation rules, and the simplification pass."""
+import time
 from random import Random
 
 import pytest
@@ -20,6 +21,7 @@ from tmkit import (
     structurally_equal,
     validate,
 )
+from tmkit.model import Diagnostic, _check_containment
 
 from generators import random_document, random_legal_model, random_raw_model
 
@@ -212,6 +214,50 @@ def test_r5_containment_cycle():
     )
     diagnostics = validate(model)
     assert any(d.rule == "R5" and d.severity == "error" for d in diagnostics)
+
+
+def containment_by_rewalking(model):
+    """R5 as it was first written: every thimac walks its whole parent
+    chain.  Kept as the reference for the memoized check."""
+    known = model.thimacs_by_id
+    flagged = set()
+    for thimac in model.thimacs:
+        if thimac.id in flagged:
+            continue
+        seen = []
+        current = thimac.id
+        while current is not None and current in known:
+            if current in seen:
+                cycle = seen[seen.index(current):]
+                flagged.update(cycle)
+                yield Diagnostic(
+                    "error", "R5", thimac.id,
+                    "containment cycle: " + " -> ".join(cycle + [current]),
+                )
+                break
+            seen.append(current)
+            current = known[current].parent
+
+
+@given(seeds)
+@settings(max_examples=200, deadline=None)
+def test_containment_matches_the_rewalking_reference(seed):
+    rng = Random(seed)
+    thimacs = list(random_raw_model(rng).thimacs)
+    rng.shuffle(thimacs)
+    model = StaticModel("raw", thimacs=tuple(thimacs))
+    assert list(_check_containment(model)) == list(containment_by_rewalking(model))
+
+
+def test_deep_containment_chains_validate_fast():
+    ids = [f"t{i}" for i in range(3000)]
+    chain = tuple(Thimac(t, t, ids[i - 1] if i else None) for i, t in enumerate(ids))
+    ring = (Thimac("t0", "t0", ids[-1]), *chain[1:])
+    for thimacs, cycles in ((chain, 0), (ring, 1)):
+        start = time.perf_counter()
+        diagnostics = validate(StaticModel("deep", thimacs=thimacs))
+        assert time.perf_counter() - start < 1.0
+        assert len(diagnostics) == cycles
 
 
 def test_r6_dangling_references():
