@@ -6,6 +6,11 @@ underivable argument, a failed run, a nonconforming trace), 2 for
 unusable input (bad syntax, bad files, bad usage).  Output is plain by
 default so runs are byte-reproducible; set ``TMKIT_COLOR=1`` to color
 the stderr side.
+
+Exit 2 is decided in one place, ``_Main.invoke``: every
+:class:`TmkitError` that no command turned into a negative result.  A
+file that cannot be read or decoded as UTF-8, and an output that cannot
+be written or encoded as UTF-8, raise one too.
 """
 from __future__ import annotations
 
@@ -17,7 +22,6 @@ import click
 
 from . import __version__
 from .convert import (
-    ConvertError,
     chronology_to_dot,
     from_json,
     generate_report,
@@ -39,13 +43,7 @@ from .dynamics import (
     trace_to_json,
 )
 from .errors import TmkitError
-from .logic import (
-    LogicError,
-    derive,
-    format_proof,
-    parse_argument,
-    truth_table_validate,
-)
+from .logic import derive, format_proof, parse_argument, truth_table_validate
 from .model import SimplifyError, simplify as simplify_model, validate
 
 _MODEL_FILE = click.Path(exists=True, dir_okay=False)
@@ -66,36 +64,54 @@ def _fail(message: str, code: int) -> NoReturn:
     raise SystemExit(code)
 
 
-def _load_document(path: str) -> Document:
+def _read(path: str) -> str:
     try:
-        text = pathlib.Path(path).read_text()
+        return pathlib.Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        _fail(str(exc), 2)
-    try:
-        if path.endswith(".json"):
-            return from_json(text)
-        return parse(text)
-    except TmkitError as exc:
-        _fail(str(exc), 2)
-
-
-def _load_scenario(path: str) -> Scenario:
-    try:
-        return parse_scenario(
-            pathlib.Path(path).read_text(), name=pathlib.Path(path).stem
-        )
-    except (OSError, TmkitError) as exc:
-        _fail(str(exc), 2)
+        raise TmkitError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise TmkitError(
+            f"cannot read {path!r} as UTF-8: {exc.reason} at byte {exc.start}"
+        ) from None
 
 
 def _write(output: Optional[str], text: str) -> None:
+    """Print ``text``, or write it to ``output``: the one place results go."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise TmkitError(f"cannot encode the output as UTF-8: {exc}") from None
     if output is None:
-        click.echo(text, nl=False)
-    else:
-        pathlib.Path(output).write_text(text)
+        click.echo(data, nl=False)
+        return
+    try:
+        pathlib.Path(output).write_bytes(data)
+    except OSError as exc:
+        raise TmkitError(str(exc)) from None
 
 
-@click.group()
+def _lines(lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _load_document(path: str) -> Document:
+    text = _read(path)
+    return from_json(text) if path.endswith(".json") else parse(text)
+
+
+def _load_scenario(path: str) -> Scenario:
+    return parse_scenario(_read(path), name=pathlib.Path(path).stem)
+
+
+class _Main(click.Group):
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except TmkitError as exc:
+            _fail(str(exc), 2)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="tmkit")
 def main() -> None:
     """Model thimacs, their events, and the arguments behind them."""
@@ -107,10 +123,9 @@ def check(model_file: str) -> None:
     """Validate a model and print what the rules find."""
     doc = _load_document(model_file)
     diagnostics = validate(doc.model)
-    for diagnostic in diagnostics:
-        click.echo(str(diagnostic))
     errors = sum(1 for d in diagnostics if d.severity == "error")
-    click.echo(f"{errors} errors, {len(diagnostics) - errors} warnings")
+    tally = f"{errors} errors, {len(diagnostics) - errors} warnings"
+    _write(None, _lines([*diagnostics, tally]))
     if errors:
         raise SystemExit(1)
 
@@ -140,16 +155,17 @@ def events(model_file: str, coverage: bool) -> None:
     doc = _load_document(model_file)
     if coverage:
         uncovered = check_coverage(doc.model, doc.events)
-        for action_id in uncovered:
-            click.echo(action_id)
+        _write(None, _lines(uncovered))
         if not uncovered:
             _note("every action is covered")
         return
     if not doc.events:
         _note("no events defined")
         return
-    for event in doc.events:
-        click.echo(f"{event.id}: {event.label} ({len(event.region)} actions)")
+    _write(None, _lines(
+        f"{event.id}: {event.label} ({len(event.region)} actions)"
+        for event in doc.events
+    ))
 
 
 @main.command()
@@ -163,7 +179,7 @@ def simulate(model_file: str, scenario_file: str, output: Optional[str]) -> None
     """Walk the chronology under a scenario; print the trace as JSON."""
     doc = _load_document(model_file)
     if doc.chronology is None:
-        _fail("model has no chronology to simulate", 2)
+        raise TmkitError("model has no chronology to simulate")
     scenario = _load_scenario(scenario_file)
     try:
         trace = simulate_chronology(doc.chronology, scenario)
@@ -179,16 +195,12 @@ def conform(model_file: str, trace_file: str) -> None:
     """Check a recorded trace against the chronology."""
     doc = _load_document(model_file)
     if doc.chronology is None:
-        _fail("model has no chronology to conform against", 2)
-    try:
-        trace = trace_from_json(pathlib.Path(trace_file).read_text())
-    except (OSError, TmkitError) as exc:
-        _fail(str(exc), 2)
-    result = conformance(trace, doc.chronology)
+        raise TmkitError("model has no chronology to conform against")
+    result = conformance(trace_from_json(_read(trace_file)), doc.chronology)
     if result.ok:
-        click.echo("ok")
+        _write(None, "ok\n")
     else:
-        click.echo(f"violation at {result.violation}")
+        _write(None, f"violation at {result.violation}\n")
         raise SystemExit(1)
 
 
@@ -196,38 +208,27 @@ def conform(model_file: str, trace_file: str) -> None:
 @click.argument("argument_file", type=_MODEL_FILE)
 def prove(argument_file: str) -> None:
     """Derive an argument's goal by chaining premises."""
-    argument = _load_argument(argument_file)
-    path = derive(argument)
+    path = derive(parse_argument(_read(argument_file)))
     if path is None:
         _fail("no derivation found", 1)
-    click.echo(format_proof(path), nl=False)
+    _write(None, format_proof(path))
 
 
 @main.command(name="validate-arg")
 @click.argument("argument_file", type=_MODEL_FILE)
 def validate_arg(argument_file: str) -> None:
     """Check an argument against its full truth table."""
-    argument = _load_argument(argument_file)
-    try:
-        valid, countermodel, checked = truth_table_validate(argument)
-    except LogicError as exc:
-        _fail(str(exc), 2)
+    argument = parse_argument(_read(argument_file))
+    valid, countermodel, checked = truth_table_validate(argument)
     if valid:
-        click.echo(f"valid ({checked} assignments checked)")
+        _write(None, f"valid ({checked} assignments checked)\n")
     else:
         rendered = " ".join(
             f"{var}={'T' if value else 'F'}"
             for var, value in sorted(countermodel.items())
         )
-        click.echo(f"invalid: {rendered}")
+        _write(None, f"invalid: {rendered}\n")
         raise SystemExit(1)
-
-
-def _load_argument(path: str):
-    try:
-        return parse_argument(pathlib.Path(path).read_text())
-    except (OSError, LogicError) as exc:
-        _fail(str(exc), 2)
 
 
 @main.command(name="import")
@@ -235,11 +236,7 @@ def _load_argument(path: str):
 @click.option("-o", "--output", type=click.Path(dir_okay=False))
 def import_chart(chart_file: str, output: Optional[str]) -> None:
     """Turn a swimlane flowchart (JSON) into model text."""
-    try:
-        chart = load_flowchart(pathlib.Path(chart_file).read_text())
-        model, notes = import_flowchart(chart)
-    except (OSError, ConvertError) as exc:
-        _fail(str(exc), 2)
+    model, notes = import_flowchart(load_flowchart(_read(chart_file)))
     for note in notes:
         _note(note)
     _write(output, format_document(Document(model)))
@@ -258,12 +255,12 @@ def export(model_file: str, fmt: str, part: str, output: Optional[str]) -> None:
     doc = _load_document(model_file)
     if fmt == "json":
         if part != "model":
-            _fail("--part applies to dot output only", 2)
+            raise TmkitError("--part applies to dot output only")
         _write(output, to_json(doc))
         return
     if part == "chronology":
         if doc.chronology is None:
-            _fail("model has no chronology to draw", 2)
+            raise TmkitError("model has no chronology to draw")
         _write(output, chronology_to_dot(doc.chronology))
     else:
         _write(output, to_dot(doc))
@@ -283,6 +280,4 @@ def report(model_file: str, scenario_files: tuple[str, ...]) -> None:
         text = generate_report(doc, scenarios)
     except SimulationError as exc:
         _fail(str(exc), 1)
-    except ConvertError as exc:
-        _fail(str(exc), 2)
-    click.echo(text, nl=False)
+    _write(None, text)

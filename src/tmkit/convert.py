@@ -28,7 +28,7 @@ from .dynamics import (
     define_event,
     simulate,
 )
-from .dsl import escape
+from .dsl import containment_walk, escape
 from .errors import TmkitError
 from .model import (
     ACTION_KINDS,
@@ -205,7 +205,7 @@ def _check_schema(data: object, schema: dict, what: str) -> None:
 def load_flowchart(text: str) -> FlowchartDoc:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConvertError(f"flowchart is not valid JSON: {exc}") from exc
     _check_schema(data, FLOWCHART_SCHEMA, "flowchart")
 
@@ -431,9 +431,11 @@ def to_dot(doc: Union[Document, StaticModel]) -> str:
     cylinders for storages, dashed edges for triggers."""
     model = doc.model if isinstance(doc, Document) else doc
     lines = [f'digraph "{escape(model.name)}" {{', "  rankdir=LR;"]
-
-    def emit_thimac(thimac: Thimac, depth: int) -> None:
+    for opening, thimac, depth in containment_walk(model):
         pad = "  " * depth
+        if not opening:
+            lines.append(pad + "}")
+            continue
         lines.append(f'{pad}subgraph "cluster_{escape(thimac.id)}" {{')
         lines.append(f'{pad}  label="{escape(thimac.name)}";')
         for action in model.actions_of(thimac.id):
@@ -447,12 +449,6 @@ def to_dot(doc: Union[Document, StaticModel]) -> str:
                 f'{pad}  "{escape(storage.id)}" '
                 f'[shape=cylinder, label="{escape(storage.name)}"];'
             )
-        for child in model.children_of(thimac.id):
-            emit_thimac(child, depth + 1)
-        lines.append(pad + "}")
-
-    for thimac in model.children_of(None):
-        emit_thimac(thimac, 1)
     for flow in model.flows:
         lines.append(f'  "{escape(flow.src)}" -> "{escape(flow.dst)}";')
     for trigger in model.triggers:
@@ -674,7 +670,7 @@ def from_json(text: str) -> Document:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConvertError(f"document is not valid JSON: {exc}") from exc
     _check_schema(data, MODEL_SCHEMA, "document")
 

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Container, NoReturn, Optional, Union
+from typing import Container, Iterator, NoReturn, Optional, Union
 
 from .dynamics import (
     ChronEdge,
@@ -40,7 +39,7 @@ from .dynamics import (
     define_event,
 )
 from .errors import TmkitError
-from .model import ACTION_KINDS, ModelBuilder, StaticModel, grouped
+from .model import ACTION_KINDS, ModelBuilder, StaticModel, Thimac, grouped
 
 KEYWORDS = frozenset(
     {
@@ -260,7 +259,7 @@ class _Parser:
         name = self._declared_name("model name")
         self._expect("LBRACE", "'{'")
         self._builder = ModelBuilder(name.value)
-        self._parse_items(scope=(), owner=None)
+        self._parse_items()
         self._expect("RBRACE", "'}'")
 
         have_events = False
@@ -275,15 +274,23 @@ class _Parser:
 
         return self._resolve(have_events, have_chronology)
 
-    def _parse_items(self, scope: tuple[str, ...], owner: Optional[str]) -> None:
+    def _parse_items(self) -> None:
+        """The model block's body.  Open thimacs are kept on an explicit
+        stack of (scope, owner), so nesting depth is not bounded by
+        Python's recursion limit."""
+        stack: list[tuple[tuple[str, ...], Optional[str]]] = [((), None)]
         while True:
+            scope, owner = stack[-1]
             token = self._peek()
             if token.type in ("RBRACE", "EOF"):
-                return
-            if token.type != "NAME":
+                if len(stack) == 1:
+                    return
+                self._expect("RBRACE", "'}'")
+                stack.pop()
+            elif token.type != "NAME":
                 self._error(token, "a declaration or '}'")
-            if token.value == "thimac":
-                self._parse_thimac(scope, owner)
+            elif token.value == "thimac":
+                stack.append(self._open_thimac(scope, owner))
             elif token.value in ACTION_KINDS:
                 self._parse_action(scope, owner)
             elif token.value == "storage":
@@ -299,7 +306,11 @@ class _Parser:
             raise ParseError(token.span, "a fresh name", f"{path!r} (already declared)")
         return path
 
-    def _parse_thimac(self, scope: tuple[str, ...], owner: Optional[str]) -> None:
+    def _open_thimac(
+        self, scope: tuple[str, ...], owner: Optional[str]
+    ) -> tuple[tuple[str, ...], str]:
+        """Read ``thimac NAME ["note"] {``; return the scope and owner of
+        its body."""
         self._advance()
         name = self._declared_name("thimac name")
         note = self._advance().value if self._peek().type == "STRING" else None
@@ -307,8 +318,7 @@ class _Parser:
         self._thimac_ids.add(path)
         self._builder.add_thimac(name.value, parent=owner, note=note, id=path)
         self._expect("LBRACE", "'{'")
-        self._parse_items((*scope, name.value), path)
-        self._expect("RBRACE", "'}'")
+        return (*scope, name.value), path
 
     def _parse_action(self, scope: tuple[str, ...], owner: Optional[str]) -> None:
         kind = self._advance()
@@ -474,11 +484,57 @@ def escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def containment_walk(model: StaticModel) -> Iterator[tuple[bool, Thimac, int]]:
+    """The thimacs in pre-order, children in declaration order:
+    ``(True, thimac, depth)`` as each opens and ``(False, thimac, depth)``
+    as it closes, top-level thimacs at depth 1.  The walk keeps its own
+    stack, so depth is not bounded by Python's recursion limit.
+
+    A writer must not drop elements, so after the last step this raises
+    :class:`FormatError` for the first thimac the walk never reached (one
+    in a containment cycle or under a missing parent), or else the first
+    action or storage whose owner it never reached.
+    """
+    reached: set[str] = set()
+    stack: list[tuple[Optional[Thimac], Iterator[Thimac]]] = [
+        (None, iter(model.children_of(None)))
+    ]
+    while stack:
+        parent, children = stack[-1]
+        child = next(children, None)
+        if child is None:
+            stack.pop()
+            if parent is not None:
+                yield False, parent, len(stack)
+            continue
+        reached.add(child.id)
+        yield True, child, len(stack)
+        stack.append((child, iter(model.children_of(child.id))))
+    for thimac in model.thimacs:
+        if thimac.id not in reached:
+            raise FormatError(
+                f"thimac {thimac.id!r} is in a containment cycle or under a "
+                f"missing parent and cannot be written"
+            )
+    for kind, nodes in (("action", model.actions), ("storage", model.storages)):
+        for node in nodes:
+            if node.owner not in reached:
+                raise FormatError(
+                    f"{kind} {node.id!r} belongs to {node.owner!r}, which is "
+                    f"not a written thimac, and cannot be written"
+                )
+
+
 class _Formatter:
     def __init__(self, model: StaticModel):
         self.model = model
         self.nodes = set(model.actions_by_id) | set(model.storages_by_id)
         self.lines: list[str] = []
+        # flows and triggers by the thimac that prints them, in model order
+        self.flows = grouped((self._grouping_owner(f), f) for f in model.flows)
+        self.triggers = grouped(
+            (self._grouping_owner(t), t) for t in model.triggers
+        )
 
     def _print_ref(self, node_id: str, scope: tuple[str, ...], owner: str) -> str:
         local = node_id.rsplit("/", 1)[-1]
@@ -493,13 +549,17 @@ class _Formatter:
 
     def emit_model(self) -> None:
         self.lines.append(f"model {self.model.name} {{")
-        for thimac in self.model.children_of(None):
-            self._emit_thimac(thimac, depth=1)
+        for opening, thimac, depth in containment_walk(self.model):
+            pad = "  " * depth
+            if opening:
+                self._open_thimac(thimac, pad)
+            else:
+                self._emit_edges(tuple(thimac.id.split("/")), thimac.id, pad + "  ")
+                self.lines.append(pad + "}")
         self.lines.append("}")
 
-    def _emit_thimac(self, thimac, depth: int) -> None:
-        pad = "  " * depth
-        inner = "  " * (depth + 1)
+    def _open_thimac(self, thimac: Thimac, pad: str) -> None:
+        inner = pad + "  "
         head = f"{pad}thimac {thimac.id.rsplit('/', 1)[-1]}"
         if thimac.note is not None:
             head += f' "{escape(thimac.note)}"'
@@ -513,34 +573,19 @@ class _Formatter:
             self.lines.append(line)
         for storage in self.model.storages_of(thimac.id):
             self.lines.append(f"{inner}storage {storage.id.rsplit('/', 1)[-1]}")
-        for child in self.model.children_of(thimac.id):
-            self._emit_thimac(child, depth + 1)
-        self._emit_edges(tuple(thimac.id.split("/")), thimac.id, inner)
-        self.lines.append(pad + "}")
 
     def _emit_edges(self, scope: tuple[str, ...], owner: str, pad: str) -> None:
-        flows, triggers = self._edges_by_owner
-        for flow in flows.get(owner, ()):
+        for flow in self.flows.get(owner, ()):
             src = self._print_ref(flow.src, scope, owner)
             dst = self._print_ref(flow.dst, scope, owner)
             self.lines.append(f"{pad}{src} -> {dst}")
-        for trigger in triggers.get(owner, ()):
+        for trigger in self.triggers.get(owner, ()):
             src = self._print_ref(trigger.src, scope, owner)
             dst = self._print_ref(trigger.dst, scope, owner)
             line = f"{pad}{src} ~> {dst}"
             if trigger.condition is not None:
                 line += f' if "{escape(trigger.condition)}"'
             self.lines.append(line)
-
-    @cached_property
-    def _edges_by_owner(self) -> tuple[dict, dict]:
-        """Flows and triggers grouped by the thimac that prints them, in
-        model order.  Built when the first thimac's edges are written, so
-        a model with no thimac to print raises nothing here."""
-        return (
-            grouped((self._grouping_owner(f), f) for f in self.model.flows),
-            grouped((self._grouping_owner(t), t) for t in self.model.triggers),
-        )
 
     def _grouping_owner(self, edge) -> Optional[str]:
         owner = self.model.node_owner(edge.src)

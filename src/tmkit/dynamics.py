@@ -250,8 +250,15 @@ def build_chronology(
             if ref not in known:
                 raise UnknownEventError(f"chronology references unknown event {ref!r}")
 
+    edge_pairs: set[tuple[str, str]] = set()
+    for edge in edge_tuple:
+        if (edge.src, edge.dst) in edge_pairs:
+            raise DynamicsError(
+                f"duplicate chronology edge {edge.src} -> {edge.dst}"
+            )
+        edge_pairs.add((edge.src, edge.dst))
+
     bounds = dict(loop_bounds or {})
-    edge_pairs = {(e.src, e.dst) for e in edge_tuple}
     for pair, budget in bounds.items():
         if pair not in edge_pairs:
             raise UnknownEventError(
@@ -465,22 +472,30 @@ def trace_to_json(trace: Trace) -> str:
 def trace_from_json(text: str) -> Trace:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ScenarioError(f"trace is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or not isinstance(payload.get("steps"), Iterable):
+    if not isinstance(payload, dict) or not isinstance(payload.get("steps"), list):
         raise ScenarioError("trace must be an object with a 'steps' list")
     steps = []
     for entry in payload["steps"]:
         if not isinstance(entry, dict) or "event" not in entry:
             raise ScenarioError("each trace step needs an 'event' field")
-        try:
-            index = int(entry.get("index", len(steps)))
-        except (TypeError, ValueError, OverflowError):
-            raise ScenarioError(
-                f"trace step index {entry['index']!r} is not an integer"
-            ) from None
+        index = _step_index(entry.get("index", len(steps)))
         steps.append((str(entry["event"]), index))
     return Trace(tuple(steps), str(payload.get("scenario", "trace")))
+
+
+def _step_index(raw: object) -> int:
+    """An int, an integral float, or a string ``int()`` reads.  A bool or a
+    fractional float is refused, though ``int()`` would take it."""
+    if not isinstance(raw, bool) and not (
+        isinstance(raw, float) and not raw.is_integer()
+    ):
+        try:
+            return int(raw)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ScenarioError(f"trace step index {raw!r} is not an integer")
 
 
 def structurally_equal_documents(a: Document, b: Document) -> bool:

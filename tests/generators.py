@@ -12,9 +12,13 @@ Four families:
   Oracles for the model's indexes run on these.
 * ``random_argument`` -- implicational arguments for the soundness sweep.
 
+``mutate`` makes one random edit in a decoded JSON value, for the schema
+checker's differential test and the command-line fuzz test.
+
 Everything is driven by a caller-owned ``random.Random`` so a seed pins
 the whole artifact.
 """
+import copy
 from random import Random
 
 import tmkit
@@ -258,3 +262,37 @@ def random_argument(rng: Random) -> Argument:
     while goal_consequent == goal_antecedent:
         goal_consequent = Literal(rng.choice(used), rng.random() < 0.5)
     return Argument(tuple(premises), Implication(goal_antecedent, goal_consequent))
+
+
+_ODD_VALUES = (
+    None, True, 0, 1, -3, 0.0, 2.0, 0.5, "", "x", "a\n", "9z", "create",
+    "activity", [], {}, ["a"], {"id": "x"},
+)
+
+
+def mutate(rng, data, values=_ODD_VALUES):
+    """One random edit somewhere in a JSON value: end a string in a
+    newline, replace a value with one of ``values``, drop a key or an
+    item, add a key, or wrap a value in a list.  Returns the edited
+    value."""
+    box = [data]
+    slots = [(box, 0)]
+    for container, key in slots:
+        child = container[key]
+        if isinstance(child, dict):
+            slots.extend((child, k) for k in child)
+        elif isinstance(child, list):
+            slots.extend((child, i) for i in range(len(child)))
+    container, key = rng.choice(slots)
+    roll = rng.random()
+    if roll < 0.2 and isinstance(container[key], str):
+        container[key] += "\n"
+    elif roll < 0.5 or container is box:
+        container[key] = copy.deepcopy(rng.choice(values))
+    elif roll < 0.75:
+        del container[key]
+    elif isinstance(container[key], dict):
+        container[key][rng.choice(["zz", "aa", "id", "max", "edges"])] = 1
+    else:
+        container[key] = [container[key]]
+    return box[0]

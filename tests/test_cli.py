@@ -3,10 +3,13 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmkit.cli import main
 
 from conftest import fixture_path, read_fixture
+from generators import mutate
 
 runner = CliRunner()
 
@@ -389,3 +392,269 @@ def test_tmkit_color_styles_stderr_only():
     )
     assert "\x1b[" in result.stderr
     assert "\x1b[" not in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# unusable input: exit 2 with a message, never a traceback
+
+
+def assert_unusable(result, message):
+    """Exit 2, and the last stderr line is the error (notes may precede it)."""
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.splitlines()[-1].startswith("error: ")
+    assert message in result.stderr
+
+
+def model_json(tmp_path, **changes):
+    path = tmp_path / "model.json"
+    data = json.loads(invoke("export", model_arg(), "--format", "json").stdout)
+    path.write_text(json.dumps(dict(data, **changes)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check", "bad.tm"],
+        ["check", "bad.json"],
+        ["prove", "bad.arg"],
+        ["validate-arg", "bad.arg"],
+        ["import", "bad.json"],
+        ["simulate", model_arg(), "--scenario", "bad.scenario"],
+        ["report", model_arg(), "--scenario", "bad.scenario"],
+        ["conform", model_arg(), "bad.json"],
+    ],
+)
+def test_undecodable_files_are_unusable_input(tmp_path, command):
+    bad = tmp_path / command[-1]
+    bad.write_bytes(b"\xff\xfe model")
+    result = invoke(*command[:-1], bad)
+    assert result.stderr == (
+        f"error: cannot read {str(bad)!r} as UTF-8: invalid start byte at byte 0\n"
+    )
+    assert_unusable(result, "")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simplify", model_arg()],
+        ["import", fixture_path("ordering_chart.json")],
+        ["export", model_arg(), "--format", "json"],
+    ],
+)
+def test_unwritable_outputs_are_unusable_input(tmp_path, args):
+    out = tmp_path / "missing" / "out"
+    result = invoke(*args, "-o", out)
+    assert_unusable(result, f"No such file or directory: {str(out)!r}\n")
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_unencodable_output_is_unusable_input(tmp_path, to_file):
+    path = model_json(
+        tmp_path, events=[], chronology=None,
+        actions=[{"id": "client/submit", "kind": "process", "owner": "client",
+                  "label": "\ud800", "anchor": None}],
+        flows=[], triggers=[], storages=[],
+    )
+    out = tmp_path / "out.tm"
+    result = invoke("simplify", path, *(["-o", out] if to_file else []))
+    assert_unusable(result, "cannot encode the output as UTF-8: ")
+    assert result.stdout == ""
+    assert not out.exists()
+
+
+def test_a_model_that_cannot_be_written_is_unusable_input(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "name": "m",
+        "thimacs": [{"id": "t", "name": "t", "parent": None, "note": None}],
+        "actions": [
+            {"id": id_, "kind": "process", "owner": "t", "label": None,
+             "anchor": None}
+            for id_ in ("a/b", "t/a/b")
+        ],
+        "storages": [],
+        "flows": [{"id": "f1", "from": "a/b", "to": "t/a/b"}],
+        "triggers": [],
+        "events": [],
+        "chronology": None,
+    }))
+    result = invoke("simplify", path)
+    assert_unusable(result, "cannot be written unambiguously")
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+def test_a_chronology_without_events_is_unusable_input(tmp_path, command):
+    path = tmp_path / "empty.tm"
+    path.write_text("model m { }\nchronology { }\n")
+    result = invoke(command, path, "--scenario", scenario_arg("ordering_all_yes"))
+    assert_unusable(result, "")
+    assert result.stderr == "error: chronology has no initial event\n"
+
+
+def test_deeply_nested_thimacs_check_clean(tmp_path):
+    path = tmp_path / "deep.tm"
+    path.write_text("model m {\n" + "thimac t {\n" * 500 + "}\n" * 500 + "}\n")
+    result = invoke("check", path)
+    assert result.exit_code == 0
+    assert result.stdout == "0 errors, 0 warnings\n"
+
+
+@pytest.mark.parametrize(
+    "args, what",
+    [
+        (["check", "{deep}"], "document"),
+        (["import", "{deep}"], "flowchart"),
+        (["conform", model_arg(), "{deep}"], "trace"),
+    ],
+)
+def test_deeply_nested_json_is_not_valid_json(tmp_path, args, what):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    result = invoke(*[deep if a == "{deep}" else a for a in args])
+    assert_unusable(result, f"error: {what} is not valid JSON: ")
+
+
+def test_a_containment_cycle_is_not_written_as_an_empty_model(tmp_path):
+    path = model_json(
+        tmp_path, events=[], chronology=None, actions=[], storages=[],
+        flows=[], triggers=[],
+        thimacs=[
+            {"id": "t", "name": "t", "parent": "u", "note": None},
+            {"id": "u", "name": "u", "parent": "t", "note": None},
+        ],
+    )
+    for args in (["simplify"], ["export", "--format", "dot"]):
+        result = invoke(args[0], path, *args[1:])
+        assert_unusable(result, "thimac 't' is in a containment cycle")
+        assert result.stdout == ""
+
+
+def test_a_duplicate_chronology_edge_is_unusable_input(tmp_path):
+    data = json.loads(invoke("export", model_arg(), "--format", "json").stdout)
+    data["chronology"]["edges"].append(data["chronology"]["edges"][0])
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(data))
+    result = invoke("check", path)
+    assert_unusable(result, "duplicate chronology edge E1 -> E2")
+
+
+@pytest.mark.parametrize(
+    "trace, complaint",
+    [
+        ({"steps": ""}, "'steps' list"),
+        ({"steps": {}}, "'steps' list"),
+        ({"steps": [{"event": "E1", "index": True}]}, "index True is not"),
+        ({"steps": [{"event": "E1", "index": 0.9}]}, "index 0.9 is not"),
+    ],
+)
+def test_conform_no_longer_coerces_trace_steps(tmp_path, trace, complaint):
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps(trace))
+    result = invoke("conform", model_arg(), trace_file)
+    assert_unusable(result, complaint)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: whatever bytes come in, exit 0, 1 or 2 and no traceback
+
+_FUZZ_COMMANDS = [
+    ["check", "{tm}"],
+    ["check", "{json}"],
+    ["simplify", "{json}", "-o", "{out}"],
+    ["events", "{tm}"],
+    ["events", "{json}", "--coverage"],
+    ["simulate", "{json}", "--scenario", "{scenario}"],
+    ["conform", "{tm}", "{trace}"],
+    ["prove", "{arg}"],
+    ["validate-arg", "{arg}"],
+    ["import", "{chart}"],
+    ["export", "{json}", "--format", "json"],
+    ["export", "{tm}", "--format", "dot"],
+    ["export", "{json}", "--format", "dot", "--part", "chronology"],
+    ["report", "{tm}", "--scenario", "{scenario}"],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs():
+    """Each input role's canonical text."""
+    ordering = read_fixture("ordering.tm")
+    scenario = scenario_arg("ordering_all_yes")
+    return {
+        "tm": ordering,
+        "json": invoke("export", model_arg(), "--format", "json").stdout,
+        "scenario": scenario.read_text(),
+        "trace": invoke("simulate", model_arg(), "--scenario", scenario).stdout,
+        "arg": read_fixture("carroll.arg"),
+        "chart": read_fixture("ordering_chart.json"),
+    }
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def fuzzed(draw, canonical):
+    """Arbitrary bytes, arbitrary text, or the canonical text with a few
+    random edits: JSON edits on a decoded copy (which may put arbitrary
+    JSON values in), splices on plain text."""
+    kind = draw(st.sampled_from(["bytes", "text", "edited"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=80))
+    if kind == "text":
+        return draw(st.text(max_size=60)).encode("utf-8", "surrogatepass")
+    rng = draw(st.randoms(use_true_random=False))
+    try:
+        data = json.loads(canonical)
+    except ValueError:
+        text = canonical
+        for _ in range(rng.randint(1, 3)):
+            start = rng.randrange(len(text) + 1)
+            end = min(len(text), start + rng.randint(0, 12))
+            text = text[:start] + draw(st.text(max_size=6)) + text[end:]
+        return text.encode("utf-8", "surrogatepass")
+    values = draw(st.lists(json_values, min_size=1, max_size=3))
+    for _ in range(rng.randint(1, 3)):
+        data = mutate(rng, data, values)
+    return json.dumps(data).encode()
+
+
+@given(
+    command=st.sampled_from(_FUZZ_COMMANDS),
+    pick=st.integers(min_value=0),
+    data=st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_inputs_never_crash_the_cli(
+    tmp_path_factory, fuzz_inputs, command, pick, data
+):
+    work = tmp_path_factory.mktemp("fuzz")
+    roles = [a[1:-1] for a in command if a.startswith("{") and a != "{out}"]
+    target = roles[pick % len(roles)]
+    args = []
+    for arg in command:
+        if not arg.startswith("{"):
+            args.append(arg)
+            continue
+        role = arg[1:-1]
+        path = work / f"{role}.{role if role in ('tm', 'json') else 'in'}"
+        if role == "out":
+            path = work / "out"
+        elif role == target:
+            path.write_bytes(data.draw(fuzzed(fuzz_inputs[role]), label=role))
+        else:
+            path.write_text(fuzz_inputs[role])
+        args.append(path)
+    result = invoke(*args)
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        result.exception
+    )

@@ -1,5 +1,4 @@
 """Flowchart import, DOT and JSON output, and plain-text reports."""
-import copy
 import json
 import re
 import subprocess
@@ -34,7 +33,7 @@ from tmkit import convert
 from tmkit.convert import FLOWCHART_SCHEMA, MODEL_SCHEMA
 
 from conftest import read_fixture
-from generators import random_document
+from generators import mutate, random_document
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -429,6 +428,14 @@ def test_from_json_rejects_garbage():
         from_json('{"name": "m"}')
 
 
+def test_deeply_nested_json_is_not_valid_json():
+    deep = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(ConvertError, match="document is not valid JSON"):
+        from_json(deep)
+    with pytest.raises(ConvertError, match="flowchart is not valid JSON"):
+        load_flowchart(deep)
+
+
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_json_round_trips_generated_documents(seed):
@@ -526,39 +533,6 @@ def _anchored_pattern(validator, pattern, instance, schema):
 AnchoredValidator = jsonschema.validators.extend(
     jsonschema.Draft202012Validator, {"pattern": _anchored_pattern}
 )
-
-_ODD_VALUES = (
-    None, True, 0, 1, -3, 0.0, 2.0, 0.5, "", "x", "a\n", "9z", "create",
-    "activity", [], {}, ["a"], {"id": "x"},
-)
-
-
-def mutate(rng, data):
-    """One random edit somewhere in a JSON value: end a string in a
-    newline, replace a value, drop a key or an item, add a key, or wrap a
-    value in a list.  Returns the edited value."""
-    box = [data]
-    slots = [(box, 0)]
-    for container, key in slots:
-        child = container[key]
-        if isinstance(child, dict):
-            slots.extend((child, k) for k in child)
-        elif isinstance(child, list):
-            slots.extend((child, i) for i in range(len(child)))
-    container, key = rng.choice(slots)
-    roll = rng.random()
-    if roll < 0.2 and isinstance(container[key], str):
-        container[key] += "\n"
-    elif roll < 0.5 or container is box:
-        container[key] = copy.deepcopy(rng.choice(_ODD_VALUES))
-    elif roll < 0.75:
-        del container[key]
-    elif isinstance(container[key], dict):
-        container[key][rng.choice(["zz", "aa", "id", "max", "edges"])] = 1
-    else:
-        container[key] = [container[key]]
-    return box[0]
-
 
 ORACLES = {
     id(schema): (AnchoredValidator(schema), jsonschema.Draft202012Validator(schema))

@@ -6,12 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmkit import (
+    Action,
     Document,
     FormatError,
     ModelBuilder,
     ParseError,
+    StaticModel,
+    Storage,
+    Thimac,
     format_document,
     parse,
+    to_dot,
 )
 from tmkit.dynamics import (
     DisconnectedRegionError,
@@ -405,3 +410,84 @@ def test_json_and_text_agree_on_random_documents(seed):
     via_text = parse(format_document(doc))
     via_json = from_json(to_json(doc))
     assert structurally_equal_documents(via_text, via_json)
+
+
+# ---------------------------------------------------------------------------
+# deep nesting and the shared containment walk
+
+DEPTH = 1500  # above the default recursion limit of 1000
+
+
+def test_parser_and_formatter_keep_their_own_stacks():
+    text = (
+        "model m {\n"
+        + "".join(f"thimac t{i} {{ process p{i}\n" for i in range(DEPTH))
+        + "}\n" * DEPTH
+        + "}\n"
+    )
+    doc = parse(text)
+    deepest = "/".join(f"t{i}" for i in range(DEPTH))
+    assert doc.model.actions[-1].id == f"{deepest}/p{DEPTH - 1}"
+    canon = format_document(doc)
+    assert canon.splitlines()[2 * DEPTH - 1] == "  " * DEPTH + f"thimac t{DEPTH - 1} {{"
+    assert format_document(parse(canon)) == canon
+
+
+def test_unclosed_nesting_is_a_parse_error():
+    with pytest.raises(ParseError, match="expected '}', found end of file"):
+        parse("model m {\n" + "thimac t {\n" * DEPTH)
+
+
+def chain_model(depth):
+    """Thimacs t0 .. t(depth-1), each inside the one before, built without
+    the builder, as ``from_json`` may build them."""
+    return StaticModel(
+        "chain",
+        thimacs=tuple(
+            Thimac(f"t{i}", f"t{i}", f"t{i - 1}" if i else None)
+            for i in range(depth)
+        ),
+        actions=(Action("a", "process", f"t{depth - 1}"),),
+    )
+
+
+@pytest.mark.parametrize("write", [format_document, to_dot])
+def test_both_writers_walk_deep_chains(write):
+    lines = write(chain_model(DEPTH)).splitlines()
+    closing = [line for line in lines if line.strip() == "}"]
+    assert len(closing) == DEPTH + 1
+    assert closing[0] == "  " * DEPTH + "}"
+
+
+@pytest.mark.parametrize("write", [format_document, to_dot])
+@pytest.mark.parametrize(
+    "thimacs, actions, storages, complaint",
+    [
+        (
+            [Thimac("t", "t", "u"), Thimac("u", "u", "t")], [], [],
+            "thimac 't' is in a containment cycle or under a missing parent",
+        ),
+        (
+            [Thimac("t", "t", None), Thimac("u", "u", "ghost")], [], [],
+            "thimac 'u' is in a containment cycle or under a missing parent",
+        ),
+        (
+            [Thimac("t", "t", None)], [Action("a", "process", "ghost")], [],
+            "action 'a' belongs to 'ghost', which is not a written thimac",
+        ),
+        (
+            [Thimac("t", "t", None)], [], [Storage("s", "ghost", "s")],
+            "storage 's' belongs to 'ghost', which is not a written thimac",
+        ),
+    ],
+    ids=["cycle", "missing-parent", "action-owner", "storage-owner"],
+)
+def test_writers_refuse_what_they_cannot_reach(
+    write, thimacs, actions, storages, complaint
+):
+    model = StaticModel(
+        "m", thimacs=tuple(thimacs), actions=tuple(actions),
+        storages=tuple(storages),
+    )
+    with pytest.raises(FormatError, match=complaint):
+        write(model)

@@ -499,3 +499,32 @@ def test_trace_from_json_rejects_malformed_input():
         trace_from_json("[]")
     with pytest.raises(ScenarioError, match="'event'"):
         trace_from_json('{"steps": [{"index": 0}]}')
+
+
+def test_chronology_rejects_duplicate_edges():
+    events = events_over(one_action_model(), 2)
+    edge = ChronEdge("E1", "E2")
+    with pytest.raises(DynamicsError, match="duplicate chronology edge E1 -> E2"):
+        build_chronology(events, [edge, edge])
+
+
+@pytest.mark.parametrize(
+    "text, complaint",
+    [
+        ('{"steps": ""}', "'steps' list"),
+        ('{"steps": {}}', "'steps' list"),
+        ('{"steps": [{"event": "E1", "index": true}]}', "index True is not"),
+        ('{"steps": [{"event": "E1", "index": 0.9}]}', "index 0.9 is not"),
+        ('{"steps": [{"event": "E1", "index": 1e400}]}', "index inf is not"),
+        ("[" * 100_000 + "]" * 100_000, "not valid JSON"),
+    ],
+    ids=["string-steps", "object-steps", "bool", "fraction", "inf", "deep"],
+)
+def test_trace_from_json_refuses_what_it_used_to_coerce(text, complaint):
+    with pytest.raises(ScenarioError, match=complaint):
+        trace_from_json(text)
+
+
+def test_trace_from_json_reads_integral_indexes():
+    text = '{"steps": [{"event": "E1", "index": 0.0}, {"event": "E2", "index": "1"}]}'
+    assert trace_from_json(text).steps == (("E1", 0), ("E2", 1))
