@@ -1,11 +1,12 @@
 """Interchange: flowchart import, DOT and JSON output, plain-text reports.
 
 The flowchart side accepts a swimlane chart (JSON) and rebuilds it as a
-model: lanes become thimacs, boxes become creates and processes, and
-every hop that the flow rules forbid -- activity to activity, lane to
-lane -- is legalized by inserting the release/transfer/receive machinery
-that a chart leaves implicit.  Guarded branches out of a decision become
-triggers, so the decision logic survives the trip.
+model: lanes become thimacs, and each node becomes the actions that
+``_NODE_ACTIONS`` lists for its kind.  Every hop that the flow rules
+forbid -- activity to activity, lane to lane -- is legalized by inserting
+the release/transfer/receive machinery that a chart leaves implicit.
+Guarded branches out of a decision become triggers, so the decision
+logic survives the trip.
 
 JSON serialization is canonical: fixed key order, every key always
 present, ``null`` rather than omission.  Loading is deliberately more
@@ -239,6 +240,20 @@ def load_flowchart(text: str) -> FlowchartDoc:
     return FlowchartDoc(data["name"], lanes, nodes, edges, data.get("description"))
 
 
+#: Each chart node kind's actions as ``(id suffix, kind)``, in flow order.
+#: The action with no suffix carries the node's label and any guard
+#: trigger; a kind with no actions (end) is dropped, since a run just stops.
+_NODE_ACTIONS: dict[str, tuple[tuple[str, str], ...]] = {
+    "start": (("", "create"),),
+    "end": (),
+    "activity": (("", "process"),),
+    "decision": (("", "process"),),
+    "message-send": (("", "release"), ("_out", "transfer")),
+    "message-receive": (("_in", "transfer"), ("", "receive")),
+}
+_SAME_LANE_BRIDGE = (("_rel", "release"), ("_tr", "transfer"), ("_rcv", "receive"))
+
+
 def import_flowchart(chart: FlowchartDoc) -> tuple[StaticModel, tuple[str, ...]]:
     """Rebuild a flowchart as a model.
 
@@ -257,25 +272,22 @@ def import_flowchart(chart: FlowchartDoc) -> tuple[StaticModel, tuple[str, ...]]
         builder.add_thimac(lane, id=lane)
 
     for node in chart.nodes:
-        path = f"{node.lane}/{node.id}"
-        if node.kind == "start":
-            builder.add_action("create", node.lane, node.label, id=path)
-        elif node.kind in ("activity", "decision"):
-            builder.add_action("process", node.lane, node.label, id=path)
-        elif node.kind == "message-send":
-            builder.add_action("release", node.lane, node.label, id=path)
-            builder.add_action("transfer", node.lane, id=f"{path}_out")
-            builder.add_flow(path, f"{path}_out")
-        elif node.kind == "message-receive":
-            builder.add_action("transfer", node.lane, id=f"{path}_in")
-            builder.add_action("receive", node.lane, node.label, id=path)
-            builder.add_flow(f"{path}_in", path)
-        else:  # end: nothing to run once the flow stops
+        actions = _NODE_ACTIONS[node.kind]
+        if not actions:
             notes.append(f"end node {node.id!r} dropped; a run simply stops there")
+        path = f"{node.lane}/{node.id}"
+        ids = [
+            builder.add_action(
+                kind, node.lane, None if suffix else node.label, id=path + suffix
+            )
+            for suffix, kind in actions
+        ]
+        for src, dst in zip(ids, ids[1:]):
+            builder.add_flow(src, dst)
 
     for edge in chart.edges:
         src, dst = nodes_by_id[edge.src], nodes_by_id[edge.dst]
-        if dst.kind == "end":
+        if not _NODE_ACTIONS[dst.kind]:
             suffix = f" (guard {edge.guard!r} lost)" if edge.guard else ""
             notes.append(f"edge {edge.src} -> {edge.dst} dropped with its end node{suffix}")
             continue
@@ -343,83 +355,30 @@ def _reject_unmappable(chart: FlowchartDoc, nodes_by_id: dict[str, FlowNode]) ->
                     )
 
 
-def _endpoints(src: FlowNode, dst: FlowNode) -> tuple[str, str, str]:
-    """Model ids for an edge: source's exit node, target's entry node,
-    and the source exit kind (for the legality check)."""
-    if src.kind == "message-send":
-        exit_id, exit_kind = f"{src.lane}/{src.id}_out", "transfer"
-    elif src.kind == "message-receive":
-        exit_id, exit_kind = f"{src.lane}/{src.id}", "receive"
-    elif src.kind == "start":
-        exit_id, exit_kind = f"{src.lane}/{src.id}", "create"
-    else:
-        exit_id, exit_kind = f"{src.lane}/{src.id}", "process"
-    if dst.kind == "message-send":
-        entry = f"{dst.lane}/{dst.id}"  # its release
-    elif dst.kind == "message-receive":
-        entry = f"{dst.lane}/{dst.id}_in"  # its transfer
-    else:
-        entry = f"{dst.lane}/{dst.id}"
-    return exit_id, entry, exit_kind
-
-
-def _entry_kind(dst: FlowNode) -> str:
-    if dst.kind == "message-send":
-        return "release"
-    if dst.kind == "message-receive":
-        return "transfer"
-    return "process"
-
-
 def _wire_edge(
     builder: ModelBuilder, edge: FlowEdge, src: FlowNode, dst: FlowNode
 ) -> str:
-    """Add the flow chain for one chart edge; returns the first node the
-    token moves to (the target for a guard trigger)."""
-    exit_id, entry_id, exit_kind = _endpoints(src, dst)
+    """Chain the source's last action to the target's first, bridging the
+    hop where the flow rules require; returns the first node the token
+    moves to (the target for a guard trigger)."""
+    exit_suffix, exit_kind = _NODE_ACTIONS[src.kind][-1]
+    entry_suffix, entry_kind = _NODE_ACTIONS[dst.kind][0]
+    bridge: list[tuple[str, str, str]] = []
+    if src.lane != dst.lane:  # each side unless it already has its transfer
+        if exit_kind != "transfer":
+            bridge += [(src.lane, "_rel", "release"), (src.lane, "_out", "transfer")]
+        if entry_kind != "transfer":
+            bridge += [(dst.lane, "_in", "transfer"), (dst.lane, "_rcv", "receive")]
+    elif (exit_kind, entry_kind) not in LEGAL_FLOW_PAIRS:
+        bridge = [(src.lane, suffix, kind) for suffix, kind in _SAME_LANE_BRIDGE]
     stem = f"{edge.src}_to_{edge.dst}"
-
-    if src.lane == dst.lane:
-        if (exit_kind, _entry_kind(dst)) in LEGAL_FLOW_PAIRS:
-            builder.add_flow(exit_id, entry_id)
-            return entry_id
-        rel = f"{src.lane}/{stem}_rel"
-        out = f"{src.lane}/{stem}_tr"
-        rcv = f"{src.lane}/{stem}_rcv"
-        builder.add_action("release", src.lane, id=rel)
-        builder.add_action("transfer", src.lane, id=out)
-        builder.add_action("receive", src.lane, id=rcv)
-        builder.add_flow(exit_id, rel)
-        builder.add_flow(rel, out)
-        builder.add_flow(out, rcv)
-        builder.add_flow(rcv, entry_id)
-        return rel
-
-    if src.kind == "message-send":
-        sender_out, head = exit_id, None
-    else:
-        rel = f"{src.lane}/{stem}_rel"
-        sender_out = f"{src.lane}/{stem}_out"
-        builder.add_action("release", src.lane, id=rel)
-        builder.add_action("transfer", src.lane, id=sender_out)
-        builder.add_flow(exit_id, rel)
-        builder.add_flow(rel, sender_out)
-        head = rel
-
-    if dst.kind == "message-receive":
-        builder.add_flow(sender_out, entry_id)
-        receiver_head = entry_id
-    else:
-        inp = f"{dst.lane}/{stem}_in"
-        rcv = f"{dst.lane}/{stem}_rcv"
-        builder.add_action("transfer", dst.lane, id=inp)
-        builder.add_action("receive", dst.lane, id=rcv)
-        builder.add_flow(sender_out, inp)
-        builder.add_flow(inp, rcv)
-        builder.add_flow(rcv, entry_id)
-        receiver_head = inp
-
-    return head if head is not None else receiver_head
+    chain = [f"{src.lane}/{src.id}{exit_suffix}"]
+    for lane, suffix, kind in bridge:
+        chain.append(builder.add_action(kind, lane, id=f"{lane}/{stem}{suffix}"))
+    chain.append(f"{dst.lane}/{dst.id}{entry_suffix}")
+    for a, b in zip(chain, chain[1:]):
+        builder.add_flow(a, b)
+    return chain[1]
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +677,7 @@ def from_json(text: str) -> Document:
         for entry in data["chronology"]["edges"]:
             edges.append(ChronEdge(entry["from"], entry["to"], entry["guard"]))
             if entry["max"] is not None:
-                bounds[(entry["from"], entry["to"])] = entry["max"]
+                bounds[(entry["from"], entry["to"])] = int(entry["max"])
         chronology = build_chronology(events, edges, bounds)
 
     return Document(model, tuple(events), chronology)

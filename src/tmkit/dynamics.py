@@ -481,8 +481,14 @@ def trace_from_json(text: str) -> Trace:
         if not isinstance(entry, dict) or "event" not in entry:
             raise ScenarioError("each trace step needs an 'event' field")
         index = _step_index(entry.get("index", len(steps)))
-        steps.append((str(entry["event"]), index))
-    return Trace(tuple(steps), str(payload.get("scenario", "trace")))
+        steps.append((_name(entry["event"], "event"), index))
+    return Trace(tuple(steps), _name(payload.get("scenario", "trace"), "scenario"))
+
+
+def _name(raw: object, what: str) -> str:
+    if not isinstance(raw, str):
+        raise ScenarioError(f"trace {what} {raw!r} is not a string")
+    return raw
 
 
 def _step_index(raw: object) -> int:

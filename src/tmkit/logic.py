@@ -267,18 +267,26 @@ def _literal_thimac(lit: Literal) -> str:
 def encode_as_tm(argument: Argument, name: str = "argument") -> StaticModel:
     """One thimac per literal, holding a single create; each implication
     in the contrapositive closure becomes a trigger between the creates,
-    its condition recording which premise it came from.
+    its condition recording which premise it came from.  Raises
+    :class:`LogicError` when two literals would share a thimac, as ``~a``
+    and a variable named ``not_a`` would.
     """
     rules = close_contrapositive(argument.premises)
     builder = ModelBuilder(name)
-    created: dict[str, str] = {}
+    created: dict[str, tuple[Literal, str]] = {}
 
     def ensure(lit: Literal) -> str:
         tid = _literal_thimac(lit)
-        if tid not in created:
+        found = created.get(tid)
+        if found is None:
             builder.add_thimac(str(lit), id=tid)
-            created[tid] = builder.add_action("create", tid, id=f"{tid}/holds")
-        return created[tid]
+            action = builder.add_action("create", tid, id=f"{tid}/holds")
+            found = created[tid] = (lit, action)
+        elif found[0] != lit:
+            raise LogicError(
+                f"literals {found[0]} and {lit} would share the thimac {tid!r}"
+            )
+        return found[1]
 
     for lit in (argument.goal.antecedent, argument.goal.consequent):
         ensure(lit)

@@ -1,6 +1,6 @@
 """Seeded random builders for property and acceptance tests.
 
-Four families:
+Five families:
 
 * ``random_document`` -- arbitrary well-formed documents (path ids, unique
   local names) for round-trip checks.  Shapes are unconstrained, so the
@@ -11,6 +11,8 @@ Four families:
   parents, owners and endpoints, storage-to-storage flows, self-loops.
   Oracles for the model's indexes run on these.
 * ``random_argument`` -- implicational arguments for the soundness sweep.
+* ``random_chart`` -- swimlane flowcharts for the importer's differential
+  test; many break the importer's rules on purpose.
 
 ``mutate`` makes one random edit in a decoded JSON value, for the schema
 checker's differential test and the command-line fuzz test.
@@ -39,6 +41,7 @@ from tmkit import (
     build_chronology,
     define_event,
 )
+from tmkit.convert import FLOW_NODE_KINDS
 
 _WORDS = (
     "alpha", "bravo", "case", "delta", "entry", "form", "gate", "hint",
@@ -262,6 +265,54 @@ def random_argument(rng: Random) -> Argument:
     while goal_consequent == goal_antecedent:
         goal_consequent = Literal(rng.choice(used), rng.random() < 0.5)
     return Argument(tuple(premises), Implication(goal_antecedent, goal_consequent))
+
+
+def random_chart(rng: Random) -> dict:
+    """A flowchart as decoded JSON that ``load_flowchart`` accepts: 1-3
+    lanes, every node kind, random edges and guards.  Decisions mostly
+    branch with guards and other nodes mostly have one unguarded edge, so
+    about half of the charts import; the rest break one of the rules.
+    Lane ``flow1`` and a node named like a bridging action test the ids
+    the importer makes up."""
+    lanes = rng.sample(["p", "q", "flow1"], rng.randint(1, 3))
+    ids = [f"n{i}" for i in range(rng.randint(1, 8))]
+    if len(ids) > 1 and rng.random() < 0.2:
+        ids.append(f"n0_to_n1_{rng.choice(['rel', 'tr', 'rcv', 'out', 'in'])}")
+    nodes = []
+    for node_id in ids:
+        node = {"id": node_id, "lane": rng.choice(lanes)}
+        node["kind"] = rng.choice(FLOW_NODE_KINDS)
+        if rng.random() < 0.5:
+            node["label"] = _label(rng)
+        nodes.append(node)
+
+    def fits(src: dict, dst: dict) -> bool:
+        cross = src["lane"] != dst["lane"]
+        if dst["kind"] == "start":
+            return False
+        if src["kind"] == "message-send" or dst["kind"] == "message-receive":
+            return cross
+        if src["kind"] == "message-receive" or dst["kind"] == "message-send":
+            return not cross
+        return True
+
+    edges = []
+    for src in nodes:
+        decision = src["kind"] == "decision"
+        others = [dst for dst in nodes if dst is not src]
+        if rng.random() < 0.9:  # mostly keep to the importer's rules
+            others = [dst for dst in others if fits(src, dst)]
+            if src["kind"] == "end":
+                others = []
+        sizes = [0, 1, 2, 3] if decision else [0, 1, 1, 1, 2]
+        count = min(len(others), rng.choice(sizes))
+        for dst in rng.sample(others, count):
+            edge = {"from": src["id"], "to": dst["id"]}
+            if rng.random() < (0.9 if decision else 0.05):
+                edge["guard"] = _label(rng)
+            edges.append(edge)
+    rng.shuffle(edges)
+    return {"name": "chart", "lanes": lanes, "nodes": nodes, "edges": edges}
 
 
 _ODD_VALUES = (

@@ -548,6 +548,8 @@ def test_a_duplicate_chronology_edge_is_unusable_input(tmp_path):
         ({"steps": {}}, "'steps' list"),
         ({"steps": [{"event": "E1", "index": True}]}, "index True is not"),
         ({"steps": [{"event": "E1", "index": 0.9}]}, "index 0.9 is not"),
+        ({"steps": [{"event": ["E1"]}]}, "event ['E1'] is not a string"),
+        ({"scenario": 5, "steps": []}, "scenario 5 is not a string"),
     ],
 )
 def test_conform_no_longer_coerces_trace_steps(tmp_path, trace, complaint):

@@ -17,23 +17,27 @@ from tmkit import (
     Document,
     ModelBuilder,
     Scenario,
+    TmkitError,
     build_chronology,
     chronology_to_dot,
     define_event,
+    format_document,
     from_json,
     generate_report,
     import_flowchart,
     load_flowchart,
+    parse,
     structurally_equal_documents,
     to_dot,
     to_json,
     validate,
 )
 from tmkit import convert
-from tmkit.convert import FLOWCHART_SCHEMA, MODEL_SCHEMA
+from tmkit.convert import FLOW_NODE_KINDS, FLOWCHART_SCHEMA, MODEL_SCHEMA
+from tmkit.model import LEGAL_FLOW_PAIRS
 
 from conftest import read_fixture
-from generators import mutate, random_document
+from generators import mutate, random_chart, random_document
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -286,6 +290,142 @@ def test_the_shipped_chart_imports_clean(ordering_chart):
     )
 
 
+def import_by_cases(chart):
+    """The importer as first written, one hand-coded case per node kind
+    and per kind of hop.  Kept as the reference for the table-driven
+    ``import_flowchart``."""
+    nodes_by_id = {n.id: n for n in chart.nodes}
+    convert._reject_unmappable(chart, nodes_by_id)
+
+    notes = []
+    builder = ModelBuilder(chart.name)
+    for lane in chart.lanes:
+        builder.add_thimac(lane, id=lane)
+
+    for node in chart.nodes:
+        path = f"{node.lane}/{node.id}"
+        if node.kind == "start":
+            builder.add_action("create", node.lane, node.label, id=path)
+        elif node.kind in ("activity", "decision"):
+            builder.add_action("process", node.lane, node.label, id=path)
+        elif node.kind == "message-send":
+            builder.add_action("release", node.lane, node.label, id=path)
+            builder.add_action("transfer", node.lane, id=f"{path}_out")
+            builder.add_flow(path, f"{path}_out")
+        elif node.kind == "message-receive":
+            builder.add_action("transfer", node.lane, id=f"{path}_in")
+            builder.add_action("receive", node.lane, node.label, id=path)
+            builder.add_flow(f"{path}_in", path)
+        else:
+            notes.append(f"end node {node.id!r} dropped; a run simply stops there")
+
+    for edge in chart.edges:
+        src, dst = nodes_by_id[edge.src], nodes_by_id[edge.dst]
+        if dst.kind == "end":
+            suffix = f" (guard {edge.guard!r} lost)" if edge.guard else ""
+            notes.append(f"edge {edge.src} -> {edge.dst} dropped with its end node{suffix}")
+            continue
+        head = wire_edge_by_cases(builder, edge, src, dst)
+        if edge.guard is not None:
+            builder.add_trigger(f"{src.lane}/{src.id}", head, condition=edge.guard)
+
+    return builder.build(), tuple(notes)
+
+
+def endpoints_by_cases(src, dst):
+    if src.kind == "message-send":
+        exit_id, exit_kind = f"{src.lane}/{src.id}_out", "transfer"
+    elif src.kind == "message-receive":
+        exit_id, exit_kind = f"{src.lane}/{src.id}", "receive"
+    elif src.kind == "start":
+        exit_id, exit_kind = f"{src.lane}/{src.id}", "create"
+    else:
+        exit_id, exit_kind = f"{src.lane}/{src.id}", "process"
+    if dst.kind == "message-send":
+        entry = f"{dst.lane}/{dst.id}"
+    elif dst.kind == "message-receive":
+        entry = f"{dst.lane}/{dst.id}_in"
+    else:
+        entry = f"{dst.lane}/{dst.id}"
+    return exit_id, entry, exit_kind
+
+
+def entry_kind_by_cases(dst):
+    if dst.kind == "message-send":
+        return "release"
+    if dst.kind == "message-receive":
+        return "transfer"
+    return "process"
+
+
+def wire_edge_by_cases(builder, edge, src, dst):
+    exit_id, entry_id, exit_kind = endpoints_by_cases(src, dst)
+    stem = f"{edge.src}_to_{edge.dst}"
+
+    if src.lane == dst.lane:
+        if (exit_kind, entry_kind_by_cases(dst)) in LEGAL_FLOW_PAIRS:
+            builder.add_flow(exit_id, entry_id)
+            return entry_id
+        rel = f"{src.lane}/{stem}_rel"
+        out = f"{src.lane}/{stem}_tr"
+        rcv = f"{src.lane}/{stem}_rcv"
+        builder.add_action("release", src.lane, id=rel)
+        builder.add_action("transfer", src.lane, id=out)
+        builder.add_action("receive", src.lane, id=rcv)
+        builder.add_flow(exit_id, rel)
+        builder.add_flow(rel, out)
+        builder.add_flow(out, rcv)
+        builder.add_flow(rcv, entry_id)
+        return rel
+
+    if src.kind == "message-send":
+        sender_out, head = exit_id, None
+    else:
+        rel = f"{src.lane}/{stem}_rel"
+        sender_out = f"{src.lane}/{stem}_out"
+        builder.add_action("release", src.lane, id=rel)
+        builder.add_action("transfer", src.lane, id=sender_out)
+        builder.add_flow(exit_id, rel)
+        builder.add_flow(rel, sender_out)
+        head = rel
+
+    if dst.kind == "message-receive":
+        builder.add_flow(sender_out, entry_id)
+        receiver_head = entry_id
+    else:
+        inp = f"{dst.lane}/{stem}_in"
+        rcv = f"{dst.lane}/{stem}_rcv"
+        builder.add_action("transfer", dst.lane, id=inp)
+        builder.add_action("receive", dst.lane, id=rcv)
+        builder.add_flow(sender_out, inp)
+        builder.add_flow(inp, rcv)
+        builder.add_flow(rcv, entry_id)
+        receiver_head = inp
+
+    return head if head is not None else receiver_head
+
+
+def import_outcome(importer, chart):
+    try:
+        model, notes = importer(chart)
+    except TmkitError as exc:
+        return type(exc).__name__, str(exc)
+    return to_json(model), notes
+
+
+def test_every_chart_node_kind_has_actions_listed():
+    assert tuple(convert._NODE_ACTIONS) == FLOW_NODE_KINDS
+
+
+@given(seeds)
+@settings(max_examples=400, deadline=None)
+def test_the_importer_matches_the_case_by_case_reference(ordering_chart, seed):
+    generated = load_flowchart(json.dumps(random_chart(Random(seed))))
+    for chart in (generated, ordering_chart):
+        expected = import_outcome(import_by_cases, chart)
+        assert import_outcome(import_flowchart, chart) == expected
+
+
 # ---------------------------------------------------------------------------
 # DOT
 
@@ -400,6 +540,20 @@ def mutated_json(doc, mutate):
     data = json.loads(to_json(doc))
     mutate(data)
     return json.dumps(data)
+
+
+def test_an_integral_float_loop_bound_loads_as_an_integer(atm_doc):
+    def bounds_as_floats(data):
+        for edge in data["chronology"]["edges"]:
+            if edge["max"] is not None:
+                edge["max"] = float(edge["max"])
+
+    doc = from_json(mutated_json(atm_doc, bounds_as_floats))
+    text = format_document(doc)
+    assert "  E18 -> E13 max 3\n" in text
+    assert structurally_equal_documents(parse(text), atm_doc)
+    assert to_json(doc) == to_json(atm_doc)
+    assert chronology_to_dot(doc.chronology) == chronology_to_dot(atm_doc.chronology)
 
 
 def test_from_json_is_permissive_about_model_problems(ordering_doc):

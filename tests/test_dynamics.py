@@ -517,8 +517,13 @@ def test_chronology_rejects_duplicate_edges():
         ('{"steps": [{"event": "E1", "index": 0.9}]}', "index 0.9 is not"),
         ('{"steps": [{"event": "E1", "index": 1e400}]}', "index inf is not"),
         ("[" * 100_000 + "]" * 100_000, "not valid JSON"),
+        ('{"steps": [{"event": ["E1"]}]}', r"event \['E1'\] is not a string"),
+        ('{"scenario": 5, "steps": []}', "scenario 5 is not a string"),
     ],
-    ids=["string-steps", "object-steps", "bool", "fraction", "inf", "deep"],
+    ids=[
+        "string-steps", "object-steps", "bool", "fraction", "inf", "deep",
+        "list-event", "number-scenario",
+    ],
 )
 def test_trace_from_json_refuses_what_it_used_to_coerce(text, complaint):
     with pytest.raises(ScenarioError, match=complaint):

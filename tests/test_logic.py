@@ -236,6 +236,25 @@ def test_encoding_shape():
     assert validate(model) == ()
 
 
+@pytest.mark.parametrize(
+    "arg, complaint",
+    [
+        (
+            argument(("~a", "not_a"), goal=("~a", "not_a")),
+            "literals ~a and not_a",
+        ),
+        (
+            argument(("a", "not_a"), ("~a", "b"), goal=("a", "b")),
+            "literals not_a and ~a",
+        ),
+    ],
+    ids=["would-self-loop", "would-merge"],
+)
+def test_encoding_refuses_literals_that_would_share_a_thimac(arg, complaint):
+    with pytest.raises(LogicError, match=f"{complaint} would share the thimac 'not_a'"):
+        encode_as_tm(arg)
+
+
 @given(seeds)
 @settings(max_examples=80, deadline=None)
 def test_encoding_carries_every_closure_rule_and_validates(seed):
