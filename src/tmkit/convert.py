@@ -206,7 +206,7 @@ def _check_schema(data: object, schema: dict, what: str) -> None:
 def load_flowchart(text: str) -> FlowchartDoc:
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or an over-long int
         raise ConvertError(f"flowchart is not valid JSON: {exc}") from exc
     _check_schema(data, FLOWCHART_SCHEMA, "flowchart")
 
@@ -261,7 +261,8 @@ def import_flowchart(chart: FlowchartDoc) -> tuple[StaticModel, tuple[str, ...]]
     (end nodes and their edges have no counterpart: a run just stops).
     Raises :class:`ConvertError` for charts the mapping cannot express
     faithfully -- unguarded decision branches, guards anywhere else,
-    implicit splits, or message nodes pointed the wrong way.
+    implicit splits, message nodes pointed the wrong way, or two nodes or
+    edges that would make the same action id.
     """
     nodes_by_id = {n.id: n for n in chart.nodes}
     _reject_unmappable(chart, nodes_by_id)
@@ -291,9 +292,15 @@ def import_flowchart(chart: FlowchartDoc) -> tuple[StaticModel, tuple[str, ...]]
             suffix = f" (guard {edge.guard!r} lost)" if edge.guard else ""
             notes.append(f"edge {edge.src} -> {edge.dst} dropped with its end node{suffix}")
             continue
-        head = _wire_edge(builder, edge, src, dst)
-        if edge.guard is not None:
-            builder.add_trigger(f"{src.lane}/{src.id}", head, condition=edge.guard)
+        # the source's last action, the bridge, then the target's first
+        chain = [f"{src.lane}/{src.id}{_NODE_ACTIONS[src.kind][-1][0]}"]
+        for action_id, lane, kind in _bridge(edge, src, dst):
+            chain.append(builder.add_action(kind, lane, id=action_id))
+        chain.append(f"{dst.lane}/{dst.id}{_NODE_ACTIONS[dst.kind][0][0]}")
+        for a, b in zip(chain, chain[1:]):
+            builder.add_flow(a, b)
+        if edge.guard is not None:  # at the first node the token moves to
+            builder.add_trigger(f"{src.lane}/{src.id}", chain[1], condition=edge.guard)
 
     return builder.build(), tuple(notes)
 
@@ -353,32 +360,45 @@ def _reject_unmappable(chart: FlowchartDoc, nodes_by_id: dict[str, FlowNode]) ->
                         f"cross-lane edge out of message-receive {node.id!r}; "
                         f"the receiver is unidentifiable"
                     )
+    _reject_id_clashes(chart, nodes_by_id)
 
 
-def _wire_edge(
-    builder: ModelBuilder, edge: FlowEdge, src: FlowNode, dst: FlowNode
-) -> str:
-    """Chain the source's last action to the target's first, bridging the
-    hop where the flow rules require; returns the first node the token
-    moves to (the target for a guard trigger)."""
-    exit_suffix, exit_kind = _NODE_ACTIONS[src.kind][-1]
-    entry_suffix, entry_kind = _NODE_ACTIONS[dst.kind][0]
-    bridge: list[tuple[str, str, str]] = []
+def _reject_id_clashes(chart: FlowchartDoc, nodes_by_id: dict[str, FlowNode]) -> None:
+    """Refuse two nodes or edges that would make the same action id, such
+    as a node ``x_to_y_rel`` beside the bridged edge ``x -> y``."""
+    claims = [
+        (f"{node.lane}/{node.id}{suffix}", f"node {node.id!r}")
+        for node in chart.nodes
+        for suffix, _ in _NODE_ACTIONS[node.kind]
+    ]
+    for edge in chart.edges:
+        src, dst = nodes_by_id[edge.src], nodes_by_id[edge.dst]
+        if _NODE_ACTIONS[dst.kind]:
+            claimant = f"edge {edge.src} -> {edge.dst}"
+            claims += [(i, claimant) for i, _, _ in _bridge(edge, src, dst)]
+    maker: dict[str, str] = {}
+    for action_id, claimant in claims:
+        if maker.setdefault(action_id, claimant) != claimant:
+            raise ConvertError(
+                f"{maker[action_id]} and {claimant} both make the action {action_id!r}"
+            )
+
+
+def _bridge(edge: FlowEdge, src: FlowNode, dst: FlowNode) -> list[tuple[str, str, str]]:
+    """The actions that bridge ``edge`` where the flow rules require, as
+    ``(id, lane, kind)`` in flow order."""
+    exit_kind = _NODE_ACTIONS[src.kind][-1][1]
+    entry_kind = _NODE_ACTIONS[dst.kind][0][1]
+    steps: list[tuple[str, str, str]] = []
     if src.lane != dst.lane:  # each side unless it already has its transfer
         if exit_kind != "transfer":
-            bridge += [(src.lane, "_rel", "release"), (src.lane, "_out", "transfer")]
+            steps += [(src.lane, "_rel", "release"), (src.lane, "_out", "transfer")]
         if entry_kind != "transfer":
-            bridge += [(dst.lane, "_in", "transfer"), (dst.lane, "_rcv", "receive")]
+            steps += [(dst.lane, "_in", "transfer"), (dst.lane, "_rcv", "receive")]
     elif (exit_kind, entry_kind) not in LEGAL_FLOW_PAIRS:
-        bridge = [(src.lane, suffix, kind) for suffix, kind in _SAME_LANE_BRIDGE]
+        steps = [(src.lane, suffix, kind) for suffix, kind in _SAME_LANE_BRIDGE]
     stem = f"{edge.src}_to_{edge.dst}"
-    chain = [f"{src.lane}/{src.id}{exit_suffix}"]
-    for lane, suffix, kind in bridge:
-        chain.append(builder.add_action(kind, lane, id=f"{lane}/{stem}{suffix}"))
-    chain.append(f"{dst.lane}/{dst.id}{entry_suffix}")
-    for a, b in zip(chain, chain[1:]):
-        builder.add_flow(a, b)
-    return chain[1]
+    return [(f"{lane}/{stem}{suffix}", lane, kind) for lane, suffix, kind in steps]
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +649,7 @@ def from_json(text: str) -> Document:
     """
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or an over-long int
         raise ConvertError(f"document is not valid JSON: {exc}") from exc
     _check_schema(data, MODEL_SCHEMA, "document")
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Container, Iterator, NoReturn, Optional, Union
+from typing import Container, Iterator, NamedTuple, NoReturn, Optional, Union
 
 from .dynamics import (
     ChronEdge,
@@ -81,12 +81,24 @@ class FormatError(TmkitError):
 # ---------------------------------------------------------------------------
 # lexer
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:/[A-Za-z_][A-Za-z0-9_]*)*")
-_INT_RE = re.compile(r"[0-9]+")
+# One named group per token kind, tried in order; STRAY takes any other
+# character, so ``finditer`` skips nothing.  In a string, \\ and \" are
+# escapes and any other backslash is text.  The close is optional, so the
+# greedy first try matches and never backtracks to read a final \" as text.
+_TOKEN_RE = re.compile(
+    r"(?P<NEWLINE>\n)"
+    r"|(?P<SKIP>[ \t\r]+|#[^\n]*)"  # not \s, which also takes \x0b, \f, NBSP
+    r"|(?P<ARROW>->)|(?P<TRIG>~>)|(?P<LBRACE>\{)|(?P<RBRACE>\})"
+    r"|(?P<AT>@)|(?P<COMMA>,)"
+    r'|(?P<STRING>"[^"\\\n]*(?:\\[\\"]?[^"\\\n]*)*(?P<CLOSE>")?)'
+    r"|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*(?:/[A-Za-z_][A-Za-z0-9_]*)*)"
+    r"|(?P<INT>[0-9]+)"  # not \d, which takes any Unicode digit
+    r"|(?P<STRAY>.)"
+)
+_ESCAPE_RE = re.compile(r'\\([\\"])')
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     type: str  # NAME INT STRING ARROW TRIG LBRACE RBRACE AT COMMA EOF
     value: str
     line: int
@@ -108,77 +120,29 @@ def _describe(token: _Token) -> str:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def emit(type_: str, value: str, length: int) -> None:
-        tokens.append(_Token(type_, value, line, col, length))
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    match = None
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "SKIP":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        start, value = match.start(), match.group()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, start + 1
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            emit("ARROW", "->", 2)
-            i += 2
-            col += 2
-            continue
-        if text.startswith("~>", i):
-            emit("TRIG", "~>", 2)
-            i += 2
-            col += 2
-            continue
-        if ch in "{}@,":
-            kind = {"{": "LBRACE", "}": "RBRACE", "@": "AT", ",": "COMMA"}[ch]
-            emit(kind, ch, 1)
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            buf: list[str] = []
-            while j < n and text[j] not in ('"', "\n"):
-                if text[j] == "\\" and j + 1 < n and text[j + 1] in ('\\', '"'):
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n or text[j] == "\n":
-                raise ParseError(
-                    SourceSpan(line, col, j - i),
-                    "closing '\"'",
-                    "end of line" if j < n else "end of file",
-                )
-            emit("STRING", "".join(buf), j - i + 1)
-            col += j - i + 1
-            i = j + 1
-            continue
-        match = _NAME_RE.match(text, i)
-        if match:
-            emit("NAME", match.group(), len(match.group()))
-            col += len(match.group())
-            i = match.end()
-            continue
-        match = _INT_RE.match(text, i)
-        if match:
-            emit("INT", match.group(), len(match.group()))
-            col += len(match.group())
-            i = match.end()
-            continue
-        raise ParseError(SourceSpan(line, col, 1), "a token", repr(ch))
-    tokens.append(_Token("EOF", "", line, col, 1))
+        col = start - line_start + 1
+        if kind == "STRING":
+            if match["CLOSE"] is None:
+                found = "end of file" if match.end() == len(text) else "end of line"
+                span = SourceSpan(line, col, len(value))
+                raise ParseError(span, "closing '\"'", found)
+            value = _ESCAPE_RE.sub(r"\1", value[1:-1])
+        elif kind == "STRAY":
+            raise ParseError(SourceSpan(line, col, 1), "a token", repr(value))
+        tokens.append(_Token(kind, value, line, col, match.end() - start))
+    # A comment moves no column: EOF right after one sits at its '#'.
+    end = match.start() if match and match.group()[0] == "#" else len(text)
+    tokens.append(_Token("EOF", "", line, end - line_start + 1, 1))
     return tokens
 
 
@@ -209,9 +173,9 @@ class _Parser:
         ] = []
         # (id token, label, ref tokens)
         self._pending_events: list[tuple[_Token, str, list[_Token]]] = []
-        # (src token, dst token, guard, bound token or None)
+        # (src token, dst token, guard, bound or None)
         self._pending_chron: list[
-            tuple[_Token, _Token, Optional[str], Optional[_Token]]
+            tuple[_Token, _Token, Optional[str], Optional[int]]
         ] = []
 
     # -- token plumbing ------------------------------------------------------
@@ -402,9 +366,14 @@ class _Parser:
                 guard = self._expect("STRING", "a guard string").value
             if self._at_keyword("max"):
                 self._advance()
-                bound = self._expect("INT", "an iteration bound")
-                if int(bound.value) < 1:
-                    self._error(bound, "a bound of at least 1")
+                token = self._expect("INT", "an iteration bound")
+                try:
+                    bound = int(token.value)
+                except ValueError:  # more digits than Python will convert
+                    digits = f"{len(token.value)} digits"
+                    raise ParseError(token.span, "a shorter bound", digits) from None
+                if bound < 1:
+                    self._error(token, "a bound of at least 1")
             self._pending_chron.append((src, dst, guard, bound))
         self._expect("RBRACE", "'}'")
 
@@ -445,7 +414,7 @@ class _Parser:
                 pairs.add(pair)
                 edges.append(ChronEdge(src.value, dst.value, guard))
                 if bound is not None:
-                    bounds[pair] = int(bound.value)
+                    bounds[pair] = bound
             chronology = build_chronology(events, edges, bounds)
 
         return Document(model, tuple(events), chronology)
@@ -482,6 +451,14 @@ def escape(text: str) -> str:
     """Backslash-escape ``\\`` and ``"`` for a double-quoted string.  DOT
     quotes its strings the same way, so ``convert`` uses this too."""
     return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _quoted(text: str) -> str:
+    """``text`` as a string literal.  The lexer ends a string at a line
+    break, so text holding one cannot be written."""
+    if "\n" in text:
+        raise FormatError(f"cannot write {text!r} as a string: it holds a line break")
+    return f'"{escape(text)}"'
 
 
 def containment_walk(model: StaticModel) -> Iterator[tuple[bool, Thimac, int]]:
@@ -562,12 +539,12 @@ class _Formatter:
         inner = pad + "  "
         head = f"{pad}thimac {thimac.id.rsplit('/', 1)[-1]}"
         if thimac.note is not None:
-            head += f' "{escape(thimac.note)}"'
+            head += f" {_quoted(thimac.note)}"
         self.lines.append(head + " {")
         for action in self.model.actions_of(thimac.id):
             line = f"{inner}{action.kind} {action.id.rsplit('/', 1)[-1]}"
             if action.label is not None:
-                line += f' "{escape(action.label)}"'
+                line += f" {_quoted(action.label)}"
             if action.anchor is not None:
                 line += f" @{action.anchor}"
             self.lines.append(line)
@@ -584,7 +561,7 @@ class _Formatter:
             dst = self._print_ref(trigger.dst, scope, owner)
             line = f"{pad}{src} ~> {dst}"
             if trigger.condition is not None:
-                line += f' if "{escape(trigger.condition)}"'
+                line += f" if {_quoted(trigger.condition)}"
             self.lines.append(line)
 
     def _grouping_owner(self, edge) -> Optional[str]:
@@ -617,9 +594,7 @@ def format_document(doc: Union[Document, StaticModel]) -> str:
         lines.append("events {")
         for event in doc.events:
             members = ", ".join(sorted(event.region))
-            lines.append(
-                f'  event {event.id} "{escape(event.label)}" {{ {members} }}'
-            )
+            lines.append(f"  event {event.id} {_quoted(event.label)} {{ {members} }}")
         lines.append("}")
 
     if doc.chronology is not None:
@@ -628,7 +603,7 @@ def format_document(doc: Union[Document, StaticModel]) -> str:
         for edge in doc.chronology.edges:
             line = f"  {edge.src} -> {edge.dst}"
             if edge.guard is not None:
-                line += f' if "{escape(edge.guard)}"'
+                line += f" if {_quoted(edge.guard)}"
             bound = doc.chronology.loop_bounds.get((edge.src, edge.dst))
             if bound is not None:
                 line += f" max {bound}"

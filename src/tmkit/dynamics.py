@@ -472,7 +472,7 @@ def trace_to_json(trace: Trace) -> str:
 def trace_from_json(text: str) -> Trace:
     try:
         payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or an over-long int
         raise ScenarioError(f"trace is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("steps"), list):
         raise ScenarioError("trace must be an object with a 'steps' list")

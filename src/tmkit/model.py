@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
+from itertools import count, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, TypeVar
 
@@ -539,19 +539,6 @@ def simplify(model: StaticModel) -> StaticModel:
             flows.append(flow)
             present.add((flow.src, flow.dst))
 
-    counter = 0
-    for flow in model.flows:
-        # Chase each surviving node's outgoing flows through removed nodes.
-        if flow.src in removed or flow.dst not in removed:
-            continue
-        start = flow.src
-        for _, end in _through_removed(model, flow.dst, removed, forward=True):
-            if end == start or (start, end) in present:
-                continue
-            counter += 1
-            flows.append(Flow(f"flow_s{counter}", start, end))
-            present.add((start, end))
-
     triggers: list[Trigger] = []
     for trigger in model.triggers:
         src, dst = trigger.src, trigger.dst
@@ -562,6 +549,21 @@ def simplify(model: StaticModel) -> StaticModel:
         if src is None or dst is None or src == dst:
             continue
         triggers.append(Trigger(trigger.id, src, dst, trigger.condition))
+
+    # New flows are flow_s1, flow_s2, ..., skipping ids the output keeps.
+    parts = (model.thimacs, kept_actions, model.storages, flows, triggers)
+    taken = {element.id for part in parts for element in part}
+    fresh_ids = (i for i in (f"flow_s{n}" for n in count(1)) if i not in taken)
+    for flow in model.flows:
+        # Chase each surviving node's outgoing flows through removed nodes.
+        if flow.src in removed or flow.dst not in removed:
+            continue
+        start = flow.src
+        for _, end in _through_removed(model, flow.dst, removed, forward=True):
+            if end == start or (start, end) in present:
+                continue
+            flows.append(Flow(next(fresh_ids), start, end))
+            present.add((start, end))
 
     return StaticModel(
         name=model.name,

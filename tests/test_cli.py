@@ -559,6 +559,49 @@ def test_conform_no_longer_coerces_trace_steps(tmp_path, trace, complaint):
     assert_unusable(result, complaint)
 
 
+LONG_INT = "9" * 4301  # one digit past what Python converts by default
+
+
+@pytest.mark.parametrize(
+    "command, name, text, complaint",
+    [
+        (
+            ["check"],
+            "in.tm",
+            "model m { thimac t { create a } }\n"
+            'events { event E1 "x" { t/a } event E2 "y" { t/a } }\n'
+            f"chronology {{ E1 -> E2 max {LONG_INT} }}\n",
+            "line 3, col 27: expected a shorter bound, found 4301 digits",
+        ),
+        (["check"], "in.json", f"[{LONG_INT}]", "document is not valid JSON"),
+        (["import"], "in.json", f"[{LONG_INT}]", "flowchart is not valid JSON"),
+        (
+            ["conform", model_arg()],
+            "in.json",
+            f'{{"steps": [{{"event": "E1", "index": {LONG_INT}}}]}}',
+            "trace is not valid JSON",
+        ),
+    ],
+    ids=["dsl-bound", "document", "flowchart", "trace"],
+)
+def test_integers_too_long_to_convert_are_unusable_input(
+    tmp_path, command, name, text, complaint
+):
+    path = tmp_path / name
+    path.write_text(text)
+    assert_unusable(invoke(*command, path), complaint)
+
+
+def test_simplify_writes_nothing_it_could_not_parse_back(tmp_path):
+    data = json.loads(invoke("export", model_arg(), "--format", "json").stdout)
+    data["actions"][0]["label"] = "two\nlines"
+    path, out = tmp_path / "model.json", tmp_path / "out.tm"
+    path.write_text(json.dumps(data))
+    result = invoke("simplify", path, "-o", out)
+    assert_unusable(result, "holds a line break")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # fuzz: whatever bytes come in, exit 0, 1 or 2 and no traceback
 
@@ -607,7 +650,8 @@ json_values = st.recursive(
 def fuzzed(draw, canonical):
     """Arbitrary bytes, arbitrary text, or the canonical text with a few
     random edits: JSON edits on a decoded copy (which may put arbitrary
-    JSON values in), splices on plain text."""
+    JSON values in), splices on plain text (sometimes a run of digits too
+    long for ``int()``)."""
     kind = draw(st.sampled_from(["bytes", "text", "edited"]))
     if kind == "bytes":
         return draw(st.binary(max_size=80))
@@ -621,7 +665,8 @@ def fuzzed(draw, canonical):
         for _ in range(rng.randint(1, 3)):
             start = rng.randrange(len(text) + 1)
             end = min(len(text), start + rng.randint(0, 12))
-            text = text[:start] + draw(st.text(max_size=6)) + text[end:]
+            insert = LONG_INT if rng.random() < 0.1 else draw(st.text(max_size=6))
+            text = text[:start] + insert + text[end:]
         return text.encode("utf-8", "surrogatepass")
     values = draw(st.lists(json_values, min_size=1, max_size=3))
     for _ in range(rng.randint(1, 3)):

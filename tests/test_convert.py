@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 from random import Random
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -168,6 +169,27 @@ def test_load_rejects_inconsistent_charts():
             "the receiver is unidentifiable",
             id="cross-lane-out-of-receive",
         ),
+        pytest.param(
+            [("x", "a", "activity"), ("y", "a", "activity"),
+             ("x_to_y_rel", "a", "activity")],
+            [("x", "y")],
+            "node 'x_to_y_rel' and edge x -> y both make the action 'a/x_to_y_rel'",
+            id="node-and-bridge",
+        ),
+        pytest.param(
+            [("m", "a", "message-send"), ("m_out", "a", "activity")],
+            [],
+            "node 'm' and node 'm_out' both make the action 'a/m_out'",
+            id="two-nodes",
+        ),
+        pytest.param(
+            [("x", "a", "activity"), ("y_to_z", "a", "activity"),
+             ("x_to_y", "a", "activity"), ("z", "a", "activity")],
+            [("x", "y_to_z"), ("x_to_y", "z")],
+            "edge x -> y_to_z and edge x_to_y -> z both make the action "
+            "'a/x_to_y_to_z_rel'",
+            id="two-bridges",
+        ),
     ],
 )
 def test_unmappable_charts_are_refused(nodes, edges, complaint):
@@ -293,9 +315,11 @@ def test_the_shipped_chart_imports_clean(ordering_chart):
 def import_by_cases(chart):
     """The importer as first written, one hand-coded case per node kind
     and per kind of hop.  Kept as the reference for the table-driven
-    ``import_flowchart``."""
+    ``import_flowchart``.  Its refusals are the ones first written too:
+    with no id-clash check, a clash reaches the builder as a ModelError."""
     nodes_by_id = {n.id: n for n in chart.nodes}
-    convert._reject_unmappable(chart, nodes_by_id)
+    with mock.patch.object(convert, "_reject_id_clashes"):
+        convert._reject_unmappable(chart, nodes_by_id)
 
     notes = []
     builder = ModelBuilder(chart.name)
@@ -423,7 +447,13 @@ def test_the_importer_matches_the_case_by_case_reference(ordering_chart, seed):
     generated = load_flowchart(json.dumps(random_chart(Random(seed))))
     for chart in (generated, ordering_chart):
         expected = import_outcome(import_by_cases, chart)
-        assert import_outcome(import_flowchart, chart) == expected
+        outcome = import_outcome(import_flowchart, chart)
+        if expected[0] == "ModelError":  # only an id clash, refused up front now
+            clash = expected[1].removeprefix("duplicate id ")
+            assert outcome[0] == "ConvertError"
+            assert outcome[1].endswith(f" both make the action {clash}")
+        else:
+            assert outcome == expected
 
 
 # ---------------------------------------------------------------------------

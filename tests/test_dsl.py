@@ -1,4 +1,6 @@
 """Parser and canonical formatter: syntax, scoping, spans, round trips."""
+import json
+import re
 from random import Random
 
 import pytest
@@ -15,9 +17,12 @@ from tmkit import (
     Storage,
     Thimac,
     format_document,
+    from_json,
     parse,
     to_dot,
+    to_json,
 )
+from tmkit.dsl import SourceSpan, _Token, _tokenize
 from tmkit.dynamics import (
     DisconnectedRegionError,
     NoInitialEventError,
@@ -297,6 +302,146 @@ def test_parse_error_spans_stay_inside_the_input(text):
 
 
 # ---------------------------------------------------------------------------
+# the lexer against the character loop it replaced
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:/[A-Za-z_][A-Za-z0-9_]*)*")
+_INT_RE = re.compile(r"[0-9]+")
+
+
+def tokenize_by_chars(text: str) -> list[_Token]:
+    """The lexer as first written, one character at a time.  Kept as the
+    reference for the master-regex ``_tokenize``."""
+    tokens: list[_Token] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+
+    def emit(type_: str, value: str, length: int) -> None:
+        tokens.append(_Token(type_, value, line, col, length))
+
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text.startswith("->", i):
+            emit("ARROW", "->", 2)
+            i += 2
+            col += 2
+            continue
+        if text.startswith("~>", i):
+            emit("TRIG", "~>", 2)
+            i += 2
+            col += 2
+            continue
+        if ch in "{}@,":
+            kind = {"{": "LBRACE", "}": "RBRACE", "@": "AT", ",": "COMMA"}[ch]
+            emit(kind, ch, 1)
+            i += 1
+            col += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            buf: list[str] = []
+            while j < n and text[j] not in ('"', "\n"):
+                if text[j] == "\\" and j + 1 < n and text[j + 1] in ('\\', '"'):
+                    buf.append(text[j + 1])
+                    j += 2
+                else:
+                    buf.append(text[j])
+                    j += 1
+            if j >= n or text[j] == "\n":
+                raise ParseError(
+                    SourceSpan(line, col, j - i),
+                    "closing '\"'",
+                    "end of line" if j < n else "end of file",
+                )
+            emit("STRING", "".join(buf), j - i + 1)
+            col += j - i + 1
+            i = j + 1
+            continue
+        match = _NAME_RE.match(text, i)
+        if match:
+            emit("NAME", match.group(), len(match.group()))
+            col += len(match.group())
+            i = match.end()
+            continue
+        match = _INT_RE.match(text, i)
+        if match:
+            emit("INT", match.group(), len(match.group()))
+            col += len(match.group())
+            i = match.end()
+            continue
+        raise ParseError(SourceSpan(line, col, 1), "a token", repr(ch))
+    tokens.append(_Token("EOF", "", line, col, 1))
+    return tokens
+
+
+def lexed(tokenize, text):
+    """The token tuples, or the error's message and span."""
+    try:
+        return [tuple(token) for token in tokenize(text)]
+    except ParseError as err:
+        return str(err), err.span
+
+
+FIXTURE_TEXTS = [read_fixture(name) for name in ("atm.tm", "ordering.tm")]
+# The first character of every token, plus look-alikes the lexer refuses:
+# other whitespace (\x0b, \f, NBSP), a non-ASCII letter and digit.
+LEXER_ALPHABET = 'ab_/ 1\t\r\n#"\\->~{}@,.\x0b\x0c\xa0\xe9\u0663'
+
+
+@st.composite
+def lexer_inputs(draw):
+    """Formatted random documents, the shipped fixtures, fixtures with a
+    short splice, and short strings over the lexer's alphabet."""
+    kind = draw(st.sampled_from(["document", "fixture", "spliced", "short"]))
+    short = st.text(alphabet=LEXER_ALPHABET, max_size=24) | st.text(max_size=6)
+    if kind == "document":
+        return format_document(random_document(Random(draw(seeds))))
+    if kind == "short":
+        return draw(short)
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    if kind == "spliced":
+        start = draw(st.integers(min_value=0, max_value=len(text)))
+        end = start + draw(st.integers(min_value=0, max_value=4))
+        text = text[:start] + draw(short) + text[end:]
+    return text
+
+
+@given(lexer_inputs())
+@settings(max_examples=500, deadline=None)
+def test_the_lexer_matches_the_character_loop(text):
+    assert lexed(_tokenize, text) == lexed(tokenize_by_chars, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'model m { "a\\" }',  # a final \" is an escape: the string is open
+        '"a\\"',
+        '"\\\\"',  # \\ then the close
+        '"a\\b"',  # a backslash before anything else is text
+        "x #-",  # EOF keeps the column of the comment's '#'
+        "a\x0bb",  # whitespace is space, tab and \r only
+        "m \u0663",  # an int is ASCII digits only
+        '"open\nx',
+    ],
+)
+def test_the_lexer_keeps_the_character_loops_edge_cases(text):
+    assert lexed(_tokenize, text) == lexed(tokenize_by_chars, text)
+
+
+# ---------------------------------------------------------------------------
 # formatter
 
 
@@ -340,6 +485,25 @@ def test_format_escapes_strings():
     text = format_document(doc)
     assert '"q\\"q"' in text
     assert structurally_equal_documents(doc, parse(text))
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("thimacs", "note"),
+        ("actions", "label"),
+        ("triggers", "condition"),
+        ("events", "label"),
+        ("chronology", "guard"),
+    ],
+)
+def test_format_refuses_a_line_break_in_a_string(ordering_doc, section, key):
+    # JSON can carry one, but the lexer ends every string at a line break
+    data = json.loads(to_json(ordering_doc))
+    entries = data["chronology"]["edges"] if section == "chronology" else data[section]
+    entries[0][key] = "two\nlines"
+    with pytest.raises(FormatError, match="holds a line break"):
+        format_document(from_json(json.dumps(data)))
 
 
 def test_format_accepts_bare_models():
@@ -404,8 +568,6 @@ def test_round_trip_random_documents(seed):
 @given(seeds)
 @settings(max_examples=60, deadline=None)
 def test_json_and_text_agree_on_random_documents(seed):
-    from tmkit import from_json, to_json
-
     doc = random_document(Random(seed))
     via_text = parse(format_document(doc))
     via_json = from_json(to_json(doc))

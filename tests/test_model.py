@@ -1,4 +1,5 @@
 """Model assembly, validation rules, and the simplification pass."""
+import json
 import time
 from random import Random
 
@@ -17,8 +18,10 @@ from tmkit import (
     StaticModel,
     Thimac,
     Trigger,
+    from_json,
     simplify,
     structurally_equal,
+    to_json,
     validate,
 )
 from tmkit.model import Diagnostic, _check_containment
@@ -430,6 +433,16 @@ def test_simplify_merges_parallel_synthesized_flows():
         builder.add_flow(f"b/rcv_{branch}", "b/q")
     reduced = simplify(builder.build())
     assert [(f.src, f.dst) for f in reduced.flows] == [("a/p", "b/q")]
+
+
+def test_simplify_skips_flow_ids_the_model_keeps(atm_doc):
+    data = json.loads(to_json(atm_doc.model))
+    assert data["flows"][0]["id"] == "flow1"  # card/exists -> card/hand_over
+    data["flows"][0]["id"] = "flow_s1"
+    reduced = simplify(from_json(json.dumps(data)).model)
+    ids = [f.id for f in reduced.flows]
+    assert ids.count("flow_s1") == 1 and "flow_s2" in ids
+    assert from_json(to_json(reduced)).model == reduced
 
 
 def flow_reachable(model: StaticModel, start: str) -> set[str]:
