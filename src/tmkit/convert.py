@@ -30,7 +30,7 @@ from .dynamics import (
     simulate,
 )
 from .dsl import containment_walk, escape
-from .errors import TmkitError
+from .errors import TmkitError, decode_json
 from .model import (
     ACTION_KINDS,
     LEGAL_FLOW_PAIRS,
@@ -204,10 +204,7 @@ def _check_schema(data: object, schema: dict, what: str) -> None:
 
 
 def load_flowchart(text: str) -> FlowchartDoc:
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON or an over-long int
-        raise ConvertError(f"flowchart is not valid JSON: {exc}") from exc
+    data = decode_json(text, "flowchart", ConvertError)
     _check_schema(data, FLOWCHART_SCHEMA, "flowchart")
 
     lanes = tuple(data["lanes"])
@@ -647,10 +644,7 @@ def from_json(text: str) -> Document:
     the like are for ``validate`` to report -- but duplicate ids are
     refused outright, and events and chronology must make sense.
     """
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON or an over-long int
-        raise ConvertError(f"document is not valid JSON: {exc}") from exc
+    data = decode_json(text, "document", ConvertError)
     _check_schema(data, MODEL_SCHEMA, "document")
 
     ids: set[str] = set()
@@ -680,14 +674,12 @@ def from_json(text: str) -> Document:
         ),
     )
 
-    events = []
-    seen_events: set[str] = set()
+    events = {}
     for entry in data["events"]:
-        if entry["id"] in seen_events:
+        if entry["id"] in events:
             raise ConvertError(f"duplicate event id {entry['id']!r}")
-        seen_events.add(entry["id"])
-        events.append(
-            define_event(model, entry["id"], entry["label"], entry["region"])
+        events[entry["id"]] = define_event(
+            model, entry["id"], entry["label"], entry["region"]
         )
 
     chronology = None
@@ -698,9 +690,9 @@ def from_json(text: str) -> Document:
             edges.append(ChronEdge(entry["from"], entry["to"], entry["guard"]))
             if entry["max"] is not None:
                 bounds[(entry["from"], entry["to"])] = int(entry["max"])
-        chronology = build_chronology(events, edges, bounds)
+        chronology = build_chronology(events.values(), edges, bounds)
 
-    return Document(model, tuple(events), chronology)
+    return Document(model, tuple(events.values()), chronology)
 
 
 # ---------------------------------------------------------------------------

@@ -23,23 +23,29 @@ The surface syntax:
 ``#`` starts a comment.  A name may refer to a sibling by bare name or to
 anything else by ``/``-joined path; resolution tries the innermost
 enclosing thimac first and walks outward.  Node ids in the parsed model
-are the containment paths, so nesting is the namespace.  References may
-point forward: the whole file is declared before anything is resolved.
+are the containment paths, so nesting is the namespace.
+
+The parser reads the file once, and each block is checked as it closes.
+References inside the model block may point forward: its edges resolve
+at its ``}``.  So of several faults, the first in reading order is the
+one reported.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Container, Iterator, NamedTuple, NoReturn, Optional, Union
+from typing import Callable, Container, Iterator, NamedTuple, NoReturn, Optional, Union
 
 from .dynamics import (
     ChronEdge,
+    ChronologyGraph,
     Document,
+    Event,
     build_chronology,
     define_event,
 )
 from .errors import TmkitError
-from .model import ACTION_KINDS, ModelBuilder, StaticModel, Thimac, grouped
+from .model import ACTION_KINDS, ModelBuilder, ModelError, StaticModel, Thimac, grouped
 
 KEYWORDS = frozenset(
     {
@@ -81,6 +87,11 @@ class FormatError(TmkitError):
 # ---------------------------------------------------------------------------
 # lexer
 
+# A NAME is words joined by '/'.  The formatter checks bare words with these.
+_WORD = "[A-Za-z_][A-Za-z0-9_]*"
+_NAME = f"{_WORD}(?:/{_WORD})*"
+_INT = "[0-9]+"  # not \d, which takes any Unicode digit
+
 # One named group per token kind, tried in order; STRAY takes any other
 # character, so ``finditer`` skips nothing.  In a string, \\ and \" are
 # escapes and any other backslash is text.  The close is optional, so the
@@ -91,8 +102,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<ARROW>->)|(?P<TRIG>~>)|(?P<LBRACE>\{)|(?P<RBRACE>\})"
     r"|(?P<AT>@)|(?P<COMMA>,)"
     r'|(?P<STRING>"[^"\\\n]*(?:\\[\\"]?[^"\\\n]*)*(?P<CLOSE>")?)'
-    r"|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*(?:/[A-Za-z_][A-Za-z0-9_]*)*)"
-    r"|(?P<INT>[0-9]+)"  # not \d, which takes any Unicode digit
+    f"|(?P<NAME>{_NAME})|(?P<INT>{_INT})"
     r"|(?P<STRAY>.)"
 )
 _ESCAPE_RE = re.compile(r'\\([\\"])')
@@ -150,33 +160,26 @@ def _tokenize(text: str) -> list[_Token]:
 # parser
 
 
-def _resolve(name: str, scope: tuple[str, ...], nodes: Container[str]) -> Optional[str]:
-    """The node ``name`` means inside ``scope``: the innermost enclosing
-    thimac's ``scope/name`` that exists, walking outward; None if none does."""
-    for i in range(len(scope), -1, -1):
-        candidate = "/".join((*scope[:i], name))
-        if candidate in nodes:
-            return candidate
-    return None
+def _resolve(name: str, owner: Optional[str], nodes: Container[str]) -> Optional[str]:
+    """The node ``name`` means inside thimac ``owner``: ``owner/name`` if
+    that exists, else the same from each enclosing ``/``-prefix of
+    ``owner`` outward, down to ``name`` itself; None if none exists."""
+    while owner is not None:
+        if f"{owner}/{name}" in nodes:
+            return f"{owner}/{name}"
+        head, slash, _ = owner.rpartition("/")
+        owner = head if slash else None
+    return name if name in nodes else None
+
+
+# An edge as read: (owner, src, dst, is trigger, condition).
+_Edge = tuple[Optional[str], _Token, _Token, bool, Optional[str]]
 
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._pos = 0
-        # id -> "action" | "storage" (thimacs live in _thimac_ids)
-        self._nodes: dict[str, str] = {}
-        self._thimac_ids: set[str] = set()
-        self._pending_flows: list[tuple[tuple[str, ...], _Token, _Token]] = []
-        self._pending_triggers: list[
-            tuple[tuple[str, ...], _Token, _Token, Optional[str]]
-        ] = []
-        # (id token, label, ref tokens)
-        self._pending_events: list[tuple[_Token, str, list[_Token]]] = []
-        # (src token, dst token, guard, bound or None)
-        self._pending_chron: list[
-            tuple[_Token, _Token, Optional[str], Optional[int]]
-        ] = []
 
     # -- token plumbing ------------------------------------------------------
 
@@ -223,68 +226,80 @@ class _Parser:
         name = self._declared_name("model name")
         self._expect("LBRACE", "'{'")
         self._builder = ModelBuilder(name.value)
-        self._parse_items()
-        self._expect("RBRACE", "'}'")
-
-        have_events = False
-        if self._at_keyword("events"):
-            have_events = True
-            self._parse_events_block()
-        have_chronology = False
+        model = self._parse_model()
+        events = self._parse_events_block(model) if self._at_keyword("events") else {}
+        chronology = None
         if self._at_keyword("chronology"):
-            have_chronology = True
-            self._parse_chronology_block()
+            chronology = self._parse_chronology_block(events)
         self._expect("EOF", "end of file")
+        return Document(model, tuple(events.values()), chronology)
 
-        return self._resolve(have_events, have_chronology)
-
-    def _parse_items(self) -> None:
-        """The model block's body.  Open thimacs are kept on an explicit
-        stack of (scope, owner), so nesting depth is not bounded by
+    def _parse_model(self) -> StaticModel:
+        """The model block's body and its ``}``, where the edges resolve,
+        so they may name nodes declared after them.  Open thimacs are kept
+        on an explicit stack of ids, so nesting depth is not bounded by
         Python's recursion limit."""
-        stack: list[tuple[tuple[str, ...], Optional[str]]] = [((), None)]
+        stack: list[Optional[str]] = [None]
+        edges: list[_Edge] = []
         while True:
-            scope, owner = stack[-1]
             token = self._peek()
             if token.type in ("RBRACE", "EOF"):
-                if len(stack) == 1:
-                    return
                 self._expect("RBRACE", "'}'")
+                if len(stack) == 1:
+                    break
                 stack.pop()
             elif token.type != "NAME":
                 self._error(token, "a declaration or '}'")
             elif token.value == "thimac":
-                stack.append(self._open_thimac(scope, owner))
+                stack.append(self._open_thimac(stack[-1]))
             elif token.value in ACTION_KINDS:
-                self._parse_action(scope, owner)
+                self._parse_action(stack[-1])
             elif token.value == "storage":
-                self._parse_storage(scope, owner)
+                self._parse_storage(stack[-1])
             elif token.value in KEYWORDS:
                 self._error(token, "a declaration or '}'")
             else:
-                self._parse_edge(scope)
+                edges.append(self._parse_edge(stack[-1]))
+        nodes = self._builder.node_ids
+        for owner, src, dst, is_trigger, condition in edges:
+            src_id = _resolve(src.value, owner, nodes)
+            if src_id is None:
+                self._error(src, "a declared action or storage")
+            dst_id = _resolve(dst.value, owner, nodes)
+            if dst_id is None:
+                self._error(dst, "a declared action or storage")
+            if src_id == dst_id:
+                self._error(dst, "a node other than the source")
+            if is_trigger:
+                self._builder.add_trigger(src_id, dst_id, condition)
+            else:
+                self._builder.add_flow(src_id, dst_id)
+        return self._builder.build()
 
-    def _declare(self, scope: tuple[str, ...], token: _Token) -> str:
-        path = "/".join((*scope, token.value))
-        if path in self._nodes or path in self._thimac_ids:
-            raise ParseError(token.span, "a fresh name", f"{path!r} (already declared)")
-        return path
+    def _declare(
+        self, owner: Optional[str], name: _Token, add: Callable[..., str], *args
+    ) -> str:
+        """Add a thimac, action or storage through ``add(*args, id=path)``.
+        The builder's duplicate-id check is the only one."""
+        path = name.value if owner is None else f"{owner}/{name.value}"
+        try:
+            return add(*args, id=path)
+        except ModelError:  # the id is taken
+            raise ParseError(
+                name.span, "a fresh name", f"{path!r} (already declared)"
+            ) from None
 
-    def _open_thimac(
-        self, scope: tuple[str, ...], owner: Optional[str]
-    ) -> tuple[tuple[str, ...], str]:
-        """Read ``thimac NAME ["note"] {``; return the scope and owner of
-        its body."""
+    def _open_thimac(self, owner: Optional[str]) -> str:
+        """Read ``thimac NAME ["note"] {``; return the thimac's id."""
         self._advance()
         name = self._declared_name("thimac name")
         note = self._advance().value if self._peek().type == "STRING" else None
-        path = self._declare(scope, name)
-        self._thimac_ids.add(path)
-        self._builder.add_thimac(name.value, parent=owner, note=note, id=path)
+        add = self._builder.add_thimac
+        path = self._declare(owner, name, add, name.value, owner, note)
         self._expect("LBRACE", "'{'")
-        return (*scope, name.value), path
+        return path
 
-    def _parse_action(self, scope: tuple[str, ...], owner: Optional[str]) -> None:
+    def _parse_action(self, owner: Optional[str]) -> None:
         kind = self._advance()
         if owner is None:
             self._error(kind, "a thimac to hold this action")
@@ -297,70 +312,70 @@ class _Parser:
             if token.type not in ("NAME", "INT"):
                 self._error(token, "an anchor")
             anchor = self._advance().value
-        path = self._declare(scope, name)
-        self._nodes[path] = "action"
-        self._builder.add_action(kind.value, owner, label, anchor, id=path)
+        add = self._builder.add_action
+        self._declare(owner, name, add, kind.value, owner, label, anchor)
 
-    def _parse_storage(self, scope: tuple[str, ...], owner: Optional[str]) -> None:
+    def _parse_storage(self, owner: Optional[str]) -> None:
         keyword = self._advance()
         if owner is None:
             self._error(keyword, "a thimac to hold this storage")
         name = self._declared_name("storage name")
-        path = self._declare(scope, name)
-        self._nodes[path] = "storage"
-        self._builder.add_storage(owner, name.value, id=path)
+        self._declare(owner, name, self._builder.add_storage, owner, name.value)
 
-    def _parse_edge(self, scope: tuple[str, ...]) -> None:
+    def _parse_edge(self, owner: Optional[str]) -> _Edge:
         src = self._advance()
         arrow = self._peek()
-        if arrow.type == "ARROW":
-            self._advance()
-            dst = self._expect("NAME", "a node name")
-            self._pending_flows.append((scope, src, dst))
-        elif arrow.type == "TRIG":
-            self._advance()
-            dst = self._expect("NAME", "a node name")
-            condition = None
-            if self._at_keyword("if"):
-                self._advance()
-                condition = self._expect("STRING", "a condition string").value
-            self._pending_triggers.append((scope, src, dst, condition))
-        else:
+        if arrow.type not in ("ARROW", "TRIG"):
             self._error(arrow, "'->' or '~>'")
+        self._advance()
+        dst = self._expect("NAME", "a node name")
+        condition = None
+        if arrow.type == "TRIG" and self._at_keyword("if"):
+            self._advance()
+            condition = self._expect("STRING", "a condition string").value
+        return owner, src, dst, arrow.type == "TRIG", condition
 
-    def _parse_events_block(self) -> None:
+    def _parse_events_block(self, model: StaticModel) -> dict[str, Event]:
+        """Each event is defined as it is read, against the built model."""
         self._advance()
         self._expect("LBRACE", "'{'")
-        seen: set[str] = set()
+        actions = model.actions_by_id
+        events: dict[str, Event] = {}
         while self._peek().type not in ("RBRACE", "EOF"):
             self._expect_keyword("event")
             event_id = self._declared_name("event id")
-            if event_id.value in seen:
+            if event_id.value in events:
                 raise ParseError(
                     event_id.span,
                     "a fresh event id",
                     f"{event_id.value!r} (already declared)",
                 )
-            seen.add(event_id.value)
             label = self._expect("STRING", "an event label").value
             self._expect("LBRACE", "'{'")
-            refs = [self._expect("NAME", "an action name")]
+            region = [self._known(actions, "an action name", "action").value]
             while self._peek().type == "COMMA":
                 self._advance()
-                refs.append(self._expect("NAME", "an action name"))
+                region.append(self._known(actions, "an action name", "action").value)
             self._expect("RBRACE", "'}'")
-            self._pending_events.append((event_id, label, refs))
+            events[event_id.value] = define_event(model, event_id.value, label, region)
         self._expect("RBRACE", "'}'")
+        return events
 
-    def _parse_chronology_block(self) -> None:
+    def _parse_chronology_block(self, events: dict[str, Event]) -> ChronologyGraph:
+        """Edges are checked as they are read; the graph is built at the
+        block's ``}``."""
         self._advance()
         self._expect("LBRACE", "'{'")
+        edges: dict[tuple[str, str], ChronEdge] = {}
+        bounds = {}
         while self._peek().type not in ("RBRACE", "EOF"):
-            src = self._expect("NAME", "an event id")
+            src = self._known(events, "an event id", "event")
             self._expect("ARROW", "'->'")
-            dst = self._expect("NAME", "an event id")
+            dst = self._known(events, "an event id", "event")
+            pair = (src.value, dst.value)
+            if pair in edges:
+                self._error(dst, f"a single edge {src.value} -> {dst.value}")
             guard = None
-            bound = None
             if self._at_keyword("if"):
                 self._advance()
                 guard = self._expect("STRING", "a guard string").value
@@ -368,77 +383,34 @@ class _Parser:
                 self._advance()
                 token = self._expect("INT", "an iteration bound")
                 try:
-                    bound = int(token.value)
+                    bounds[pair] = int(token.value)
                 except ValueError:  # more digits than Python will convert
                     digits = f"{len(token.value)} digits"
                     raise ParseError(token.span, "a shorter bound", digits) from None
-                if bound < 1:
+                if bounds[pair] < 1:
                     self._error(token, "a bound of at least 1")
-            self._pending_chron.append((src, dst, guard, bound))
+            edges[pair] = ChronEdge(src.value, dst.value, guard)
         self._expect("RBRACE", "'}'")
+        return build_chronology(events.values(), edges.values(), bounds)
 
-    # -- resolution ----------------------------------------------------------
-
-    def _resolve(self, have_events: bool, have_chronology: bool) -> Document:
-        for scope, src, dst in self._pending_flows:
-            src_id, dst_id = self._endpoints(scope, src, dst)
-            self._builder.add_flow(src_id, dst_id)
-        for scope, src, dst, condition in self._pending_triggers:
-            src_id, dst_id = self._endpoints(scope, src, dst)
-            self._builder.add_trigger(src_id, dst_id, condition)
-        model = self._builder.build()
-
-        events = []
-        for event_id, label, ref_tokens in self._pending_events:
-            region = []
-            for token in ref_tokens:
-                ref = _resolve(token.value, (), self._nodes)
-                if ref is None or self._nodes[ref] != "action":
-                    self._error(token, "a declared action")
-                region.append(ref)
-            events.append(define_event(model, event_id.value, label, region))
-
-        chronology = None
-        if have_chronology:
-            known = {e.id for e in events}
-            edges = []
-            bounds = {}
-            pairs: set[tuple[str, str]] = set()
-            for src, dst, guard, bound in self._pending_chron:
-                for token in (src, dst):
-                    if token.value not in known:
-                        self._error(token, "a declared event")
-                pair = (src.value, dst.value)
-                if pair in pairs:
-                    self._error(dst, f"a single edge {src.value} -> {dst.value}")
-                pairs.add(pair)
-                edges.append(ChronEdge(src.value, dst.value, guard))
-                if bound is not None:
-                    bounds[pair] = bound
-            chronology = build_chronology(events, edges, bounds)
-
-        return Document(model, tuple(events), chronology)
-
-    def _endpoints(
-        self, scope: tuple[str, ...], src: _Token, dst: _Token
-    ) -> tuple[str, str]:
-        src_id = _resolve(src.value, scope, self._nodes)
-        if src_id is None:
-            self._error(src, "a declared action or storage")
-        dst_id = _resolve(dst.value, scope, self._nodes)
-        if dst_id is None:
-            self._error(dst, "a declared action or storage")
-        if src_id == dst_id:
-            self._error(dst, "a node other than the source")
-        return src_id, dst_id
+    def _known(self, names: Container[str], what: str, kind: str) -> _Token:
+        """A NAME token (else an error expecting ``what``) among ``names``
+        (else an error expecting a declared ``kind``)."""
+        token = self._expect("NAME", what)
+        if token.value not in names:
+            self._error(token, f"a declared {kind}")
+        return token
 
 
 def parse(text: str) -> Document:
-    """Parse model text into a :class:`Document`.
+    """Parse model text into a :class:`Document`, in one pass.
 
     Raises :class:`ParseError` for syntax and name errors (with a source
     span), and lets semantic errors from the dynamic layer -- disconnected
-    regions, unbounded cycles -- propagate as :class:`DynamicsError`.
+    regions, unbounded cycles -- propagate as :class:`DynamicsError`.  Ids
+    are declared straight into a :class:`ModelBuilder`, whose check is the
+    only one for duplicates.  Of several faults, the first in reading order
+    is reported.
     """
     return _Parser(_tokenize(text)).parse_document()
 
@@ -459,6 +431,23 @@ def _quoted(text: str) -> str:
     if "\n" in text:
         raise FormatError(f"cannot write {text!r} as a string: it holds a line break")
     return f'"{escape(text)}"'
+
+
+_WORD_RE = re.compile(_WORD)
+_ANCHOR_RE = re.compile(f"{_NAME}|{_INT}")
+
+
+def _bare(word: str, what: str) -> str:
+    """``word`` written bare as a ``what``.  An anchor is a name or an int;
+    any other bare word declares something, so, as the parser asks, it is
+    an unqualified name and no keyword."""
+    if what == "anchor":
+        readable = _ANCHOR_RE.fullmatch(word)
+    else:
+        readable = _WORD_RE.fullmatch(word) and word not in KEYWORDS
+    if not readable:
+        raise FormatError(f"cannot write {word!r} as a bare {what}: parse refuses it")
+    return word
 
 
 def containment_walk(model: StaticModel) -> Iterator[tuple[bool, Thimac, int]]:
@@ -513,52 +502,54 @@ class _Formatter:
             (self._grouping_owner(t), t) for t in model.triggers
         )
 
-    def _print_ref(self, node_id: str, scope: tuple[str, ...], owner: str) -> str:
+    def _print_ref(self, node_id: str, owner: str) -> str:
         local = node_id.rsplit("/", 1)[-1]
         if self.model.node_owner(node_id) == owner:
-            if _resolve(local, scope, self.nodes) == node_id:
+            if _resolve(local, owner, self.nodes) == node_id:
                 return local
-        if _resolve(node_id, scope, self.nodes) == node_id:
+        if _resolve(node_id, owner, self.nodes) == node_id:
             return node_id
         raise FormatError(
             f"{node_id!r} cannot be written unambiguously from {owner!r}"
         )
 
     def emit_model(self) -> None:
-        self.lines.append(f"model {self.model.name} {{")
+        self.lines.append(f"model {_bare(self.model.name, 'model name')} {{")
         for opening, thimac, depth in containment_walk(self.model):
             pad = "  " * depth
             if opening:
                 self._open_thimac(thimac, pad)
             else:
-                self._emit_edges(tuple(thimac.id.split("/")), thimac.id, pad + "  ")
+                self._emit_edges(thimac.id, pad + "  ")
                 self.lines.append(pad + "}")
         self.lines.append("}")
 
     def _open_thimac(self, thimac: Thimac, pad: str) -> None:
         inner = pad + "  "
-        head = f"{pad}thimac {thimac.id.rsplit('/', 1)[-1]}"
+        head = f"{pad}thimac {_bare(thimac.id.rsplit('/', 1)[-1], 'thimac name')}"
         if thimac.note is not None:
             head += f" {_quoted(thimac.note)}"
         self.lines.append(head + " {")
         for action in self.model.actions_of(thimac.id):
-            line = f"{inner}{action.kind} {action.id.rsplit('/', 1)[-1]}"
+            name = _bare(action.id.rsplit("/", 1)[-1], "action name")
+            line = f"{inner}{action.kind} {name}"
             if action.label is not None:
                 line += f" {_quoted(action.label)}"
             if action.anchor is not None:
-                line += f" @{action.anchor}"
+                line += f" @{_bare(action.anchor, 'anchor')}"
             self.lines.append(line)
         for storage in self.model.storages_of(thimac.id):
-            self.lines.append(f"{inner}storage {storage.id.rsplit('/', 1)[-1]}")
+            name = _bare(storage.id.rsplit("/", 1)[-1], "storage name")
+            self.lines.append(f"{inner}storage {name}")
 
-    def _emit_edges(self, scope: tuple[str, ...], owner: str, pad: str) -> None:
+    def _emit_edges(self, owner: str, pad: str) -> None:
         for flow in self.flows.get(owner, ()):
-            src = self._print_ref(flow.src, scope, owner)
-            dst = self._print_ref(flow.dst, scope, owner)
+            src = self._print_ref(flow.src, owner)
+            dst = self._print_ref(flow.dst, owner)
             self.lines.append(f"{pad}{src} -> {dst}")
         for trigger in self.triggers.get(owner, ()):
-            src = self._print_ref(trigger.src, scope, owner)
-            dst = self._print_ref(trigger.dst, scope, owner)
+            src = self._print_ref(trigger.src, owner)
+            dst = self._print_ref(trigger.dst, owner)
             line = f"{pad}{src} ~> {dst}"
             if trigger.condition is not None:
                 line += f" if {_quoted(trigger.condition)}"
@@ -594,7 +585,8 @@ def format_document(doc: Union[Document, StaticModel]) -> str:
         lines.append("events {")
         for event in doc.events:
             members = ", ".join(sorted(event.region))
-            lines.append(f"  event {event.id} {_quoted(event.label)} {{ {members} }}")
+            event_id = _bare(event.id, "event id")
+            lines.append(f"  event {event_id} {_quoted(event.label)} {{ {members} }}")
         lines.append("}")
 
     if doc.chronology is not None:

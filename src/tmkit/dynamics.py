@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import TmkitError
+from .errors import TmkitError, decode_json
 from .model import Flow, StaticModel, grouped
 
 
@@ -470,10 +470,7 @@ def trace_to_json(trace: Trace) -> str:
 
 
 def trace_from_json(text: str) -> Trace:
-    try:
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON or an over-long int
-        raise ScenarioError(f"trace is not valid JSON: {exc}") from exc
+    payload = decode_json(text, "trace", ScenarioError)
     if not isinstance(payload, dict) or not isinstance(payload.get("steps"), list):
         raise ScenarioError("trace must be an object with a 'steps' list")
     steps = []

@@ -12,7 +12,7 @@ which checks references as elements are added; everything after that --
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, groupby
 from operator import itemgetter
@@ -214,7 +214,9 @@ def grouped(pairs: Iterable[tuple[_K, _V]]) -> dict[_K, tuple[_V, ...]]:
 
 class ModelBuilder:
     """Accumulates elements, rejecting dangling references and duplicate
-    ids at the point of insertion, then freezes into a ``StaticModel``."""
+    ids at the point of insertion, then freezes into a ``StaticModel``.
+    The parser declares into one, so ``_claim`` is the only duplicate-id
+    check a ``.tm`` file meets."""
 
     def __init__(self, name: str):
         self.name = name
@@ -225,7 +227,7 @@ class ModelBuilder:
         self._triggers: list[Trigger] = []
         self._ids: set[str] = set()
         self._thimac_ids: set[str] = set()
-        self._node_ids: set[str] = set()  # actions and storages
+        self.node_ids: set[str] = set()  # actions and storages; read by the parser
         self._counters: dict[str, int] = {}
 
     # -- id management -----------------------------------------------------
@@ -247,7 +249,7 @@ class ModelBuilder:
         return candidate
 
     def _require_node(self, node_id: str, what: str) -> None:
-        if node_id not in self._node_ids:
+        if node_id not in self.node_ids:
             raise ModelError(f"{what} references unknown node {node_id!r}")
 
     def _require_thimac(self, thimac_id: str, what: str) -> None:
@@ -281,7 +283,7 @@ class ModelBuilder:
         self._require_thimac(owner, "action")
         aid = self._claim(id, "action")
         self._actions.append(Action(aid, kind, owner, label, anchor))
-        self._node_ids.add(aid)
+        self.node_ids.add(aid)
         return aid
 
     def add_storage(
@@ -290,7 +292,7 @@ class ModelBuilder:
         self._require_thimac(owner, "storage")
         sid = self._claim(id, "storage")
         self._storages.append(Storage(sid, owner, name))
-        self._node_ids.add(sid)
+        self.node_ids.add(sid)
         return sid
 
     def add_flow(self, src: str, dst: str, id: Optional[str] = None) -> str:

@@ -573,13 +573,13 @@ LONG_INT = "9" * 4301  # one digit past what Python converts by default
             f"chronology {{ E1 -> E2 max {LONG_INT} }}\n",
             "line 3, col 27: expected a shorter bound, found 4301 digits",
         ),
-        (["check"], "in.json", f"[{LONG_INT}]", "document is not valid JSON"),
-        (["import"], "in.json", f"[{LONG_INT}]", "flowchart is not valid JSON"),
+        (["check"], "in.json", f"[{LONG_INT}]", "document holds an integer too long to read (over 4300 digits)"),
+        (["import"], "in.json", f"[{LONG_INT}]", "flowchart holds an integer too long to read (over 4300 digits)"),
         (
             ["conform", model_arg()],
             "in.json",
             f'{{"steps": [{{"event": "E1", "index": {LONG_INT}}}]}}',
-            "trace is not valid JSON",
+            "trace holds an integer too long to read (over 4300 digits)",
         ),
     ],
     ids=["dsl-bound", "document", "flowchart", "trace"],
@@ -599,6 +599,73 @@ def test_simplify_writes_nothing_it_could_not_parse_back(tmp_path):
     path.write_text(json.dumps(data))
     result = invoke("simplify", path, "-o", out)
     assert_unusable(result, "holds a line break")
+    assert not out.exists()
+
+
+def _rename_thimac(data, old, new):
+    for thimac in data["thimacs"]:
+        thimac["id"] = new if thimac["id"] == old else thimac["id"]
+    for node in (*data["actions"], *data["storages"]):
+        node["owner"] = new if node["owner"] == old else node["owner"]
+
+
+def _set_anchor(data, action_id, anchor):
+    for action in data["actions"]:
+        if action["id"] == action_id:
+            action["anchor"] = anchor
+
+
+@pytest.mark.parametrize(
+    "edit, complaint",
+    [
+        (lambda d: d.update(name="my model"), "'my model' as a bare model name"),
+        (lambda d: d.update(name="thimac"), "'thimac' as a bare model name"),
+        (
+            lambda d: _set_anchor(d, "ordering/check_order", "a b"),
+            "'a b' as a bare anchor",
+        ),
+        (lambda d: _rename_thimac(d, "stock", "t x"), "'t x' as a bare thimac name"),
+    ],
+    ids=["spaced-name", "keyword-name", "spaced-anchor", "spaced-thimac"],
+)
+def test_simplify_writes_no_bare_word_that_parse_refuses(tmp_path, edit, complaint):
+    data = json.loads(invoke("export", model_arg(), "--format", "json").stdout)
+    edit(data)
+    path, out = tmp_path / "model.json", tmp_path / "out.tm"
+    path.write_text(json.dumps(data))
+    result = invoke("simplify", path, "-o", out)
+    assert_unusable(result, complaint)
+    assert not out.exists()
+
+
+def _rename_lane(chart, old, new):
+    chart["lanes"] = [new if lane == old else lane for lane in chart["lanes"]]
+    for node in chart["nodes"]:
+        node["lane"] = new if node["lane"] == old else node["lane"]
+
+
+def _rename_node(chart, old, new):
+    for node in chart["nodes"]:
+        node["id"] = new if node["id"] == old else node["id"]
+    for edge in chart["edges"]:
+        edge["from"] = new if edge["from"] == old else edge["from"]
+        edge["to"] = new if edge["to"] == old else edge["to"]
+
+
+@pytest.mark.parametrize(
+    "edit, complaint",
+    [
+        (lambda c: _rename_lane(c, "client", "event"), "'event' as a bare thimac name"),
+        (lambda c: _rename_node(c, "handle_oos", "max"), "'max' as a bare action name"),
+    ],
+    ids=["keyword-lane", "keyword-node"],
+)
+def test_import_writes_no_keyword_as_a_name(tmp_path, edit, complaint):
+    chart = json.loads(read_fixture("ordering_chart.json"))
+    edit(chart)
+    path, out = tmp_path / "chart.json", tmp_path / "out.tm"
+    path.write_text(json.dumps(chart))
+    assert_unusable(invoke("import", path, "-o", out), complaint)
     assert not out.exists()
 
 

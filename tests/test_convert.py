@@ -1,4 +1,5 @@
 """Flowchart import, DOT and JSON output, and plain-text reports."""
+import ast
 import json
 import re
 import subprocess
@@ -765,6 +766,30 @@ def test_the_cli_imports_without_jsonschema():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout == "False\n"
+
+
+PACKAGE = Path(convert.__file__).parent
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+)
+def test_modules_use_every_name_they_import(module):
+    assert unused_imports((PACKAGE / module).read_text()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 import json
 import re
 from random import Random
+from typing import Container, NoReturn, Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmkit import (
     Action,
+    ChronEdge,
     Document,
     FormatError,
     ModelBuilder,
@@ -16,15 +18,28 @@ from tmkit import (
     StaticModel,
     Storage,
     Thimac,
+    TmkitError,
+    build_chronology,
+    define_event,
     format_document,
     from_json,
     parse,
     to_dot,
     to_json,
 )
-from tmkit.dsl import SourceSpan, _Token, _tokenize
+from tmkit.dsl import (
+    ACTION_KINDS,
+    KEYWORDS,
+    SourceSpan,
+    _TOKEN_RE,
+    _Token,
+    _describe,
+    _resolve,
+    _tokenize,
+)
 from tmkit.dynamics import (
     DisconnectedRegionError,
+    DynamicsError,
     NoInitialEventError,
     UnboundedCycleError,
     structurally_equal_documents,
@@ -442,6 +457,424 @@ def test_the_lexer_keeps_the_character_loops_edge_cases(text):
 
 
 # ---------------------------------------------------------------------------
+# the one-pass parser against the two-pass parser it replaced
+
+
+def resolve_in_scope(
+    name: str, scope: tuple[str, ...], nodes: Container[str]
+) -> Optional[str]:
+    """The node ``name`` means inside ``scope``: the innermost enclosing
+    thimac's ``scope/name`` that exists, walking outward; None if none does."""
+    for i in range(len(scope), -1, -1):
+        candidate = "/".join((*scope[:i], name))
+        if candidate in nodes:
+            return candidate
+    return None
+
+
+class _TwoPassParser:
+    def __init__(self, tokens: list[_Token]):
+        self._tokens = tokens
+        self._pos = 0
+        # id -> "action" | "storage" (thimacs live in _thimac_ids)
+        self._nodes: dict[str, str] = {}
+        self._thimac_ids: set[str] = set()
+        self._pending_flows: list[tuple[tuple[str, ...], _Token, _Token]] = []
+        self._pending_triggers: list[
+            tuple[tuple[str, ...], _Token, _Token, Optional[str]]
+        ] = []
+        # (id token, label, ref tokens)
+        self._pending_events: list[tuple[_Token, str, list[_Token]]] = []
+        # (src token, dst token, guard, bound or None)
+        self._pending_chron: list[
+            tuple[_Token, _Token, Optional[str], Optional[int]]
+        ] = []
+
+    # -- token plumbing ------------------------------------------------------
+
+    def _peek(self) -> _Token:
+        return self._tokens[self._pos]
+
+    def _advance(self) -> _Token:
+        token = self._tokens[self._pos]
+        if token.type != "EOF":
+            self._pos += 1
+        return token
+
+    def _error(self, token: _Token, expected: str) -> NoReturn:
+        raise ParseError(token.span, expected, _describe(token))
+
+    def _expect(self, type_: str, expected: str) -> _Token:
+        token = self._peek()
+        if token.type != type_:
+            self._error(token, expected)
+        return self._advance()
+
+    def _at_keyword(self, word: str) -> bool:
+        token = self._peek()
+        return token.type == "NAME" and token.value == word
+
+    def _expect_keyword(self, word: str) -> _Token:
+        token = self._peek()
+        if not self._at_keyword(word):
+            self._error(token, f"'{word}'")
+        return self._advance()
+
+    def _declared_name(self, what: str) -> _Token:
+        token = self._expect("NAME", what)
+        if token.value in KEYWORDS:
+            raise ParseError(token.span, what, f"keyword {token.value!r}")
+        if "/" in token.value:
+            raise ParseError(token.span, f"an unqualified {what}", _describe(token))
+        return token
+
+    # -- grammar -------------------------------------------------------------
+
+    def parse_document(self) -> Document:
+        self._expect_keyword("model")
+        name = self._declared_name("model name")
+        self._expect("LBRACE", "'{'")
+        self._builder = ModelBuilder(name.value)
+        self._parse_items()
+        self._expect("RBRACE", "'}'")
+
+        have_events = False
+        if self._at_keyword("events"):
+            have_events = True
+            self._parse_events_block()
+        have_chronology = False
+        if self._at_keyword("chronology"):
+            have_chronology = True
+            self._parse_chronology_block()
+        self._expect("EOF", "end of file")
+
+        return self._resolve(have_events, have_chronology)
+
+    def _parse_items(self) -> None:
+        """The model block's body.  Open thimacs are kept on an explicit
+        stack of (scope, owner), so nesting depth is not bounded by
+        Python's recursion limit."""
+        stack: list[tuple[tuple[str, ...], Optional[str]]] = [((), None)]
+        while True:
+            scope, owner = stack[-1]
+            token = self._peek()
+            if token.type in ("RBRACE", "EOF"):
+                if len(stack) == 1:
+                    return
+                self._expect("RBRACE", "'}'")
+                stack.pop()
+            elif token.type != "NAME":
+                self._error(token, "a declaration or '}'")
+            elif token.value == "thimac":
+                stack.append(self._open_thimac(scope, owner))
+            elif token.value in ACTION_KINDS:
+                self._parse_action(scope, owner)
+            elif token.value == "storage":
+                self._parse_storage(scope, owner)
+            elif token.value in KEYWORDS:
+                self._error(token, "a declaration or '}'")
+            else:
+                self._parse_edge(scope)
+
+    def _declare(self, scope: tuple[str, ...], token: _Token) -> str:
+        path = "/".join((*scope, token.value))
+        if path in self._nodes or path in self._thimac_ids:
+            raise ParseError(token.span, "a fresh name", f"{path!r} (already declared)")
+        return path
+
+    def _open_thimac(
+        self, scope: tuple[str, ...], owner: Optional[str]
+    ) -> tuple[tuple[str, ...], str]:
+        """Read ``thimac NAME ["note"] {``; return the scope and owner of
+        its body."""
+        self._advance()
+        name = self._declared_name("thimac name")
+        note = self._advance().value if self._peek().type == "STRING" else None
+        path = self._declare(scope, name)
+        self._thimac_ids.add(path)
+        self._builder.add_thimac(name.value, parent=owner, note=note, id=path)
+        self._expect("LBRACE", "'{'")
+        return (*scope, name.value), path
+
+    def _parse_action(self, scope: tuple[str, ...], owner: Optional[str]) -> None:
+        kind = self._advance()
+        if owner is None:
+            self._error(kind, "a thimac to hold this action")
+        name = self._declared_name("action name")
+        label = self._advance().value if self._peek().type == "STRING" else None
+        anchor = None
+        if self._peek().type == "AT":
+            self._advance()
+            token = self._peek()
+            if token.type not in ("NAME", "INT"):
+                self._error(token, "an anchor")
+            anchor = self._advance().value
+        path = self._declare(scope, name)
+        self._nodes[path] = "action"
+        self._builder.add_action(kind.value, owner, label, anchor, id=path)
+
+    def _parse_storage(self, scope: tuple[str, ...], owner: Optional[str]) -> None:
+        keyword = self._advance()
+        if owner is None:
+            self._error(keyword, "a thimac to hold this storage")
+        name = self._declared_name("storage name")
+        path = self._declare(scope, name)
+        self._nodes[path] = "storage"
+        self._builder.add_storage(owner, name.value, id=path)
+
+    def _parse_edge(self, scope: tuple[str, ...]) -> None:
+        src = self._advance()
+        arrow = self._peek()
+        if arrow.type == "ARROW":
+            self._advance()
+            dst = self._expect("NAME", "a node name")
+            self._pending_flows.append((scope, src, dst))
+        elif arrow.type == "TRIG":
+            self._advance()
+            dst = self._expect("NAME", "a node name")
+            condition = None
+            if self._at_keyword("if"):
+                self._advance()
+                condition = self._expect("STRING", "a condition string").value
+            self._pending_triggers.append((scope, src, dst, condition))
+        else:
+            self._error(arrow, "'->' or '~>'")
+
+    def _parse_events_block(self) -> None:
+        self._advance()
+        self._expect("LBRACE", "'{'")
+        seen: set[str] = set()
+        while self._peek().type not in ("RBRACE", "EOF"):
+            self._expect_keyword("event")
+            event_id = self._declared_name("event id")
+            if event_id.value in seen:
+                raise ParseError(
+                    event_id.span,
+                    "a fresh event id",
+                    f"{event_id.value!r} (already declared)",
+                )
+            seen.add(event_id.value)
+            label = self._expect("STRING", "an event label").value
+            self._expect("LBRACE", "'{'")
+            refs = [self._expect("NAME", "an action name")]
+            while self._peek().type == "COMMA":
+                self._advance()
+                refs.append(self._expect("NAME", "an action name"))
+            self._expect("RBRACE", "'}'")
+            self._pending_events.append((event_id, label, refs))
+        self._expect("RBRACE", "'}'")
+
+    def _parse_chronology_block(self) -> None:
+        self._advance()
+        self._expect("LBRACE", "'{'")
+        while self._peek().type not in ("RBRACE", "EOF"):
+            src = self._expect("NAME", "an event id")
+            self._expect("ARROW", "'->'")
+            dst = self._expect("NAME", "an event id")
+            guard = None
+            bound = None
+            if self._at_keyword("if"):
+                self._advance()
+                guard = self._expect("STRING", "a guard string").value
+            if self._at_keyword("max"):
+                self._advance()
+                token = self._expect("INT", "an iteration bound")
+                try:
+                    bound = int(token.value)
+                except ValueError:  # more digits than Python will convert
+                    digits = f"{len(token.value)} digits"
+                    raise ParseError(token.span, "a shorter bound", digits) from None
+                if bound < 1:
+                    self._error(token, "a bound of at least 1")
+            self._pending_chron.append((src, dst, guard, bound))
+        self._expect("RBRACE", "'}'")
+
+    # -- resolution ----------------------------------------------------------
+
+    def _resolve(self, have_events: bool, have_chronology: bool) -> Document:
+        for scope, src, dst in self._pending_flows:
+            src_id, dst_id = self._endpoints(scope, src, dst)
+            self._builder.add_flow(src_id, dst_id)
+        for scope, src, dst, condition in self._pending_triggers:
+            src_id, dst_id = self._endpoints(scope, src, dst)
+            self._builder.add_trigger(src_id, dst_id, condition)
+        model = self._builder.build()
+
+        events = []
+        for event_id, label, ref_tokens in self._pending_events:
+            region = []
+            for token in ref_tokens:
+                ref = resolve_in_scope(token.value, (), self._nodes)
+                if ref is None or self._nodes[ref] != "action":
+                    self._error(token, "a declared action")
+                region.append(ref)
+            events.append(define_event(model, event_id.value, label, region))
+
+        chronology = None
+        if have_chronology:
+            known = {e.id for e in events}
+            edges = []
+            bounds = {}
+            pairs: set[tuple[str, str]] = set()
+            for src, dst, guard, bound in self._pending_chron:
+                for token in (src, dst):
+                    if token.value not in known:
+                        self._error(token, "a declared event")
+                pair = (src.value, dst.value)
+                if pair in pairs:
+                    self._error(dst, f"a single edge {src.value} -> {dst.value}")
+                pairs.add(pair)
+                edges.append(ChronEdge(src.value, dst.value, guard))
+                if bound is not None:
+                    bounds[pair] = bound
+            chronology = build_chronology(events, edges, bounds)
+
+        return Document(model, tuple(events), chronology)
+
+    def _endpoints(
+        self, scope: tuple[str, ...], src: _Token, dst: _Token
+    ) -> tuple[str, str]:
+        src_id = resolve_in_scope(src.value, scope, self._nodes)
+        if src_id is None:
+            self._error(src, "a declared action or storage")
+        dst_id = resolve_in_scope(dst.value, scope, self._nodes)
+        if dst_id is None:
+            self._error(dst, "a declared action or storage")
+        if src_id == dst_id:
+            self._error(dst, "a node other than the source")
+        return src_id, dst_id
+
+
+def parse_in_two_passes(text: str) -> Document:
+    """The parser as it was before it resolved each block as it closed:
+    it kept its own id table and parked events and chronology edges until
+    the end of the file.  Kept as the reference for ``parse``."""
+    return _TwoPassParser(_tokenize(text)).parse_document()
+
+
+# Words an edit may put in: every token kind, each keyword, and names the
+# fixtures do not declare.  An edit also reuses the text's own tokens.
+EDIT_WORDS = (
+    "->", "~>", "{", "}", "@", ",", '"x"', "0", "7", *sorted(KEYWORDS),
+    "ghost", "a/ghost", "E1", "E99",
+)
+
+
+def _edit(rng: Random, text: str) -> str:
+    """One character splice, or one token deleted, inserted or replaced.
+    A word put in is often a name from near the edit, which makes
+    self-loops, duplicates and dangling references."""
+    spans = [
+        (m.start(), m.end(), m.lastgroup)
+        for m in _TOKEN_RE.finditer(text)
+        if m.lastgroup not in ("SKIP", "NEWLINE")
+    ]
+    roll = rng.random()
+    if roll < 0.25 or not spans:
+        start = rng.randint(0, len(text))
+        end = start + rng.randint(0, 4)
+        splice = "".join(rng.choice(LEXER_ALPHABET) for _ in range(rng.randint(0, 3)))
+        return text[:start] + splice + text[end:]
+    i = rng.randrange(len(spans))
+    start, end, _ = spans[i]
+    names = [
+        text[a:b]
+        for a, b, kind in rng.choice((spans, spans[max(i - 4, 0) : i + 5]))
+        if kind == "NAME"
+    ]
+    word = rng.choice(names) if names and rng.random() < 0.6 else rng.choice(EDIT_WORDS)
+    if roll < 0.45:
+        return text[:start] + text[end:]
+    if roll < 0.65:
+        return f"{text[:start]}{word} {text[start:]}"
+    return text[:start] + word + text[end:]
+
+
+def oracle_input(rng: Random) -> str:
+    """A formatted random document or a shipped fixture, as it is or with
+    one to three edits."""
+    if rng.random() < 0.5:
+        text = format_document(random_document(rng))
+    else:
+        text = rng.choice(FIXTURE_TEXTS)
+    if rng.random() < 0.8:
+        for _ in range(rng.randint(1, 3)):
+            text = _edit(rng, text)
+    return text
+
+
+def _outcome(parse_text, text):
+    try:
+        return to_json(parse_text(text))
+    except TmkitError as err:
+        return err
+
+
+def compare_with_the_oracle(text: str) -> str:
+    """Assert that ``parse`` agrees with the two-pass parser on ``text``,
+    and say how: "accepted", "same error", "earlier" (a parse error at a
+    span not after the oracle's) or "dynamics" (a dynamic-layer error that the oracle
+    met only after a parse error further on)."""
+    new, old = _outcome(parse, text), _outcome(parse_in_two_passes, text)
+    if isinstance(new, str) or isinstance(old, str):
+        assert new == old
+        return "accepted"
+    if (type(new), str(new)) == (type(old), str(old)):
+        return "same error"
+    assert isinstance(old, ParseError), (new, old)
+    if isinstance(new, ParseError):
+        assert (new.span.line, new.span.col) <= (old.span.line, old.span.col)
+        return "earlier"
+    assert isinstance(new, DynamicsError), (new, old)
+    return "dynamics"
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=500, deadline=None)
+def test_the_one_pass_parser_matches_the_two_pass_parser(seed):
+    compare_with_the_oracle(oracle_input(Random(seed)))
+
+
+@given(
+    name=st.text("ab/", min_size=1, max_size=4),
+    owner=st.none() | st.text("ab/", max_size=8),
+    noise=st.sets(st.text("ab/", max_size=10), max_size=6),
+    picks=st.sets(st.integers(min_value=0, max_value=8)),
+)
+@example(name="a", owner="", noise=set(), picks={0, 1})
+@example(name="a", owner="/a", noise=set(), picks={1})
+@example(name="b", owner="a//b", noise=set(), picks={2, 3})
+@settings(max_examples=500, deadline=None)
+def test_resolve_walks_the_owner_id_as_the_scope_tuple_did(name, owner, noise, picks):
+    # the formatter passes any thimac id from JSON, "" and "a//b" included
+    scope = () if owner is None else tuple(owner.split("/"))
+    candidates = ["/".join((*scope[:i], name)) for i in range(len(scope), -1, -1)]
+    nodes = noise | {c for i, c in enumerate(candidates) if i in picks}
+    assert _resolve(name, owner, nodes) == resolve_in_scope(name, scope, nodes)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "model m { thimac t { create a a -> ghost } }\n"
+            'events { event E1 "x" { t/a } oops }\n',
+            "line 1, col 36: expected a declared action or storage, found 'ghost'",
+        ),
+        (
+            "model m { thimac t { create a } }\n"
+            'events { event E1 "x" { t/ghost } }\n'
+            "chronology { E1 -> }\n",
+            "line 2, col 25: expected a declared action, found 't/ghost'",
+        ),
+    ],
+    ids=["flow-before-events", "region-before-chronology"],
+)
+def test_the_first_fault_in_reading_order_is_reported(text, message):
+    assert str(error_for(text)) == message
+
+
+# ---------------------------------------------------------------------------
 # formatter
 
 
@@ -504,6 +937,43 @@ def test_format_refuses_a_line_break_in_a_string(ordering_doc, section, key):
     entries[0][key] = "two\nlines"
     with pytest.raises(FormatError, match="holds a line break"):
         format_document(from_json(json.dumps(data)))
+
+
+def one_action_document(
+    name="m", thimac="t", action="a", anchor=None, storage="s", event="E1"
+):
+    builder = ModelBuilder(name)
+    builder.add_thimac(thimac, id=thimac)
+    builder.add_action("create", thimac, anchor=anchor, id=f"{thimac}/{action}")
+    builder.add_storage(thimac, storage, id=f"{thimac}/{storage}")
+    model = builder.build()
+    return Document(model, (define_event(model, event, "x", [f"{thimac}/{action}"]),))
+
+
+@pytest.mark.parametrize(
+    "changes, complaint",
+    [
+        ({"name": "my model"}, "'my model' as a bare model name"),
+        ({"name": "thimac"}, "'thimac' as a bare model name"),
+        ({"thimac": "t x"}, "'t x' as a bare thimac name"),
+        ({"thimac": "event"}, "'event' as a bare thimac name"),
+        ({"action": "max"}, "'max' as a bare action name"),
+        ({"storage": "s s"}, "'s s' as a bare storage name"),
+        ({"anchor": "a b"}, "'a b' as a bare anchor"),
+        ({"anchor": "-1"}, "'-1' as a bare anchor"),
+        ({"event": "E 1"}, "'E 1' as a bare event id"),
+        ({"event": "if"}, "'if' as a bare event id"),
+    ],
+)
+def test_format_refuses_bare_words_that_parse_refuses(changes, complaint):
+    with pytest.raises(FormatError, match=complaint):
+        format_document(one_action_document(**changes))
+
+
+@pytest.mark.parametrize("anchor", ["12", "a", "a/b", "create"])
+def test_anchors_may_be_any_name_or_int(anchor):
+    doc = one_action_document(anchor=anchor)
+    assert parse(format_document(doc)).model.actions[0].anchor == anchor
 
 
 def test_format_accepts_bare_models():
