@@ -573,8 +573,14 @@ LONG_INT = "9" * 4301  # one digit past what Python converts by default
             f"chronology {{ E1 -> E2 max {LONG_INT} }}\n",
             "line 3, col 27: expected a shorter bound, found 4301 digits",
         ),
-        (["check"], "in.json", f"[{LONG_INT}]", "document holds an integer too long to read (over 4300 digits)"),
-        (["import"], "in.json", f"[{LONG_INT}]", "flowchart holds an integer too long to read (over 4300 digits)"),
+        (
+            ["check"], "in.json", f"[{LONG_INT}]",
+            "document holds an integer too long to read (over 4300 digits)",
+        ),
+        (
+            ["import"], "in.json", f"[{LONG_INT}]",
+            "flowchart holds an integer too long to read (over 4300 digits)",
+        ),
         (
             ["conform", model_arg()],
             "in.json",
