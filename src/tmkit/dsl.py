@@ -434,17 +434,20 @@ def _quoted(text: str) -> str:
 
 
 _WORD_RE = re.compile(_WORD)
+_NAME_RE = re.compile(_NAME)
 _ANCHOR_RE = re.compile(f"{_NAME}|{_INT}")
 
 
 def _bare(word: str, what: str) -> str:
     """``word`` written bare as a ``what``.  An anchor is a name or an int;
-    any other bare word declares something, so, as the parser asks, it is
-    an unqualified name and no keyword."""
+    a reference is a name and no keyword; any other bare word declares
+    something, so, as the parser asks, it is an unqualified name and no
+    keyword."""
     if what == "anchor":
         readable = _ANCHOR_RE.fullmatch(word)
     else:
-        readable = _WORD_RE.fullmatch(word) and word not in KEYWORDS
+        pattern = _NAME_RE if what == "reference" else _WORD_RE
+        readable = pattern.fullmatch(word) and word not in KEYWORDS
     if not readable:
         raise FormatError(f"cannot write {word!r} as a bare {what}: parse refuses it")
     return word
@@ -506,9 +509,9 @@ class _Formatter:
         local = node_id.rsplit("/", 1)[-1]
         if self.model.node_owner(node_id) == owner:
             if _resolve(local, owner, self.nodes) == node_id:
-                return local
+                return local  # checked where the node is declared
         if _resolve(node_id, owner, self.nodes) == node_id:
-            return node_id
+            return _bare(node_id, "reference")
         raise FormatError(
             f"{node_id!r} cannot be written unambiguously from {owner!r}"
         )
@@ -584,7 +587,7 @@ def format_document(doc: Union[Document, StaticModel]) -> str:
         lines.append("")
         lines.append("events {")
         for event in doc.events:
-            members = ", ".join(sorted(event.region))
+            members = ", ".join(_bare(m, "reference") for m in sorted(event.region))
             event_id = _bare(event.id, "event id")
             lines.append(f"  event {event_id} {_quoted(event.label)} {{ {members} }}")
         lines.append("}")

@@ -1,11 +1,30 @@
-"""Implicational arguments: derivation by chaining and truth-table checking.
+"""Implicational arguments: derivation by chaining, and validity.
 
 An argument is a list of premises, each an implication between literals,
 plus a goal implication.  ``derive`` searches for a proof of the goal by
-chaining premises and their contrapositives; ``truth_table_validate``
-decides semantic validity by enumeration.  Chaining is sound (anything it
-proves is valid) but not complete: an argument can be valid for reasons
-no single chain captures, as when the premises force a literal outright.
+chaining premises and their contrapositives; ``validate_argument``
+decides semantic validity, and ``truth_table_validate`` decides it by
+enumeration, the reference the other is tested against.  Chaining is
+sound (anything it proves is valid) but not complete: an argument can be
+valid for reasons no single chain captures, as when the premises force a
+literal outright.
+
+Both deciders work on one implication graph, built by
+``_implication_graph``.  Each variable is numbered once, in order of
+first use, and each literal is the int ``2 * var + negated``.  A rule is
+the int ``r``: premise ``r`` when ``r < n``, the contrapositive of
+premise ``r - n`` otherwise, where ``n`` is the number of premises.  The
+graph keeps the rules in premise-then-contrapositive order, the first
+for any (antecedent, consequent) pair winning, and lists each literal's
+outgoing rules in that order.  Its readers:
+
+* ``close_contrapositive`` turns the kept rules back into implications;
+* ``derive`` runs its breadth-first search over the int literals and
+  builds implications only for the steps of the proof it returns;
+* ``validate_argument`` adds the unit clauses ``a`` and ``~b`` of a goal
+  ``a -> b`` and propagates assignments over the graph: premises plus
+  ``a`` and ``~b`` is a 2-CNF formula, with no model exactly when the
+  argument is valid.
 
 ``encode_as_tm`` renders an argument as a model -- one thimac per
 literal, triggered along each implication -- so arguments can sit in the
@@ -16,13 +35,14 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import TmkitError
 from .model import ModelBuilder, StaticModel
 
 #: Enumeration guard: past this many variables a truth table stops being
-#: a reasonable way to spend time and memory.
+#: a reasonable way to spend time and memory.  ``validate_argument`` keeps
+#: the same cap, since the count it reports is of truth-table rows.
 MAX_VARIABLES = 24
 
 
@@ -114,50 +134,86 @@ class ProofPath:
     steps: tuple[Implication, ...]
 
 
+class _Graph(NamedTuple):
+    number: dict[str, int]  # variable -> var, in order of first use
+    heads: list[int]  # rule -> the literal it implies
+    out: list[list[int]]  # literal -> its kept rules, in rule order
+    kept: list[int]  # the kept rules, in rule order
+
+    def literal(self, lit: Literal) -> Optional[int]:
+        var = self.number.get(lit.variable)
+        return None if var is None else 2 * var + (not lit.positive)
+
+
+def _implication_graph(premises: tuple[Implication, ...]) -> _Graph:
+    """The premises and their contrapositives as rules over int literals;
+    see the module docstring.  Each rule is kept as a bare int, since the
+    graph of a long argument holds many."""
+    number: dict[str, int] = {}
+    ends = [
+        2 * number.setdefault(lit.variable, len(number)) + (not lit.positive)
+        for imp in premises
+        for lit in (imp.antecedent, imp.consequent)
+    ]
+    heads = ends[1::2] + [lit ^ 1 for lit in ends[0::2]]
+    # Rules r and r - n are each other's contrapositive (the index taken
+    # modulo 2n, as Python's negative indexing does), so the tail of rule
+    # r is the negated head of rule r - n.
+    n, width = len(premises), 2 * len(number)
+    pairs = [(heads[r - n] ^ 1) * width + heads[r] for r in range(2 * n)]
+    # Read backwards, a dict keeps for each pair the first rule stating it.
+    first = dict(zip(reversed(pairs), range(2 * n - 1, -1, -1)))
+    kept = sorted(first.values())
+    out: list[list[int]] = [[] for _ in range(width)]
+    for r in kept:
+        out[heads[r - n] ^ 1].append(r)
+    return _Graph(number, heads, out, kept)
+
+
+def _implication(premises: tuple[Implication, ...], r: int) -> Implication:
+    n = len(premises)
+    return premises[r] if r < n else premises[r - n].contrapositive()
+
+
 def close_contrapositive(
     premises: tuple[Implication, ...]
 ) -> tuple[Implication, ...]:
     """Premises followed by their contrapositives, in premise order,
     keeping the first implication seen for any (antecedent, consequent)
     pair -- so a premise always beats a derived form."""
-    out: list[Implication] = []
-    seen: set[tuple[Literal, Literal]] = set()
-    for group in (premises, [p.contrapositive() for p in premises]):
-        for imp in group:
-            key = (imp.antecedent, imp.consequent)
-            if key not in seen:
-                seen.add(key)
-                out.append(imp)
-    return tuple(out)
+    return tuple(
+        _implication(premises, r) for r in _implication_graph(premises).kept
+    )
 
 
 def derive(argument: Argument) -> Optional[ProofPath]:
     """Shortest chain from the goal's antecedent to its consequent, or
     None.  Breadth-first over the closed premise list, consulting rules
     in list order, so the result is deterministic."""
-    rules = close_contrapositive(argument.premises)
-    outgoing: dict[Literal, list[Implication]] = {}
-    for rule in rules:
-        outgoing.setdefault(rule.antecedent, []).append(rule)
-
-    start, target = argument.goal.antecedent, argument.goal.consequent
-    came_by: dict[Literal, Implication] = {}
-    visited = {start}
+    premises = argument.premises
+    graph = _implication_graph(premises)
+    start = graph.literal(argument.goal.antecedent)
+    target = graph.literal(argument.goal.consequent)
+    if start is None or target is None:
+        return None  # a literal no premise mentions is never reached
+    heads, out = graph.heads, graph.out
+    came_by = [-1] * len(out)  # the rule that first reached a literal
+    came_by[start] = len(heads)  # no rule, but visited
     queue = [start]
-    while queue:
-        current = queue.pop(0)
-        for rule in outgoing.get(current, ()):
-            nxt = rule.consequent
-            if nxt in visited:
+    for current in queue:  # the loop reaches what it appends
+        for r in out[current]:
+            nxt = heads[r]
+            if came_by[nxt] >= 0:
                 continue
-            visited.add(nxt)
-            came_by[nxt] = rule
+            came_by[nxt] = r
             if nxt == target:
-                steps = []
+                rules = []
                 while nxt != start:
-                    steps.append(came_by[nxt])
-                    nxt = came_by[nxt].antecedent
-                return ProofPath(tuple(reversed(steps)))
+                    rules.append(came_by[nxt])
+                    nxt = heads[came_by[nxt] - len(premises)] ^ 1  # its tail
+                return ProofPath(
+                    tuple(_implication(premises, r) for r in reversed(rules))
+                )
             queue.append(nxt)
     return None
 
@@ -166,16 +222,11 @@ def format_proof(path: ProofPath) -> str:
     return "\n".join(f"{step} [{step.origin}]" for step in path.steps) + "\n"
 
 
-def truth_table_validate(
-    argument: Argument, allow_new_goal_variables: bool = False
-) -> tuple[bool, Optional[dict[str, bool]], int]:
-    """Decide validity by enumerating assignments.
-
-    Returns ``(valid, countermodel, assignments_checked)``.  Variables
-    are taken in sorted order and assignments enumerated False-first, so
-    the countermodel returned for an invalid argument is always the
-    lexicographically least one.
-    """
+def _variables_to_check(
+    argument: Argument, allow_new_goal_variables: bool
+) -> tuple[str, ...]:
+    """The argument's variables in sorted order, after refusing fresh goal
+    variables (unless allowed) and then more than ``MAX_VARIABLES``."""
     if not allow_new_goal_variables:
         fresh = {
             argument.goal.antecedent.variable,
@@ -192,6 +243,20 @@ def truth_table_validate(
             f"{len(variables)} variables would need "
             f"2**{len(variables)} assignments; the cap is {MAX_VARIABLES}"
         )
+    return variables
+
+
+def truth_table_validate(
+    argument: Argument, allow_new_goal_variables: bool = False
+) -> tuple[bool, Optional[dict[str, bool]], int]:
+    """Decide validity by enumerating assignments.
+
+    Returns ``(valid, countermodel, assignments_checked)``.  Variables
+    are taken in sorted order and assignments enumerated False-first, so
+    the countermodel returned for an invalid argument is always the
+    lexicographically least one.
+    """
+    variables = _variables_to_check(argument, allow_new_goal_variables)
     checked = 0
     for values in itertools.product((False, True), repeat=len(variables)):
         checked += 1
@@ -201,6 +266,69 @@ def truth_table_validate(
         ):
             return (False, assignment, checked)
     return (True, None, checked)
+
+
+def validate_argument(
+    argument: Argument, allow_new_goal_variables: bool = False
+) -> tuple[bool, Optional[dict[str, bool]], int]:
+    """What ``truth_table_validate`` returns and raises, decided by
+    propagation instead of enumeration, in O(v * (v + rules)) for v
+    variables.
+
+    The argument ``premises |- a -> b`` is invalid exactly when premises
+    plus the unit clauses ``a`` and ``~b`` have a model.  Variables are
+    taken in sorted order; an unset one is made False and its
+    consequences propagated over the implication graph, or, if that
+    conflicts, made True.  A propagation without conflict leaves
+    untouched only clauses the formula already held, so it keeps a
+    satisfiable formula satisfiable (Even, Itai & Shamir, 1976): the
+    first variable where both values conflict proves the argument valid,
+    and otherwise the assignment is the least countermodel.  The count
+    is the number of rows the False-first truth table reads: all ``2**v``
+    for a valid argument, else the countermodel's rank plus one, the
+    first variable being the most significant bit and True being 1.
+    """
+    variables = _variables_to_check(argument, allow_new_goal_variables)
+    graph = _implication_graph(argument.premises)
+    goal = argument.goal
+    for lit in (goal.antecedent, goal.consequent):
+        graph.number.setdefault(lit.variable, len(graph.number))
+    implied = [[graph.heads[r] for r in rules] for rules in graph.out]
+    implied += [[] for _ in range(2 * len(graph.number) - len(implied))]
+    a, b = graph.literal(goal.antecedent), graph.literal(goal.consequent)
+    implied[a ^ 1].append(a)
+    implied[b].append(b ^ 1)
+
+    value: list[Optional[bool]] = [None] * len(graph.number)
+
+    def assume(lit: int) -> bool:
+        """Make ``lit`` and all it implies true; on a conflict, unset
+        what this call set and return False."""
+        value[lit >> 1] = not (lit & 1)
+        trail = [lit >> 1]
+        stack = [lit]
+        while stack:
+            for nxt in implied[stack.pop()]:
+                var, holds = nxt >> 1, not (nxt & 1)
+                if value[var] is None:
+                    value[var] = holds
+                    trail.append(var)
+                    stack.append(nxt)
+                elif value[var] != holds:
+                    for var in trail:
+                        value[var] = None
+                    return False
+        return True
+
+    for name in variables:
+        var = graph.number[name]
+        if value[var] is None and not (assume(2 * var + 1) or assume(2 * var)):
+            return (True, None, 2 ** len(variables))
+    countermodel = {name: value[graph.number[name]] for name in variables}
+    rank = 0
+    for holds in countermodel.values():
+        rank = 2 * rank + holds
+    return (False, countermodel, rank + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -242,8 +242,10 @@ def random_raw_model(rng: Random) -> StaticModel:
     )
 
 
-def random_argument(rng: Random) -> Argument:
-    """An implicational argument: ≤ 8 variables, ≤ 20 premises."""
+def random_argument(rng: Random, fresh_goal_variables: bool = False) -> Argument:
+    """An implicational argument: ≤ 8 variables, ≤ 20 premises.  The goal
+    uses only premise variables, unless ``fresh_goal_variables``, when it
+    may also use ``a`` or ``z``, which sort before and after the rest."""
     variables = [f"v{i}" for i in range(rng.randint(2, 8))]
 
     def literal() -> Literal:
@@ -260,10 +262,11 @@ def random_argument(rng: Random) -> Argument:
         )
 
     used = sorted({v for p in premises for v in (p.antecedent.variable, p.consequent.variable)})
-    goal_antecedent = Literal(rng.choice(used), rng.random() < 0.5)
-    goal_consequent = Literal(rng.choice(used), rng.random() < 0.5)
+    pool = used + ["a", "z"] if fresh_goal_variables else used
+    goal_antecedent = Literal(rng.choice(pool), rng.random() < 0.5)
+    goal_consequent = Literal(rng.choice(pool), rng.random() < 0.5)
     while goal_consequent == goal_antecedent:
-        goal_consequent = Literal(rng.choice(used), rng.random() < 0.5)
+        goal_consequent = Literal(rng.choice(pool), rng.random() < 0.5)
     return Argument(tuple(premises), Implication(goal_antecedent, goal_consequent))
 
 

@@ -23,6 +23,7 @@ from tmkit import (
     to_json,
     truth_table_validate,
     validate,
+    validate_argument,
 )
 from tmkit.cli import main
 from tmkit.dynamics import Document
@@ -61,11 +62,13 @@ def test_criterion_2_derivation_soundness():
     derivable = 0
     for seed in range(1000):
         argument = random_argument(Random(seed))
+        verdict = truth_table_validate(argument)
+        assert validate_argument(argument) == verdict, f"seed {seed}"
         path = derive(argument)
         if path is None:
             continue
         derivable += 1
-        valid, countermodel, _ = truth_table_validate(argument)
+        valid, countermodel, _ = verdict
         assert valid, (
             f"seed {seed}: derived a chain but the truth table found "
             f"{countermodel}"
@@ -73,7 +76,8 @@ def test_criterion_2_derivation_soundness():
     assert derivable > 0
     print(
         f"criterion 2: PASS — {derivable}/1000 arguments derivable, "
-        f"zero unsound derivations"
+        f"zero unsound derivations, 1000/1000 verdicts matching the "
+        f"truth table"
     )
 
 

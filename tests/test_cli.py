@@ -1,5 +1,6 @@
 """The command-line front end: outputs, exit codes, and stream discipline."""
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -286,6 +287,45 @@ def test_validate_arg_rejects_fresh_goal_variables(tmp_path):
     result = invoke("validate-arg", path)
     assert result.exit_code == 2
     assert "absent from every premise" in result.stderr
+
+
+def _chain_file(tmp_path, count, goal_consequent):
+    names = [f"v{k:02d}" for k in range(count)]
+    lines = [f"{a} -> {b}" for a, b in zip(names, names[1:])]
+    lines.append(f"|- v00 -> {goal_consequent.format(last=names[-1])}")
+    path = tmp_path / "chain.arg"
+    path.write_text("\n".join(lines) + "\n")
+    return path, names
+
+
+@pytest.mark.parametrize(
+    "goal_consequent, exit_code, stdout",
+    [
+        ("{last}", 0, "valid (16777216 assignments checked)\n"),
+        # the chain forces every variable true, the last row a table reads
+        ("~{last}", 1, "invalid: {countermodel}\n"),
+    ],
+    ids=["valid", "all-true-countermodel"],
+)
+def test_validate_arg_decides_24_variables_without_enumerating(
+    tmp_path, goal_consequent, exit_code, stdout
+):
+    path, names = _chain_file(tmp_path, 24, goal_consequent)
+    began = time.perf_counter()
+    result = invoke("validate-arg", path)
+    elapsed = time.perf_counter() - began
+    assert result.exit_code == exit_code
+    countermodel = " ".join(f"{name}=T" for name in names)
+    assert result.stdout == stdout.format(countermodel=countermodel)
+    assert elapsed < 1.0, f"validate-arg took {elapsed:.2f} s"
+
+
+def test_validate_arg_keeps_the_24_variable_cap(tmp_path):
+    path, _ = _chain_file(tmp_path, 25, "{last}")
+    result = invoke("validate-arg", path)
+    assert_unusable(
+        result, "25 variables would need 2**25 assignments; the cap is 24"
+    )
 
 
 def test_prove_rejects_malformed_files(tmp_path):
@@ -641,6 +681,30 @@ def test_simplify_writes_no_bare_word_that_parse_refuses(tmp_path, edit, complai
     path.write_text(json.dumps(data))
     result = invoke("simplify", path, "-o", out)
     assert_unusable(result, complaint)
+    assert not out.exists()
+
+
+def _rename_model_node(data, old, new):
+    for node in (*data["actions"], *data["storages"]):
+        node["id"] = new if node["id"] == old else node["id"]
+    for edge in (*data["flows"], *data["triggers"]):
+        edge["from"] = new if edge["from"] == old else edge["from"]
+        edge["to"] = new if edge["to"] == old else edge["to"]
+    for event in data["events"]:
+        event["region"] = [new if m == old else m for m in event["region"]]
+
+
+def test_simplify_writes_no_reference_that_parse_refuses(tmp_path):
+    # loaded from JSON, an id need not be a containment path
+    data = json.loads(invoke("export", model_arg(), "--format", "json").stdout)
+    _rename_model_node(data, "client/make_order", "client//make_order")
+    path, out = tmp_path / "model.json", tmp_path / "out.tm"
+    path.write_text(json.dumps(data))
+    result = invoke("simplify", path, "-o", out)
+    assert_unusable(
+        result,
+        "cannot write 'client//make_order' as a bare reference: parse refuses it",
+    )
     assert not out.exists()
 
 

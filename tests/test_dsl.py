@@ -963,6 +963,7 @@ def one_action_document(
         ({"anchor": "-1"}, "'-1' as a bare anchor"),
         ({"event": "E 1"}, "'E 1' as a bare event id"),
         ({"event": "if"}, "'if' as a bare event id"),
+        ({"action": "/a"}, "'t//a' as a bare reference"),
     ],
 )
 def test_format_refuses_bare_words_that_parse_refuses(changes, complaint):

@@ -1,5 +1,7 @@
-"""Implication chaining, truth tables, argument files, and the encoding."""
+"""Implication chaining, validity, argument files, and the encoding."""
+import time
 from random import Random
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from tmkit import (
     Literal,
     LogicError,
     Origin,
+    ProofPath,
     close_contrapositive,
     derive,
     encode_as_tm,
@@ -19,6 +22,7 @@ from tmkit import (
     parse_argument,
     truth_table_validate,
     validate,
+    validate_argument,
 )
 from tmkit.logic import _literal_thimac
 
@@ -40,6 +44,53 @@ def argument(*premise_pairs, goal):
         imp(a, c, i) for i, (a, c) in enumerate(premise_pairs, start=1)
     )
     return Argument(premises, imp(*goal))
+
+
+# ---------------------------------------------------------------------------
+# oracles: closure and derivation over Literal objects, as they were
+# before both moved onto the int implication graph
+
+
+def close_by_literals(
+    premises: tuple[Implication, ...]
+) -> tuple[Implication, ...]:
+    out: list[Implication] = []
+    seen: set[tuple[Literal, Literal]] = set()
+    for group in (premises, [p.contrapositive() for p in premises]):
+        for imp in group:
+            key = (imp.antecedent, imp.consequent)
+            if key not in seen:
+                seen.add(key)
+                out.append(imp)
+    return tuple(out)
+
+
+def derive_by_literals(argument: Argument) -> Optional[ProofPath]:
+    rules = close_by_literals(argument.premises)
+    outgoing: dict[Literal, list[Implication]] = {}
+    for rule in rules:
+        outgoing.setdefault(rule.antecedent, []).append(rule)
+
+    start, target = argument.goal.antecedent, argument.goal.consequent
+    came_by: dict[Literal, Implication] = {}
+    visited = {start}
+    queue = [start]
+    while queue:
+        current = queue.pop(0)
+        for rule in outgoing.get(current, ()):
+            nxt = rule.consequent
+            if nxt in visited:
+                continue
+            visited.add(nxt)
+            came_by[nxt] = rule
+            if nxt == target:
+                steps = []
+                while nxt != start:
+                    steps.append(came_by[nxt])
+                    nxt = came_by[nxt].antecedent
+                return ProofPath(tuple(reversed(steps)))
+            queue.append(nxt)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +183,40 @@ def test_derivations_are_sound_and_well_chained(seed):
     assert valid, f"derived a chain for an invalid argument: {countermodel}"
 
 
+@given(seeds)
+@settings(max_examples=500, deadline=None)
+def test_derive_and_closure_match_the_literal_oracles(seed):
+    arg = random_argument(Random(seed), fresh_goal_variables=True)
+    assert derive(arg) == derive_by_literals(arg)
+    assert close_contrapositive(arg.premises) == close_by_literals(arg.premises)
+
+
+def test_derive_cannot_reach_a_variable_no_premise_uses():
+    assert derive(argument(("a", "b"), goal=("a", "z"))) is None
+    assert derive(argument(("a", "b"), goal=("z", "b"))) is None
+
+
+@pytest.mark.parametrize("via_last", [False, True], ids=["one-step", "two-step"])
+def test_wide_arguments_are_derived_in_linear_time(via_last):
+    # ``a`` implies 20,000 literals and the goal is reached from the last
+    # of them; two-step makes the search walk every one of them.
+    names = [f"y{k:05d}" for k in range(20_000)]
+    pairs = [("a", name) for name in names]
+    goal = ("a", names[-1])
+    if via_last:
+        pairs.append((names[-1], "z"))
+        goal = ("a", "z")
+    arg = argument(*pairs, goal=goal)
+    began = time.perf_counter()
+    path = derive(arg)
+    elapsed = time.perf_counter() - began
+    expected = ["premise 20000", "premise 20001"][: 1 + via_last]
+    assert [str(step.origin) for step in path.steps] == expected
+    assert elapsed < 1.0, f"derive took {elapsed:.2f} s on 20,000 rules"
+
+
 # ---------------------------------------------------------------------------
-# truth tables
+# validity
 
 
 def test_truth_table_confirms_a_valid_argument():
@@ -180,6 +263,47 @@ def test_chaining_is_incomplete_by_design():
     assert derive(arg) is None
     valid, _, _ = truth_table_validate(arg, allow_new_goal_variables=True)
     assert valid
+
+
+def _outcome(validator, arg, allow_new_goal_variables):
+    try:
+        return validator(arg, allow_new_goal_variables)
+    except LogicError as error:
+        return str(error)
+
+
+@given(seeds, st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_validate_argument_matches_the_truth_table(seed, allow_new_goal_variables):
+    arg = random_argument(Random(seed), fresh_goal_variables=True)
+    assert _outcome(validate_argument, arg, allow_new_goal_variables) == _outcome(
+        truth_table_validate, arg, allow_new_goal_variables
+    )
+
+
+@pytest.mark.parametrize(
+    "arg, allow, expected",
+    [
+        (argument(("a", "b"), ("b", "c"), goal=("a", "c")), False, (True, None, 8)),
+        (
+            argument(("p", "q"), goal=("q", "p")),
+            False,
+            (False, {"p": False, "q": True}, 2),
+        ),
+        (
+            argument(("a", "b"), goal=("a", "z")),
+            True,
+            (False, {"a": True, "b": True, "z": False}, 7),
+        ),
+        # ~a forces a: both values of a conflict, so it is valid outright
+        (argument(("~a", "a"), goal=("b", "a")), True, (True, None, 4)),
+        (argument(("a", "b"), ("~a", "b"), goal=("c", "b")), True, (True, None, 8)),
+    ],
+    ids=["chain", "converse", "fresh-goal", "forced", "forced-by-cases"],
+)
+def test_validate_argument(arg, allow, expected):
+    assert validate_argument(arg, allow) == expected
+    assert truth_table_validate(arg, allow) == expected
 
 
 # ---------------------------------------------------------------------------
