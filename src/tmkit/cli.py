@@ -43,7 +43,7 @@ from .dynamics import (
     trace_to_json,
 )
 from .errors import TmkitError
-from .logic import derive, format_proof, parse_argument, validate_argument
+from .logic import derive, format_proof, parse_argument, truth_table_validate
 from .model import SimplifyError, simplify as simplify_model, validate
 
 _MODEL_FILE = click.Path(exists=True, dir_okay=False)
@@ -219,7 +219,7 @@ def prove(argument_file: str) -> None:
 def validate_arg(argument_file: str) -> None:
     """Check an argument against its full truth table."""
     argument = parse_argument(_read(argument_file))
-    valid, countermodel, checked = validate_argument(argument)
+    valid, countermodel, checked = truth_table_validate(argument)
     if valid:
         _write(None, f"valid ({checked} assignments checked)\n")
     else:

@@ -2,16 +2,15 @@
 
 An argument is a list of premises, each an implication between literals,
 plus a goal implication.  ``derive`` searches for a proof of the goal by
-chaining premises and their contrapositives; ``validate_argument``
-decides semantic validity, and ``truth_table_validate`` decides it by
-enumeration, the reference the other is tested against.  Chaining is
-sound (anything it proves is valid) but not complete: an argument can be
-valid for reasons no single chain captures, as when the premises force a
-literal outright.
+chaining premises and their contrapositives; ``truth_table_validate``
+decides semantic validity, answering as a full truth table would.
+Chaining is sound (anything it proves is valid) but not complete: an
+argument can be valid for reasons no single chain captures, as when the
+premises force a literal outright.
 
-Both deciders work on one implication graph, built by
-``_implication_graph``.  Each variable is numbered once, in order of
-first use, and each literal is the int ``2 * var + negated``.  A rule is
+Both work on one implication graph, built by ``_implication_graph``.
+Each variable is numbered once, in order of first use, and each literal
+is the int ``2 * var + negated``.  A rule is
 the int ``r``: premise ``r`` when ``r < n``, the contrapositive of
 premise ``r - n`` otherwise, where ``n`` is the number of premises.  The
 graph keeps the rules in premise-then-contrapositive order, the first
@@ -21,10 +20,10 @@ outgoing rules in that order.  Its readers:
 * ``close_contrapositive`` turns the kept rules back into implications;
 * ``derive`` runs its breadth-first search over the int literals and
   builds implications only for the steps of the proof it returns;
-* ``validate_argument`` adds the unit clauses ``a`` and ``~b`` of a goal
-  ``a -> b`` and propagates assignments over the graph: premises plus
-  ``a`` and ``~b`` is a 2-CNF formula, with no model exactly when the
-  argument is valid.
+* ``truth_table_validate`` adds the unit clauses ``a`` and ``~b`` of a
+  goal ``a -> b`` and propagates assignments over the graph: premises
+  plus ``a`` and ``~b`` is a 2-CNF formula, with no model exactly when
+  the argument is valid.
 
 ``encode_as_tm`` renders an argument as a model -- one thimac per
 literal, triggered along each implication -- so arguments can sit in the
@@ -32,7 +31,6 @@ same tooling as everything else.
 """
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -40,9 +38,9 @@ from typing import NamedTuple, Optional
 from .errors import TmkitError
 from .model import ModelBuilder, StaticModel
 
-#: Enumeration guard: past this many variables a truth table stops being
-#: a reasonable way to spend time and memory.  ``validate_argument`` keeps
-#: the same cap, since the count it reports is of truth-table rows.
+#: Past this many variables a truth table stops being a reasonable way to
+#: spend time and memory.  ``truth_table_validate`` no longer enumerates
+#: one, but keeps the cap, since the count it reports is of its rows.
 MAX_VARIABLES = 24
 
 
@@ -222,11 +220,29 @@ def format_proof(path: ProofPath) -> str:
     return "\n".join(f"{step} [{step.origin}]" for step in path.steps) + "\n"
 
 
-def _variables_to_check(
-    argument: Argument, allow_new_goal_variables: bool
-) -> tuple[str, ...]:
-    """The argument's variables in sorted order, after refusing fresh goal
-    variables (unless allowed) and then more than ``MAX_VARIABLES``."""
+def truth_table_validate(
+    argument: Argument, allow_new_goal_variables: bool = False
+) -> tuple[bool, Optional[dict[str, bool]], int]:
+    """Decide validity as a truth table would, without enumerating it.
+
+    Returns ``(valid, countermodel, assignments_checked)``.  Variables
+    are taken in sorted order and assignments read False-first, so the
+    countermodel returned for an invalid argument is always the
+    lexicographically least one, and the count is the rows read to reach
+    it: its rank plus one, the first variable being the most significant
+    bit and True being 1, or all ``2**v`` for a valid argument.
+
+    The argument ``premises |- a -> b`` is invalid exactly when premises
+    plus the unit clauses ``a`` and ``~b`` have a model.  Each unset
+    variable in turn is made False and its consequences propagated over
+    the implication graph, or, if that conflicts, made True.  A
+    propagation without conflict leaves untouched only clauses the
+    formula already held, so it keeps a satisfiable formula satisfiable
+    (Even, Itai & Shamir, 1976): the first variable where both values
+    conflict proves the argument valid, and otherwise the assignment is
+    the least countermodel.  This takes O(v * (v + rules)) for v
+    variables.
+    """
     if not allow_new_goal_variables:
         fresh = {
             argument.goal.antecedent.variable,
@@ -243,55 +259,9 @@ def _variables_to_check(
             f"{len(variables)} variables would need "
             f"2**{len(variables)} assignments; the cap is {MAX_VARIABLES}"
         )
-    return variables
-
-
-def truth_table_validate(
-    argument: Argument, allow_new_goal_variables: bool = False
-) -> tuple[bool, Optional[dict[str, bool]], int]:
-    """Decide validity by enumerating assignments.
-
-    Returns ``(valid, countermodel, assignments_checked)``.  Variables
-    are taken in sorted order and assignments enumerated False-first, so
-    the countermodel returned for an invalid argument is always the
-    lexicographically least one.
-    """
-    variables = _variables_to_check(argument, allow_new_goal_variables)
-    checked = 0
-    for values in itertools.product((False, True), repeat=len(variables)):
-        checked += 1
-        assignment = dict(zip(variables, values))
-        if all(p.holds_under(assignment) for p in argument.premises) and (
-            not argument.goal.holds_under(assignment)
-        ):
-            return (False, assignment, checked)
-    return (True, None, checked)
-
-
-def validate_argument(
-    argument: Argument, allow_new_goal_variables: bool = False
-) -> tuple[bool, Optional[dict[str, bool]], int]:
-    """What ``truth_table_validate`` returns and raises, decided by
-    propagation instead of enumeration, in O(v * (v + rules)) for v
-    variables.
-
-    The argument ``premises |- a -> b`` is invalid exactly when premises
-    plus the unit clauses ``a`` and ``~b`` have a model.  Variables are
-    taken in sorted order; an unset one is made False and its
-    consequences propagated over the implication graph, or, if that
-    conflicts, made True.  A propagation without conflict leaves
-    untouched only clauses the formula already held, so it keeps a
-    satisfiable formula satisfiable (Even, Itai & Shamir, 1976): the
-    first variable where both values conflict proves the argument valid,
-    and otherwise the assignment is the least countermodel.  The count
-    is the number of rows the False-first truth table reads: all ``2**v``
-    for a valid argument, else the countermodel's rank plus one, the
-    first variable being the most significant bit and True being 1.
-    """
-    variables = _variables_to_check(argument, allow_new_goal_variables)
     graph = _implication_graph(argument.premises)
     goal = argument.goal
-    for lit in (goal.antecedent, goal.consequent):
+    for lit in (goal.antecedent, goal.consequent):  # numbers fresh ones
         graph.number.setdefault(lit.variable, len(graph.number))
     implied = [[graph.heads[r] for r in rules] for rules in graph.out]
     implied += [[] for _ in range(2 * len(graph.number) - len(implied))]
