@@ -14,6 +14,7 @@ be written or encoded as UTF-8, raise one too.
 """
 from __future__ import annotations
 
+import errno
 import os
 import pathlib
 from typing import NoReturn, Optional
@@ -81,12 +82,14 @@ def _write(output: Optional[str], text: str) -> None:
         data = text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise TmkitError(f"cannot encode the output as UTF-8: {exc}") from None
-    if output is None:
-        click.echo(data, nl=False)
-        return
     try:
-        pathlib.Path(output).write_bytes(data)
+        if output is None:
+            click.echo(data, nl=False)
+        else:
+            pathlib.Path(output).write_bytes(data)
     except OSError as exc:
+        if output is None and exc.errno == errno.EPIPE:
+            raise  # a closed pipe: click's handling exits 1 quietly
         raise TmkitError(str(exc)) from None
 
 

@@ -41,6 +41,7 @@ from .model import (
     Storage,
     Thimac,
     Trigger,
+    check_depth,
     validate,
 )
 
@@ -641,8 +642,9 @@ def from_json(text: str) -> Document:
     """Load a document from canonical JSON.
 
     The model part is taken as-is -- dangling references, self-loops and
-    the like are for ``validate`` to report -- but duplicate ids are
-    refused outright, and events and chronology must make sense.
+    the like are for ``validate`` to report -- but duplicate ids and
+    nesting deeper than ``MAX_DEPTH`` are refused outright, and events
+    and chronology must make sense.
     """
     data = decode_json(text, "document", ConvertError)
     _check_schema(data, MODEL_SCHEMA, "document")
@@ -673,6 +675,7 @@ def from_json(text: str) -> Document:
             for t in data["triggers"]
         ),
     )
+    check_depth(model.thimacs)
 
     events = {}
     for entry in data["events"]:

@@ -45,7 +45,16 @@ from .dynamics import (
     define_event,
 )
 from .errors import TmkitError
-from .model import ACTION_KINDS, ModelBuilder, ModelError, StaticModel, Thimac, grouped
+from .model import (
+    ACTION_KINDS,
+    MAX_DEPTH,
+    ModelBuilder,
+    ModelError,
+    NestingError,
+    StaticModel,
+    Thimac,
+    grouped,
+)
 
 KEYWORDS = frozenset(
     {
@@ -280,10 +289,17 @@ class _Parser:
         self, owner: Optional[str], name: _Token, add: Callable[..., str], *args
     ) -> str:
         """Add a thimac, action or storage through ``add(*args, id=path)``.
-        The builder's duplicate-id check is the only one."""
+        The builder's duplicate-id and nesting-depth checks are the only
+        ones."""
         path = name.value if owner is None else f"{owner}/{name.value}"
         try:
             return add(*args, id=path)
+        except NestingError as exc:
+            raise ParseError(
+                name.span,
+                f"at most {MAX_DEPTH} nested thimacs",
+                f"thimac {name.value} at depth {exc.depth}",
+            ) from None
         except ModelError:  # the id is taken
             raise ParseError(
                 name.span, "a fresh name", f"{path!r} (already declared)"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .errors import TmkitError, decode_json
 from .model import Flow, StaticModel, grouped
@@ -81,6 +81,11 @@ class ChronEdge:
     guard: Optional[str] = None
 
 
+_Pair = tuple[str, str]
+# one entry of ChronologyGraph.step_plan: guarded, looping, fallback
+_Step = tuple[tuple[tuple[str, _Pair], ...], tuple[_Pair, ...], Optional[_Pair]]
+
+
 @dataclass(frozen=True)
 class ChronologyGraph:
     events: tuple[Event, ...]
@@ -100,8 +105,33 @@ class ChronologyGraph:
         targets = {e.dst for e in self.edges}
         return tuple(sorted(e.id for e in self.events if e.id not in targets))
 
+    @cached_property
+    def edge_pairs(self) -> frozenset[_Pair]:
+        """Every edge as ``(src, dst)``; ``build_chronology`` refuses a
+        repeated pair, so a pair names exactly one edge."""
+        return frozenset((e.src, e.dst) for e in self.edges)
+
+    @cached_property
+    def step_plan(self) -> dict[str, _Step]:
+        """What ``simulate`` reads at each event with successors, in
+        declaration order: the guarded edges as ``(guard, (src, dst))``,
+        the bounded unguarded edges' pairs, and the first unbounded
+        unguarded edge's pair (None if there is none)."""
+        plan = {}
+        for src, edges in self.successors.items():
+            guarded = tuple(
+                (e.guard, (src, e.dst)) for e in edges if e.guard is not None
+            )
+            unguarded = [(src, e.dst) for e in edges if e.guard is None]
+            looping = tuple(p for p in unguarded if p in self.loop_bounds)
+            fallback = next(
+                (p for p in unguarded if p not in self.loop_bounds), None
+            )
+            plan[src] = (guarded, looping, fallback)
+        return plan
+
     def has_edge(self, src: str, dst: str) -> bool:
-        return any(e.dst == dst for e in self.successors.get(src, ()))
+        return (src, dst) in self.edge_pairs
 
 
 @dataclass(frozen=True)
@@ -335,62 +365,44 @@ def simulate(chronology: ChronologyGraph, scenario: Scenario) -> Trace:
         raise NoInitialEventError("chronology has no initial event")
     current = chronology.initial_events[0]
 
+    plan = chronology.step_plan
+    decisions = scenario.decisions
     budgets = dict(chronology.loop_bounds)
     cursors: dict[str, int] = {}
-    steps: list[tuple[str, int]] = [(current, 0)]
+    walk = [current]
 
-    while True:
-        candidates = chronology.successors.get(current, ())
-        if not candidates:
-            break
-        taken = _pick_edge(candidates, budgets, cursors, scenario, len(steps) - 1)
+    while current in plan:
+        guarded, looping, fallback = plan[current]
+        taken = fallback
+        for guard, pair in guarded:
+            choices = decisions.get(guard)
+            cursor = cursors.get(guard, 0)
+            if choices is None or cursor >= len(choices):
+                raise ScenarioExhaustedError(
+                    f"scenario {scenario.name!r} has no decision left for guard "
+                    f"{guard!r} at step {len(walk) - 1}"
+                )
+            cursors[guard] = cursor + 1
+            if choices[cursor] and budgets.get(pair, 1) > 0:
+                taken = pair
+                break
+        else:
+            for pair in looping:  # loop continuations first
+                if budgets[pair] > 0:
+                    taken = pair
+                    break
         if taken is None:
-            break
-        pair = (taken.src, taken.dst)
-        if pair in budgets:
-            budgets[pair] -= 1
-        current = taken.dst
-        steps.append((current, len(steps)))
-    return Trace(tuple(steps), scenario.name)
-
-
-def _pick_edge(
-    candidates: Sequence[ChronEdge],
-    budgets: dict[tuple[str, str], int],
-    cursors: dict[str, int],
-    scenario: Scenario,
-    step: int,
-) -> Optional[ChronEdge]:
-    def blocked(edge: ChronEdge) -> bool:
-        return budgets.get((edge.src, edge.dst), 1) <= 0
-
-    guarded = [e for e in candidates if e.guard is not None]
-    for edge in guarded:
-        choices = scenario.decisions.get(edge.guard)
-        cursor = cursors.get(edge.guard, 0)
-        if choices is None or cursor >= len(choices):
-            raise ScenarioExhaustedError(
-                f"scenario {scenario.name!r} has no decision left for guard "
-                f"{edge.guard!r} at step {step}"
-            )
-        cursors[edge.guard] = cursor + 1
-        if choices[cursor] and not blocked(edge):
-            return edge
-
-    unguarded = [e for e in candidates if e.guard is None]
-    for edge in unguarded:  # loop continuations first
-        if (edge.src, edge.dst) in budgets and not blocked(edge):
-            return edge
-    for edge in unguarded:
-        if (edge.src, edge.dst) not in budgets:
-            return edge
-
-    if guarded and not unguarded:
-        raise NoEnabledSuccessorError(
-            f"all guards false at {candidates[0].src} (step {step}) and no "
-            f"unguarded successor exists"
-        )
-    return None  # only exhausted back-edges remain: the run ends here
+            if guarded and not looping:
+                raise NoEnabledSuccessorError(
+                    f"all guards false at {current} (step {len(walk) - 1}) "
+                    f"and no unguarded successor exists"
+                )
+            break  # only exhausted back-edges remain: the run ends here
+        if taken in budgets:
+            budgets[taken] -= 1
+        current = taken[1]
+        walk.append(current)
+    return Trace(tuple(zip(walk, range(len(walk)))), scenario.name)
 
 
 def conformance(trace: Trace, chronology: ChronologyGraph) -> ConformanceResult:
@@ -401,25 +413,27 @@ def conformance(trace: Trace, chronology: ChronologyGraph) -> ConformanceResult:
     def fail(step: int, message: str) -> ConformanceResult:
         return ConformanceResult(False, Violation(step, message))
 
+    known = chronology.events_by_id
+    pairs = chronology.edge_pairs
+    bounds = chronology.loop_bounds
     counts: dict[tuple[str, str], int] = {}
     previous: Optional[str] = None
     for position, (event_id, index) in enumerate(trace.steps):
         if index != position:
             return fail(position, f"step index {index} out of sequence")
-        if event_id not in chronology.events_by_id:
+        if event_id not in known:
             return fail(position, f"unknown event {event_id!r}")
         if previous is not None:
-            if not chronology.has_edge(previous, event_id):
-                return fail(position, f"no edge {previous} -> {event_id}")
             pair = (previous, event_id)
-            if pair in chronology.loop_bounds:
-                counts[pair] = counts.get(pair, 0) + 1
-                if counts[pair] > chronology.loop_bounds[pair]:
+            if pair not in pairs:
+                return fail(position, f"no edge {previous} -> {event_id}")
+            if pair in bounds:
+                counts[pair] = taken = counts.get(pair, 0) + 1
+                if taken > bounds[pair]:
                     return fail(
                         position,
                         f"edge {previous} -> {event_id} taken "
-                        f"{counts[pair]} times, over its loop bound "
-                        f"{chronology.loop_bounds[pair]}",
+                        f"{taken} times, over its loop bound {bounds[pair]}",
                     )
         previous = event_id
     return ConformanceResult(True, None)
@@ -459,14 +473,19 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     return Scenario(name, decisions)
 
 
+_TRACE_STEP = '    {\n      "index": %d,\n      "event": %s\n    }'
+
+
 def trace_to_json(trace: Trace) -> str:
-    payload = {
-        "scenario": trace.scenario,
-        "steps": [
-            {"index": index, "event": event} for event, index in trace.steps
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The bytes ``json.dumps(payload, indent=2) + "\\n"`` writes for
+    ``{"scenario": ..., "steps": [{"index": ..., "event": ...}, ...]}``,
+    from a template; names go through the encoder ``json.dumps`` uses."""
+    encode = json.encoder.encode_basestring_ascii
+    steps = ",\n".join(
+        [_TRACE_STEP % (index, encode(event)) for event, index in trace.steps]
+    )
+    body = f"[\n{steps}\n  ]" if steps else "[]"
+    return f'{{\n  "scenario": {encode(trace.scenario)},\n  "steps": {body}\n}}\n'
 
 
 def trace_from_json(text: str) -> Trace:
@@ -477,8 +496,13 @@ def trace_from_json(text: str) -> Trace:
     for entry in payload["steps"]:
         if not isinstance(entry, dict) or "event" not in entry:
             raise ScenarioError("each trace step needs an 'event' field")
-        index = _step_index(entry.get("index", len(steps)))
-        steps.append((_name(entry["event"], "event"), index))
+        index = entry.get("index", len(steps))
+        if type(index) is not int:  # a bool, float or str is checked
+            index = _step_index(index)
+        event = entry["event"]
+        if type(event) is not str:
+            event = _name(event, "event")
+        steps.append((event, index))
     return Trace(tuple(steps), _name(payload.get("scenario", "trace"), "scenario"))
 
 

@@ -53,6 +53,27 @@ class ModelError(TmkitError):
     """A model could not be assembled as requested."""
 
 
+#: The deepest a thimac may be nested; a top-level thimac is at depth 1.
+#: Node ids are containment paths, so the bytes of ids (and of every
+#: message or file that names them) grow with the square of the depth:
+#: a chain 2,000 deep made ``check`` print 10 MB, and one 20,000 deep
+#: ran ``export`` out of memory.  At 1,500, a chain with one process per
+#: thimac makes ``check`` print 5.7 MB and ``export --format json`` 23 MB
+#: at 85 MB peak RSS; the limit stays above Python's default recursion
+#: limit of 1,000, which the parser and the writers do not depend on.
+MAX_DEPTH = 1500
+
+
+class NestingError(ModelError):
+    """A thimac is nested deeper than ``MAX_DEPTH``."""
+
+    def __init__(self, name: str, depth: int):
+        self.depth = depth
+        super().__init__(
+            f"thimac {name!r} is nested {depth} deep, over the limit of {MAX_DEPTH}"
+        )
+
+
 class SimplifyError(TmkitError):
     """``simplify`` refused a model that has validation errors."""
 
@@ -212,6 +233,36 @@ def grouped(pairs: Iterable[tuple[_K, _V]]) -> dict[_K, tuple[_V, ...]]:
     return {k: tuple(v) for k, v in out.items()}
 
 
+def check_depth(thimacs: Iterable[Thimac]) -> None:
+    """Raise ``NestingError`` for the first thimac deeper than
+    ``MAX_DEPTH``.  A depth counts the distinct thimacs on the parent
+    chain, the thimac itself included; a chain ends at a missing parent
+    or where it meets itself, so dangling and cyclic parents are measured
+    too.  Each thimac is walked once."""
+    thimacs = tuple(thimacs)
+    parents = {t.id: t.parent for t in thimacs}
+    depths: dict[str, int] = {}
+    for thimac in thimacs:
+        chain: list[str] = []
+        on_chain: set[str] = set()
+        node = thimac.id
+        while node in parents and node not in depths and node not in on_chain:
+            chain.append(node)
+            on_chain.add(node)
+            node = parents[node]
+        base = depths.get(node, 0)
+        if node in on_chain:  # a cycle: each member's chain holds all of it
+            start = chain.index(node)
+            base = len(chain) - start
+            for member in chain[start:]:
+                depths[member] = base
+            del chain[start:]
+        for height, member in enumerate(reversed(chain), start=1):
+            depths[member] = base + height
+        if depths[thimac.id] > MAX_DEPTH:
+            raise NestingError(thimac.name, depths[thimac.id])
+
+
 class ModelBuilder:
     """Accumulates elements, rejecting dangling references and duplicate
     ids at the point of insertion, then freezes into a ``StaticModel``.
@@ -226,7 +277,7 @@ class ModelBuilder:
         self._flows: list[Flow] = []
         self._triggers: list[Trigger] = []
         self._ids: set[str] = set()
-        self._thimac_ids: set[str] = set()
+        self._depths: dict[str, int] = {}  # thimac id -> nesting depth
         self.node_ids: set[str] = set()  # actions and storages; read by the parser
         self._counters: dict[str, int] = {}
 
@@ -253,7 +304,7 @@ class ModelBuilder:
             raise ModelError(f"{what} references unknown node {node_id!r}")
 
     def _require_thimac(self, thimac_id: str, what: str) -> None:
-        if thimac_id not in self._thimac_ids:
+        if thimac_id not in self._depths:
             raise ModelError(f"{what} references unknown thimac {thimac_id!r}")
 
     # -- element insertion ---------------------------------------------------
@@ -265,11 +316,15 @@ class ModelBuilder:
         note: Optional[str] = None,
         id: Optional[str] = None,
     ) -> str:
+        depth = 1
         if parent is not None:
             self._require_thimac(parent, "thimac")
+            depth = self._depths[parent] + 1
+            if depth > MAX_DEPTH:
+                raise NestingError(name, depth)
         tid = self._claim(id, "thimac")
         self._thimacs.append(Thimac(tid, name, parent, note))
-        self._thimac_ids.add(tid)
+        self._depths[tid] = depth
         return tid
 
     def add_action(

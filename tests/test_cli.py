@@ -1,13 +1,19 @@
 """The command-line front end: outputs, exit codes, and stream discipline."""
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tmkit
 from tmkit.cli import main
+from tmkit.model import MAX_DEPTH
 
 from conftest import fixture_path, read_fixture
 from generators import mutate
@@ -540,6 +546,106 @@ def test_deeply_nested_thimacs_check_clean(tmp_path):
     result = invoke("check", path)
     assert result.exit_code == 0
     assert result.stdout == "0 errors, 0 warnings\n"
+
+
+def nested_chain(depth):
+    """``.tm`` text for thimacs t0 .. t(depth-1), each inside the last."""
+    return (
+        "model m {\n"
+        + "".join(f"thimac t{i} {{ process p{i}\n" for i in range(depth))
+        + "}\n" * depth
+        + "}\n"
+    )
+
+
+def nested_chain_json(depth):
+    return json.dumps({
+        "name": "m",
+        "thimacs": [
+            {"id": f"t{i}", "name": f"t{i}", "note": None,
+             "parent": f"t{i - 1}" if i else None}
+            for i in range(depth)
+        ],
+        "actions": [], "storages": [], "flows": [], "triggers": [],
+        "events": [], "chronology": None,
+    })
+
+
+@pytest.mark.parametrize(
+    "name, text, complaint",
+    [
+        (
+            "deep.tm", nested_chain,
+            f"error: line {MAX_DEPTH + 2}, col 8: expected at most {MAX_DEPTH} "
+            f"nested thimacs, found thimac t{MAX_DEPTH} at depth {MAX_DEPTH + 1}\n",
+        ),
+        (
+            "deep.json", nested_chain_json,
+            f"error: thimac 't{MAX_DEPTH}' is nested {MAX_DEPTH + 1} deep, "
+            f"over the limit of {MAX_DEPTH}\n",
+        ),
+    ],
+    ids=["tm", "json"],
+)
+def test_nesting_past_max_depth_is_unusable_input(tmp_path, name, text, complaint):
+    path = tmp_path / name
+    path.write_text(text(MAX_DEPTH))
+    assert invoke("check", path).exit_code == 0
+    path.write_text(text(MAX_DEPTH + 1))
+    result = invoke("check", path)
+    assert_unusable(result, "")
+    assert result.stderr == complaint
+
+
+@pytest.mark.parametrize(
+    "args", [["check"], ["export", "--format", "json"]], ids=["check", "export"]
+)
+def test_a_20000_deep_chain_is_refused_quickly(tmp_path, args):
+    path = tmp_path / "deep.tm"
+    path.write_text(nested_chain(20_000))
+    start = time.perf_counter()
+    result = invoke(*args, path)
+    assert time.perf_counter() - start < 10
+    assert_unusable(result, f"at depth {MAX_DEPTH + 1}")
+
+
+def tmkit_command(*args):
+    """A fresh interpreter running the CLI, for tests of the real stdout."""
+    return [sys.executable, "-m", "tmkit", *map(str, args)]
+
+
+def tmkit_env():
+    return dict(os.environ, PYTHONPATH=str(Path(tmkit.__file__).parents[1]))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", fixture_path("atm.tm")],
+        ["simulate", model_arg(), "--scenario", scenario_arg("ordering_all_yes")],
+    ],
+    ids=["check", "simulate"],
+)
+def test_a_full_stdout_is_unusable_input(args):
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            tmkit_command(*args), stdout=full, stderr=subprocess.PIPE,
+            text=True, env=tmkit_env(), timeout=60,
+        )
+    assert result.returncode == 2
+    assert result.stderr == "error: [Errno 28] No space left on device\n"
+
+
+def test_a_closed_stdout_pipe_keeps_clicks_quiet_exit():
+    process = subprocess.Popen(
+        tmkit_command("check", fixture_path("atm.tm")),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=tmkit_env(),
+    )
+    process.stdout.close()  # before the child can write
+    _, stderr = process.communicate(timeout=60)
+    assert process.returncode == 1
+    assert stderr == b""
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 """Events, chronologies, simulation, conformance, and the file formats."""
+import json
 from random import Random
 
 import networkx as nx
@@ -21,6 +22,7 @@ from tmkit import (
     trace_to_json,
 )
 from tmkit.dynamics import (
+    ConformanceResult,
     DisconnectedRegionError,
     DynamicsError,
     NoEnabledSuccessorError,
@@ -30,12 +32,16 @@ from tmkit.dynamics import (
     UnboundedCycleError,
     UnknownActionError,
     UnknownEventError,
+    Violation,
     _find_cycle,
+    _name,
+    _step_index,
     _weak_components,
 )
+from tmkit.errors import decode_json
 
 from conftest import load_scenario
-from generators import random_document, random_raw_model
+from generators import mutate, random_document, random_raw_model
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -533,3 +539,313 @@ def test_trace_from_json_refuses_what_it_used_to_coerce(text, complaint):
 def test_trace_from_json_reads_integral_indexes():
     text = '{"steps": [{"event": "E1", "index": 0.0}, {"event": "E2", "index": "1"}]}'
     assert trace_from_json(text).steps == (("E1", 0), ("E2", 1))
+
+
+# ---------------------------------------------------------------------------
+# references: the walk, the conformance check and the trace writer and
+# reader that the step plan, the pair set and the template replaced
+
+
+def simulate_by_scan(chronology, scenario):
+    """The walk that rescans each event's successors at every step."""
+    if not chronology.initial_events:
+        raise NoInitialEventError("chronology has no initial event")
+    current = chronology.initial_events[0]
+
+    budgets = dict(chronology.loop_bounds)
+    cursors = {}
+    steps = [(current, 0)]
+
+    while True:
+        candidates = chronology.successors.get(current, ())
+        if not candidates:
+            break
+        taken = pick_edge_by_scan(
+            candidates, budgets, cursors, scenario, len(steps) - 1
+        )
+        if taken is None:
+            break
+        pair = (taken.src, taken.dst)
+        if pair in budgets:
+            budgets[pair] -= 1
+        current = taken.dst
+        steps.append((current, len(steps)))
+    return Trace(tuple(steps), scenario.name)
+
+
+def pick_edge_by_scan(candidates, budgets, cursors, scenario, step):
+    def blocked(edge):
+        return budgets.get((edge.src, edge.dst), 1) <= 0
+
+    guarded = [e for e in candidates if e.guard is not None]
+    for edge in guarded:
+        choices = scenario.decisions.get(edge.guard)
+        cursor = cursors.get(edge.guard, 0)
+        if choices is None or cursor >= len(choices):
+            raise ScenarioExhaustedError(
+                f"scenario {scenario.name!r} has no decision left for guard "
+                f"{edge.guard!r} at step {step}"
+            )
+        cursors[edge.guard] = cursor + 1
+        if choices[cursor] and not blocked(edge):
+            return edge
+
+    unguarded = [e for e in candidates if e.guard is None]
+    for edge in unguarded:  # loop continuations first
+        if (edge.src, edge.dst) in budgets and not blocked(edge):
+            return edge
+    for edge in unguarded:
+        if (edge.src, edge.dst) not in budgets:
+            return edge
+
+    if guarded and not unguarded:
+        raise NoEnabledSuccessorError(
+            f"all guards false at {candidates[0].src} (step {step}) and no "
+            f"unguarded successor exists"
+        )
+    return None
+
+
+def conformance_by_scan(trace, chronology):
+    """The check that scans the successors of the previous event."""
+    def fail(step, message):
+        return ConformanceResult(False, Violation(step, message))
+
+    counts = {}
+    previous = None
+    for position, (event_id, index) in enumerate(trace.steps):
+        if index != position:
+            return fail(position, f"step index {index} out of sequence")
+        if event_id not in chronology.events_by_id:
+            return fail(position, f"unknown event {event_id!r}")
+        if previous is not None:
+            successors = chronology.successors.get(previous, ())
+            if not any(e.dst == event_id for e in successors):
+                return fail(position, f"no edge {previous} -> {event_id}")
+            pair = (previous, event_id)
+            if pair in chronology.loop_bounds:
+                counts[pair] = counts.get(pair, 0) + 1
+                if counts[pair] > chronology.loop_bounds[pair]:
+                    return fail(
+                        position,
+                        f"edge {previous} -> {event_id} taken "
+                        f"{counts[pair]} times, over its loop bound "
+                        f"{chronology.loop_bounds[pair]}",
+                    )
+        previous = event_id
+    return ConformanceResult(True, None)
+
+
+def trace_to_json_by_dumps(trace):
+    payload = {
+        "scenario": trace.scenario,
+        "steps": [
+            {"index": index, "event": event} for event, index in trace.steps
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def trace_from_json_by_checks(text):
+    """The reader that sends every index and name through the checks."""
+    payload = decode_json(text, "trace", ScenarioError)
+    if not isinstance(payload, dict) or not isinstance(payload.get("steps"), list):
+        raise ScenarioError("trace must be an object with a 'steps' list")
+    steps = []
+    for entry in payload["steps"]:
+        if not isinstance(entry, dict) or "event" not in entry:
+            raise ScenarioError("each trace step needs an 'event' field")
+        index = _step_index(entry.get("index", len(steps)))
+        steps.append((_name(entry["event"], "event"), index))
+    return Trace(tuple(steps), _name(payload.get("scenario", "trace"), "scenario"))
+
+
+def outcome(function, *args):
+    """The result, or the type and text of the error raised."""
+    try:
+        return function(*args)
+    except DynamicsError as exc:
+        return type(exc), str(exc)
+
+
+GUARDS = ("g", "h", "k l", "m'n")
+
+
+def random_chronology(rng):
+    """Up to 8 events, often chained E1 -> E2 -> ..., with more forward
+    edges and bounded back-edges.  Guards come from a pool of four, so
+    several edges may share one; a bound may sit on a forward edge or on
+    a guarded edge too.  No edge enters E1, so E1 starts every walk."""
+    count = rng.randint(1, 8)
+    events = events_over(one_action_model(), count)
+    chain = [(i, i + 1) for i in range(count - 1)] if rng.random() < 0.7 else []
+    extra = [
+        (rng.randrange(count), rng.randrange(1, count) if count > 1 else 0)
+        for _ in range(rng.randint(0, 2 * count))
+    ]
+    pairs = set()
+    edges = []
+    bounds = {}
+    for i, j in rng.sample(chain + extra, len(chain) + len(extra)):
+        if i == j or (i, j) in pairs:
+            continue
+        pairs.add((i, j))
+        src, dst = f"E{i + 1}", f"E{j + 1}"
+        guard = rng.choice(GUARDS) if rng.random() < 0.5 else None
+        edges.append(ChronEdge(src, dst, guard))
+        if j < i or rng.random() < 0.2:
+            bounds[(src, dst)] = rng.randint(1, 3)
+    return build_chronology(events, edges, bounds)
+
+
+def random_scenario(rng):
+    """Decisions for some of the guards; short lists run out mid-walk."""
+    return Scenario(
+        "fuzz",
+        {
+            guard: tuple(rng.random() < 0.5 for _ in range(rng.randint(0, 12)))
+            for guard in GUARDS
+            if rng.random() < 0.85
+        },
+    )
+
+
+def random_trace(rng, chronology, walked):
+    """The simulated walk, or a walk along random edges, with at most one
+    edit: a step index shifted, an event swapped, or an unknown event."""
+    if walked is not None and rng.random() < 0.5:
+        events = list(walked.event_ids)
+    else:
+        events = [rng.choice(chronology.events).id]
+        for _ in range(rng.randint(0, 30)):
+            successors = chronology.successors.get(events[-1])
+            if not successors:
+                break
+            events.append(rng.choice(successors).dst)
+    steps = [(event, index) for index, event in enumerate(events)]
+    position = rng.randrange(len(steps))
+    event, index = steps[position]
+    roll = rng.random()
+    if roll < 0.15:
+        steps[position] = (event, index + rng.choice((-1, 1)))
+    elif roll < 0.35:
+        steps[position] = (rng.choice(chronology.events).id, index)
+    elif roll < 0.45:
+        steps[position] = ("E99", index)
+    return Trace(tuple(steps), "fuzz")
+
+
+@given(seeds)
+@settings(max_examples=500, deadline=None)
+def test_simulate_and_conformance_match_the_scans(seed):
+    rng = Random(seed)
+    chronology = random_chronology(rng)
+    scenario = random_scenario(rng)
+    expected = outcome(simulate_by_scan, chronology, scenario)
+    assert outcome(simulate, chronology, scenario) == expected
+    walked = expected if isinstance(expected, Trace) else None
+    for _ in range(4):
+        trace = random_trace(rng, chronology, walked)
+        assert conformance(trace, chronology) == conformance_by_scan(
+            trace, chronology
+        )
+    for src in chronology.events:
+        for dst in chronology.events:
+            assert chronology.has_edge(src.id, dst.id) == any(
+                e.dst == dst.id for e in chronology.successors.get(src.id, ())
+            )
+
+
+def test_the_scans_agree_on_the_fixture_walks(atm_doc, ordering_doc):
+    for doc, name in [
+        (atm_doc, "atm_happy"),
+        (atm_doc, "atm_wrong_password"),
+        (ordering_doc, "ordering_all_yes"),
+        (ordering_doc, "ordering_invalid"),
+        (ordering_doc, "ordering_out_of_stock"),
+        (ordering_doc, "ordering_payment_fail"),
+    ]:
+        scenario = load_scenario(name)
+        trace = simulate(doc.chronology, scenario)
+        assert trace == simulate_by_scan(doc.chronology, scenario), name
+        assert trace_to_json(trace) == trace_to_json_by_dumps(trace), name
+        assert conformance(trace, doc.chronology) == ConformanceResult(True)
+
+
+ODD_NAMES = [
+    "",
+    "E1",
+    "café über 日本",
+    'say "hi"',
+    "back\\slash",
+    "tab\there\nline\rcr\x00nul\x1f\x7f",
+    "\U0001f600 and \ud800 alone",
+    "</script>  ",
+]
+
+
+@pytest.mark.parametrize("name", ODD_NAMES)
+def test_trace_to_json_writes_the_bytes_json_dumps_writes(name):
+    for trace in [
+        Trace((), name),
+        Trace(((name, 0),), "walk"),
+        Trace(((name, 0), ("E2", 1), (name, 2)), name),
+    ]:
+        assert trace_to_json(trace) == trace_to_json_by_dumps(trace)
+    assert trace_to_json(Trace((), name)).endswith('"steps": []\n}\n')
+
+
+@given(
+    st.text(),
+    st.lists(st.tuples(st.text(), st.integers(min_value=-2, max_value=10**30))),
+)
+@settings(max_examples=300, deadline=None)
+def test_trace_to_json_matches_json_dumps(scenario, steps):
+    trace = Trace(tuple(steps), scenario)
+    assert trace_to_json(trace) == trace_to_json_by_dumps(trace)
+
+
+TRACE_VALUES = (
+    None, True, False, 0, 1, -3, 7, 0.0, 2.0, 0.5, 1e300, "", "1", " 2 ",
+    "x", "E1", "é", [], {}, ["E1"], {"event": "E1"},
+)
+
+
+@given(seeds)
+@settings(max_examples=500, deadline=None)
+def test_trace_from_json_matches_the_reference(seed):
+    rng = Random(seed)
+    payload = {
+        "scenario": "walk",
+        "steps": [
+            {"index": i, "event": f"E{rng.randint(1, 4)}"}
+            for i in range(rng.randint(0, 5))
+        ],
+    }
+    for _ in range(rng.randint(1, 3)):
+        payload = mutate(rng, payload, TRACE_VALUES)
+    text = json.dumps(payload)
+    assert outcome(trace_from_json, text) == outcome(trace_from_json_by_checks, text)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        [{"event": "E1", "index": True}],
+        [{"event": "E1", "index": False}],
+        [{"event": "E1", "index": 1.0}],
+        [{"event": "E1", "index": 1.5}],
+        [{"event": "E1", "index": "2"}],
+        [{"event": "E1", "index": "two"}],
+        [{"event": "E1"}, {"event": "E2"}],
+        [{"event": 3}],
+        [{"event": None, "index": 0}],
+        [{"event": "E1", "index": None}],
+        ["E1"],
+        [["E1", 0]],
+        [None],
+    ],
+)
+def test_trace_from_json_keeps_every_refusal(steps):
+    text = json.dumps({"scenario": "walk", "steps": steps})
+    assert outcome(trace_from_json, text) == outcome(trace_from_json_by_checks, text)

@@ -24,7 +24,14 @@ from tmkit import (
     to_json,
     validate,
 )
-from tmkit.model import Diagnostic, _check_containment
+from tmkit import model as model_module
+from tmkit.model import (
+    MAX_DEPTH,
+    Diagnostic,
+    NestingError,
+    _check_containment,
+    check_depth,
+)
 
 from generators import random_document, random_legal_model, random_raw_model
 
@@ -82,6 +89,48 @@ def test_builder_rejects_self_loops():
         builder.add_flow(node, node)
     with pytest.raises(ModelError, match="loop"):
         builder.add_trigger(node, node)
+
+
+def test_builder_caps_nesting_depth():
+    builder = ModelBuilder("m")
+    parent = None
+    for i in range(MAX_DEPTH):
+        parent = builder.add_thimac(f"t{i}", parent, id=f"t{i}")
+    with pytest.raises(
+        NestingError,
+        match=f"thimac 'deeper' is nested {MAX_DEPTH + 1} deep, "
+        f"over the limit of {MAX_DEPTH}",
+    ):
+        builder.add_thimac("deeper", parent)
+    assert len(builder.build().thimacs) == MAX_DEPTH
+
+
+def depth_by_walk(model, thimac):
+    """The distinct thimacs on ``thimac``'s parent chain, walked alone."""
+    parents = {t.id: t.parent for t in model.thimacs}
+    seen = []
+    node = thimac.id
+    while node in parents and node not in seen:
+        seen.append(node)
+        node = parents[node]
+    return len(seen)
+
+
+@given(seeds)
+@settings(max_examples=500, deadline=None)
+def test_check_depth_matches_a_walk_per_thimac(seed):
+    model = random_raw_model(Random(seed))  # dangling and cyclic parents
+    depths = [(t.name, depth_by_walk(model, t)) for t in model.thimacs]
+    for limit in range(7):
+        expected = next((d for d in depths if d[1] > limit), None)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_module, "MAX_DEPTH", limit)
+            try:
+                check_depth(model.thimacs)
+                found = None
+            except NestingError as exc:
+                found = (str(exc).split("'")[1], exc.depth)
+        assert found == expected, limit
 
 
 def test_unknown_action_kind_is_refused():
