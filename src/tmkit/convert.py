@@ -675,7 +675,7 @@ def from_json(text: str) -> Document:
             for t in data["triggers"]
         ),
     )
-    check_depth(model.thimacs)
+    check_depth(model)
 
     events = {}
     for entry in data["events"]:

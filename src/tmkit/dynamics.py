@@ -10,12 +10,13 @@ a chronology without raising.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .errors import TmkitError, decode_json
-from .model import Flow, StaticModel, grouped
+from .model import Flow, StaticModel, grouped, structurally_equal
 
 
 class DynamicsError(TmkitError):
@@ -195,15 +196,21 @@ def define_event(
     members = frozenset(region)
     if not members:
         raise DynamicsError(f"event {event_id} has an empty region")
-    for node in sorted(members):
-        if node not in model.actions_by_id:
-            raise UnknownActionError(
-                f"event {event_id} references {node!r}, which is not an action"
-            )
+    _require_actions(model, event_id, members)
     components = _weak_components(model, members)
     if len(components) > 1:
         raise DisconnectedRegionError(event_id, components)
     return Event(event_id, label, members)
+
+
+def _require_actions(model: StaticModel, event_id: str, region: frozenset[str]) -> None:
+    """Raise ``UnknownActionError`` naming the least region member that is
+    not an action, so the message does not depend on set order."""
+    unknown = [node for node in region if node not in model.actions_by_id]
+    if unknown:
+        raise UnknownActionError(
+            f"event {event_id} references {min(unknown)!r}, which is not an action"
+        )
 
 
 def _weak_components(model: StaticModel, members: frozenset[str]) -> list[list[str]]:
@@ -245,11 +252,7 @@ def check_coverage(model: StaticModel, events: Iterable[Event]) -> tuple[str, ..
     """Action ids that appear in no event's region, sorted."""
     covered: set[str] = set()
     for event in events:
-        for node in event.region:
-            if node not in model.actions_by_id:
-                raise UnknownActionError(
-                    f"event {event.id} references {node!r}, which is not an action"
-                )
+        _require_actions(model, event.id, event.region)
         covered |= event.region
     return tuple(sorted(set(model.actions_by_id) - covered))
 
@@ -267,10 +270,11 @@ def build_chronology(
     and graphs with no initial (in-degree zero) event."""
     event_tuple = tuple(events)
     ids = [e.id for e in event_tuple]
-    if len(ids) != len(set(ids)):
-        dupe = next(i for i in ids if ids.count(i) > 1)
+    counts = Counter(ids)
+    if len(counts) != len(ids):
+        dupe = next(i for i in ids if counts[i] > 1)
         raise DynamicsError(f"duplicate event id {dupe!r}")
-    known = set(ids)
+    known = set(counts)
 
     edge_tuple = tuple(
         e if isinstance(e, ChronEdge) else ChronEdge(*e) for e in edges
@@ -526,8 +530,6 @@ def _step_index(raw: object) -> int:
 
 
 def structurally_equal_documents(a: Document, b: Document) -> bool:
-    from .model import structurally_equal
-
     if not structurally_equal(a.model, b.model):
         return False
     if {e.id: (e.label, e.region) for e in a.events} != {

@@ -215,6 +215,36 @@ class StaticModel:
     def storages_by_owner(self) -> dict[str, tuple[Storage, ...]]:
         return grouped((s.owner, s) for s in self.storages)
 
+    @cached_property
+    def ancestry(self) -> dict[str, tuple[int, tuple[str, ...], int]]:
+        """Thimac id -> ``(depth, cycle, place)``, from one walk up each
+        parent chain.  ``depth`` counts the distinct thimacs on the chain,
+        the thimac itself included; a chain ends at a missing parent or
+        where it meets itself.  ``cycle`` is the containment cycle the chain
+        runs into (empty if none), one tuple shared by all who meet it, and
+        ``cycle[place]`` is where the chain enters it."""
+        known = self.thimacs_by_id
+        out: dict[str, tuple[int, tuple[str, ...], int]] = {}
+        for start in known:
+            if start in out:
+                continue
+            path: dict[str, int] = {}
+            node: Optional[str] = start
+            while node in known and node not in out and node not in path:
+                path[node] = len(path)
+                node = known[node].parent
+            tail = tuple(path)
+            if node in path:  # the walk closed a cycle
+                cycle = tail[path[node]:]
+                tail = tail[: path[node]]
+                for place, member in enumerate(cycle):
+                    out[member] = (len(cycle), cycle, place)
+            depth, cycle, place = out.get(node, (0, (), 0))
+            for member in reversed(tail):
+                depth += 1
+                out[member] = (depth, cycle, place)
+        return out
+
     def children_of(self, thimac_id: Optional[str]) -> tuple[Thimac, ...]:
         return self.children_by_parent.get(thimac_id, ())
 
@@ -233,34 +263,14 @@ def grouped(pairs: Iterable[tuple[_K, _V]]) -> dict[_K, tuple[_V, ...]]:
     return {k: tuple(v) for k, v in out.items()}
 
 
-def check_depth(thimacs: Iterable[Thimac]) -> None:
+def check_depth(model: StaticModel) -> None:
     """Raise ``NestingError`` for the first thimac deeper than
-    ``MAX_DEPTH``.  A depth counts the distinct thimacs on the parent
-    chain, the thimac itself included; a chain ends at a missing parent
-    or where it meets itself, so dangling and cyclic parents are measured
-    too.  Each thimac is walked once."""
-    thimacs = tuple(thimacs)
-    parents = {t.id: t.parent for t in thimacs}
-    depths: dict[str, int] = {}
-    for thimac in thimacs:
-        chain: list[str] = []
-        on_chain: set[str] = set()
-        node = thimac.id
-        while node in parents and node not in depths and node not in on_chain:
-            chain.append(node)
-            on_chain.add(node)
-            node = parents[node]
-        base = depths.get(node, 0)
-        if node in on_chain:  # a cycle: each member's chain holds all of it
-            start = chain.index(node)
-            base = len(chain) - start
-            for member in chain[start:]:
-                depths[member] = base
-            del chain[start:]
-        for height, member in enumerate(reversed(chain), start=1):
-            depths[member] = base + height
-        if depths[thimac.id] > MAX_DEPTH:
-            raise NestingError(thimac.name, depths[thimac.id])
+    ``MAX_DEPTH``, as ``StaticModel.ancestry`` measures depth, so dangling
+    and cyclic parents are measured too."""
+    for thimac in model.thimacs:
+        depth = model.ancestry[thimac.id][0]
+        if depth > MAX_DEPTH:
+            raise NestingError(thimac.name, depth)
 
 
 class ModelBuilder:
@@ -478,36 +488,19 @@ def _check_trigger_sources(model) -> Iterator[Diagnostic]:
 
 
 def _check_containment(model) -> Iterator[Diagnostic]:
-    known = model.thimacs_by_id
-    # For each thimac walked so far, the first cycle member up its parent
-    # chain (None if the chain ends); for each member of a reported cycle,
-    # the cycle and its place in it.  Every walk stops at a known verdict.
-    meets: dict[str, Optional[str]] = {}
-    cycles: dict[str, tuple[tuple[str, ...], int]] = {}
+    # Every thimac whose chain meets a cycle is reported, except a cycle
+    # member once an earlier thimac has met its cycle (each cycle is known
+    # by its first member).
+    met: set[str] = set()
     for thimac in model.thimacs:
-        if thimac.id in cycles:
+        _, cycle, place = model.ancestry[thimac.id]
+        if not cycle or (cycle[place] == thimac.id and cycle[0] in met):
             continue
-        path: dict[str, int] = {}
-        current: Optional[str] = thimac.id
-        while current in known and current not in meets and current not in path:
-            path[current] = len(path)
-            current = known[current].parent
-        if current in path:
-            cycle = tuple(path)[path[current]:]
-            for place, member in enumerate(cycle):
-                cycles[member] = (cycle, place)
-                meets[member] = member
-            met = current
-        else:
-            met = meets.get(current)  # None where the chain ends or dangles
-        for node in path:
-            meets.setdefault(node, met)
-        if met is not None:
-            cycle, place = cycles[met]
-            loop = (*cycle[place:], *cycle[:place], met)
-            yield Diagnostic(
-                "error", "R5", thimac.id, "containment cycle: " + " -> ".join(loop)
-            )
+        met.add(cycle[0])
+        loop = (*cycle[place:], *cycle[:place], cycle[place])
+        yield Diagnostic(
+            "error", "R5", thimac.id, "containment cycle: " + " -> ".join(loop)
+        )
 
 
 def _check_references(model) -> Iterator[Diagnostic]:

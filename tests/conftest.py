@@ -3,6 +3,8 @@
 Everything in the package is an immutable value, so the parsed documents
 are session-scoped; tests may share them freely.
 """
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,17 @@ def fixture_path(name: str) -> Path:
 
 def read_fixture(name: str) -> str:
     return fixture_path(name).read_text()
+
+
+def tmkit_command(*args):
+    """A fresh interpreter running the CLI, for tests of the real stdout."""
+    return [sys.executable, "-m", "tmkit", *map(str, args)]
+
+
+def tmkit_env(**variables: str) -> dict[str, str]:
+    """The environment for a fresh interpreter that imports this tmkit."""
+    source = str(Path(tmkit.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=source, **variables)
 
 
 def load_scenario(name: str) -> tmkit.Scenario:

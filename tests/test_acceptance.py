@@ -3,6 +3,7 @@
 Each test prints a single ``criterion N: PASS`` line once its assertions
 hold (run with ``-s`` to see them); a failing test is the FAIL line.
 """
+import subprocess
 import time
 from random import Random
 
@@ -28,7 +29,13 @@ from tmkit.cli import main
 from tmkit.dynamics import Document
 from tmkit.model import TRANSPORT_KINDS
 
-from conftest import fixture_path, load_scenario, read_fixture
+from conftest import (
+    fixture_path,
+    load_scenario,
+    read_fixture,
+    tmkit_command,
+    tmkit_env,
+)
 from generators import random_argument, random_document
 from test_logic import validate_by_enumeration
 
@@ -234,10 +241,11 @@ def test_criterion_7_round_trips():
     print(f"criterion 7: PASS — {checked} documents round-tripped losslessly")
 
 
-def test_criterion_8_byte_identical_runs(tmp_path):
-    runner = CliRunner()
+def criterion_8_commands(tmp_path):
+    """The command lines criterion 8 reruns, after writing the trace that
+    ``conform`` reads into ``tmp_path``."""
     trace_file = tmp_path / "trace.json"
-    runner.invoke(
+    CliRunner().invoke(
         main,
         [
             "simulate", str(fixture_path("ordering.tm")),
@@ -248,7 +256,7 @@ def test_criterion_8_byte_identical_runs(tmp_path):
 
     atm = str(fixture_path("atm.tm"))
     ordering = str(fixture_path("ordering.tm"))
-    commands = [
+    return [
         ["check", atm],
         ["check", ordering],
         ["simplify", ordering],
@@ -269,6 +277,11 @@ def test_criterion_8_byte_identical_runs(tmp_path):
         ["report", ordering, "--scenario",
          str(fixture_path("scenarios/ordering_payment_fail.scenario"))],
     ]
+
+
+def test_criterion_8_byte_identical_runs(tmp_path):
+    runner = CliRunner()
+    commands = criterion_8_commands(tmp_path)
     for args in commands:
         first = runner.invoke(main, args)
         second = runner.invoke(main, args)
@@ -278,4 +291,25 @@ def test_criterion_8_byte_identical_runs(tmp_path):
     print(
         f"criterion 8: PASS — {len(commands)} command lines reran "
         f"byte-identically"
+    )
+
+
+def test_criterion_8_holds_across_hash_seeds(tmp_path):
+    # Reruns in one process share its string hash seed, so set and dict
+    # orders that follow the hash only show up across interpreters.
+    commands = criterion_8_commands(tmp_path)
+    for args in commands:
+        first, second = (
+            subprocess.run(
+                tmkit_command(*args), capture_output=True,
+                env=tmkit_env(PYTHONHASHSEED=seed), timeout=60,
+            )
+            for seed in ("1", "2")
+        )
+        assert first.stdout == second.stdout, args
+        assert first.stderr == second.stderr, args
+        assert first.returncode == second.returncode, args
+    print(
+        f"criterion 8: PASS — {len(commands)} command lines gave the same "
+        f"bytes under hash seeds 1 and 2"
     )

@@ -2,20 +2,17 @@
 import json
 import os
 import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tmkit
 from tmkit.cli import main
 from tmkit.model import MAX_DEPTH
 
-from conftest import fixture_path, read_fixture
+from conftest import fixture_path, read_fixture, tmkit_command, tmkit_env
 from generators import mutate
 
 runner = CliRunner()
@@ -558,17 +555,21 @@ def nested_chain(depth):
     )
 
 
-def nested_chain_json(depth):
+def thimacs_json(parents):
+    """A model document of bare thimacs, from ``(id, parent)`` pairs."""
     return json.dumps({
         "name": "m",
         "thimacs": [
-            {"id": f"t{i}", "name": f"t{i}", "note": None,
-             "parent": f"t{i - 1}" if i else None}
-            for i in range(depth)
+            {"id": tid, "name": tid, "note": None, "parent": parent}
+            for tid, parent in parents
         ],
         "actions": [], "storages": [], "flows": [], "triggers": [],
         "events": [], "chronology": None,
     })
+
+
+def nested_chain_json(depth):
+    return thimacs_json((f"t{i}", f"t{i - 1}" if i else None) for i in range(depth))
 
 
 @pytest.mark.parametrize(
@@ -607,15 +608,6 @@ def test_a_20000_deep_chain_is_refused_quickly(tmp_path, args):
     result = invoke(*args, path)
     assert time.perf_counter() - start < 10
     assert_unusable(result, f"at depth {MAX_DEPTH + 1}")
-
-
-def tmkit_command(*args):
-    """A fresh interpreter running the CLI, for tests of the real stdout."""
-    return [sys.executable, "-m", "tmkit", *map(str, args)]
-
-
-def tmkit_env():
-    return dict(os.environ, PYTHONPATH=str(Path(tmkit.__file__).parents[1]))
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -676,6 +668,40 @@ def test_a_containment_cycle_is_not_written_as_an_empty_model(tmp_path):
         result = invoke(args[0], path, *args[1:])
         assert_unusable(result, "thimac 't' is in a containment cycle")
         assert result.stdout == ""
+
+
+def test_check_reports_containment_cycles_and_missing_parents(tmp_path):
+    path = tmp_path / "cycles.json"
+    path.write_text(thimacs_json([
+        ("w", "y"), ("x", "z"), ("y", "x"), ("z", "y"),  # w under a cycle
+        ("a", "c"), ("b", "a"), ("c", "b"), ("d", "b"), ("g", "d"),
+        ("e", "ghost"), ("f", None),
+    ]))
+    result = invoke("check", path)
+    assert result.exit_code == 1
+    assert result.stdout == (
+        "error R5 w: containment cycle: y -> x -> z -> y\n"
+        "error R5 a: containment cycle: a -> c -> b -> a\n"
+        "error R5 d: containment cycle: b -> a -> c -> b\n"
+        "error R5 g: containment cycle: b -> a -> c -> b\n"
+        "error R6 e: parent thimac 'ghost' does not exist\n"
+        "5 errors, 0 warnings\n"
+    )
+
+
+def test_a_100000_member_parent_cycle_is_refused_quickly(tmp_path):
+    count = 100_000
+    path = tmp_path / "ring.json"
+    path.write_text(
+        thimacs_json((f"t{i}", f"t{(i - 1) % count}") for i in range(count))
+    )
+    start = time.perf_counter()
+    result = invoke("check", path)
+    assert time.perf_counter() - start < 20
+    assert_unusable(result, "")
+    assert result.stderr == (
+        f"error: thimac 't0' is nested {count} deep, over the limit of {MAX_DEPTH}\n"
+    )
 
 
 def test_a_duplicate_chronology_edge_is_unusable_input(tmp_path):

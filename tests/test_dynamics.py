@@ -1,5 +1,8 @@
 """Events, chronologies, simulation, conformance, and the file formats."""
 import json
+import subprocess
+import sys
+import time
 from random import Random
 
 import networkx as nx
@@ -25,6 +28,7 @@ from tmkit.dynamics import (
     ConformanceResult,
     DisconnectedRegionError,
     DynamicsError,
+    Event,
     NoEnabledSuccessorError,
     NoInitialEventError,
     ScenarioError,
@@ -40,7 +44,7 @@ from tmkit.dynamics import (
 )
 from tmkit.errors import decode_json
 
-from conftest import load_scenario
+from conftest import load_scenario, tmkit_env
 from generators import mutate, random_document, random_raw_model
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -147,6 +151,30 @@ def test_check_coverage_lists_the_uncovered():
     assert check_coverage(model, []) == ("t/a", "t/b")
 
 
+def test_check_coverage_names_the_same_unknown_action_under_any_hash_seed():
+    # A region is a frozenset, whose order follows the string hash, and
+    # that differs from one interpreter to the next.
+    script = (
+        "from tmkit import ModelBuilder, check_coverage\n"
+        "from tmkit.dynamics import Event, UnknownActionError\n"
+        "builder = ModelBuilder('m')\n"
+        "builder.add_thimac('t', id='t')\n"
+        "event = Event('E1', 'x', frozenset({'t/x', 't/y', 't/z'}))\n"
+        "try:\n"
+        "    check_coverage(builder.build(), [event])\n"
+        "except UnknownActionError as exc:\n"
+        "    print(exc)\n"
+    )
+    for seed in range(1, 7):
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=tmkit_env(PYTHONHASHSEED=str(seed)), timeout=60,
+        )
+        assert result.stdout == (
+            "event E1 references 't/x', which is not an action\n"
+        ), seed
+
+
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_coverage_plus_regions_is_everything(seed):
@@ -167,6 +195,22 @@ def test_chronology_rejects_duplicate_events():
     events = events_over(one_action_model(), 1) * 2
     with pytest.raises(DynamicsError, match="duplicate event id"):
         build_chronology(events, [])
+
+
+def test_chronology_names_the_first_event_id_that_recurs():
+    model = one_action_model()
+    events = [define_event(model, i, i, ["t/a"]) for i in ("a", "b", "b", "a")]
+    with pytest.raises(DynamicsError, match="duplicate event id 'a'"):
+        build_chronology(events, [])
+
+
+def test_a_late_duplicate_among_20000_events_is_found_quickly():
+    events = [Event(f"E{i}", "x", frozenset({"t/a"})) for i in range(20_000)]
+    events.append(events[-1])
+    start = time.perf_counter()
+    with pytest.raises(DynamicsError, match="duplicate event id 'E19999'"):
+        build_chronology(events, [])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_chronology_rejects_unknown_edge_endpoints():

@@ -126,7 +126,7 @@ def test_check_depth_matches_a_walk_per_thimac(seed):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(model_module, "MAX_DEPTH", limit)
             try:
-                check_depth(model.thimacs)
+                check_depth(model)
                 found = None
             except NestingError as exc:
                 found = (str(exc).split("'")[1], exc.depth)
