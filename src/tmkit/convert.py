@@ -9,7 +9,9 @@ Guarded branches out of a decision become triggers, so the decision
 logic survives the trip.
 
 JSON serialization is canonical: fixed key order, every key always
-present, ``null`` rather than omission.  Loading is deliberately more
+present, ``null`` rather than omission.  ``_SECTIONS`` states the format
+of the five model sections once; ``MODEL_SCHEMA``, ``to_json`` and
+``from_json`` are all built from it.  Loading is deliberately more
 permissive than the builder -- dangling references and self-loops come
 back as models that ``validate`` can complain about, not as exceptions.
 """
@@ -17,7 +19,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Union
 
 from .dynamics import (
@@ -64,47 +67,48 @@ FLOW_NODE_KINDS = (
     "message-receive",
 )
 
-FLOWCHART_SCHEMA = {
-    "type": "object",
-    "required": ["name", "lanes", "nodes", "edges"],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string", "pattern": _IDENT},
-        "description": {"type": "string"},
-        "lanes": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "string", "pattern": _IDENT},
-        },
-        "nodes": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "lane", "kind"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": {"type": "string", "pattern": _IDENT},
-                    "lane": {"type": "string"},
+_STRING = {"type": "string"}
+_NULLABLE = {"type": ["string", "null"]}
+_NAME = {"type": "string", "pattern": _IDENT}
+
+
+def _object(properties: dict, *optional: str) -> dict:
+    """The schema of an object with ``properties``, each required unless
+    named in ``optional``, and no other keys."""
+    return {
+        "type": "object",
+        "required": [name for name in properties if name not in optional],
+        "additionalProperties": False,
+        "properties": properties,
+    }
+
+
+def _array(items: dict, **extra: object) -> dict:
+    return {"type": "array", **extra, "items": items}
+
+
+FLOWCHART_SCHEMA = _object(
+    {
+        "name": _NAME,
+        "description": _STRING,
+        "lanes": _array(_NAME, minItems=1),
+        "nodes": _array(
+            _object(
+                {
+                    "id": _NAME,
+                    "lane": _STRING,
                     "kind": {"enum": list(FLOW_NODE_KINDS)},
-                    "label": {"type": "string"},
+                    "label": _STRING,
                 },
-            },
-        },
-        "edges": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["from", "to"],
-                "additionalProperties": False,
-                "properties": {
-                    "from": {"type": "string"},
-                    "to": {"type": "string"},
-                    "guard": {"type": "string"},
-                },
-            },
-        },
+                "label",
+            )
+        ),
+        "edges": _array(
+            _object({"from": _STRING, "to": _STRING, "guard": _STRING}, "guard")
+        ),
     },
-}
+    "description",
+)
 
 
 @dataclass(frozen=True)
@@ -461,130 +465,63 @@ def chronology_to_dot(chronology: ChronologyGraph) -> str:
 # ---------------------------------------------------------------------------
 # JSON
 
-MODEL_SCHEMA = {
-    "type": "object",
-    "required": [
-        "name",
-        "thimacs",
-        "actions",
-        "storages",
-        "flows",
-        "triggers",
-        "events",
-        "chronology",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string"},
-        "thimacs": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "name", "parent", "note"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": {"type": "string"},
-                    "name": {"type": "string"},
-                    "parent": {"type": ["string", "null"]},
-                    "note": {"type": ["string", "null"]},
-                },
-            },
+#: The model sections of a document, in document order: each one's record
+#: type and ``{json key: schema}``, whose keys name the record's fields in
+#: order (``from`` is ``src``, ``to`` is ``dst``); the section names are
+#: ``StaticModel``'s fields.  This table is the one statement of their
+#: format: ``MODEL_SCHEMA``, ``to_json`` and ``from_json`` all read it.
+_SECTIONS: dict[str, tuple[type, dict[str, dict]]] = {
+    "thimacs": (
+        Thimac,
+        {"id": _STRING, "name": _STRING, "parent": _NULLABLE, "note": _NULLABLE},
+    ),
+    "actions": (
+        Action,
+        {
+            "id": _STRING,
+            "kind": {"enum": list(ACTION_KINDS)},
+            "owner": _STRING,
+            "label": _NULLABLE,
+            "anchor": _NULLABLE,
         },
-        "actions": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "kind", "owner", "label", "anchor"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": {"type": "string"},
-                    "kind": {"enum": list(ACTION_KINDS)},
-                    "owner": {"type": "string"},
-                    "label": {"type": ["string", "null"]},
-                    "anchor": {"type": ["string", "null"]},
-                },
-            },
-        },
-        "storages": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "owner", "name"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": {"type": "string"},
-                    "owner": {"type": "string"},
-                    "name": {"type": "string"},
-                },
-            },
-        },
-        "flows": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "from", "to"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": {"type": "string"},
-                    "from": {"type": "string"},
-                    "to": {"type": "string"},
-                },
-            },
-        },
-        "triggers": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "from", "to", "condition"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": {"type": "string"},
-                    "from": {"type": "string"},
-                    "to": {"type": "string"},
-                    "condition": {"type": ["string", "null"]},
-                },
-            },
-        },
-        "events": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "label", "region"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": {"type": "string"},
-                    "label": {"type": "string"},
-                    "region": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {"type": "string"},
-                    },
-                },
-            },
-        },
-        "chronology": {
-            "type": ["object", "null"],
-            "required": ["edges"],
-            "additionalProperties": False,
-            "properties": {
-                "edges": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["from", "to", "guard", "max"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "from": {"type": "string"},
-                            "to": {"type": "string"},
-                            "guard": {"type": ["string", "null"]},
-                            "max": {"type": ["integer", "null"], "minimum": 1},
-                        },
-                    },
-                }
-            },
-        },
-    },
+    ),
+    "storages": (Storage, {"id": _STRING, "owner": _STRING, "name": _STRING}),
+    "flows": (Flow, {"id": _STRING, "from": _STRING, "to": _STRING}),
+    "triggers": (
+        Trigger,
+        {"id": _STRING, "from": _STRING, "to": _STRING, "condition": _NULLABLE},
+    ),
 }
+
+_CHRON_EDGE = {
+    "from": _STRING,
+    "to": _STRING,
+    "guard": _NULLABLE,
+    "max": {"type": ["integer", "null"], "minimum": 1},
+}
+
+MODEL_SCHEMA = _object(
+    {
+        "name": _STRING,
+        **{
+            section: _array(_object(properties))
+            for section, (_, properties) in _SECTIONS.items()
+        },
+        "events": _array(
+            _object(
+                {
+                    "id": _STRING,
+                    "label": _STRING,
+                    "region": _array(_STRING, minItems=1),
+                }
+            )
+        ),
+        "chronology": dict(
+            _object({"edges": _array(_object(_CHRON_EDGE))}),
+            type=["object", "null"],
+        ),
+    }
+)
 
 
 def to_json(doc: Union[Document, StaticModel]) -> str:
@@ -605,36 +542,15 @@ def to_json(doc: Union[Document, StaticModel]) -> str:
                 for e in doc.chronology.edges
             ]
         }
-    payload = {
-        "name": model.name,
-        "thimacs": [
-            {"id": t.id, "name": t.name, "parent": t.parent, "note": t.note}
-            for t in model.thimacs
-        ],
-        "actions": [
-            {
-                "id": a.id,
-                "kind": a.kind,
-                "owner": a.owner,
-                "label": a.label,
-                "anchor": a.anchor,
-            }
-            for a in model.actions
-        ],
-        "storages": [
-            {"id": s.id, "owner": s.owner, "name": s.name} for s in model.storages
-        ],
-        "flows": [{"id": f.id, "from": f.src, "to": f.dst} for f in model.flows],
-        "triggers": [
-            {"id": t.id, "from": t.src, "to": t.dst, "condition": t.condition}
-            for t in model.triggers
-        ],
-        "events": [
-            {"id": e.id, "label": e.label, "region": sorted(e.region)}
-            for e in doc.events
-        ],
-        "chronology": chronology,
-    }
+    payload: dict[str, object] = {"name": model.name}
+    for section, (record, properties) in _SECTIONS.items():
+        keys = tuple(properties)
+        row = attrgetter(*(field.name for field in fields(record)))
+        payload[section] = [dict(zip(keys, row(r))) for r in getattr(model, section)]
+    payload["events"] = [
+        {"id": e.id, "label": e.label, "region": sorted(e.region)} for e in doc.events
+    ]
+    payload["chronology"] = chronology
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -650,31 +566,16 @@ def from_json(text: str) -> Document:
     _check_schema(data, MODEL_SCHEMA, "document")
 
     ids: set[str] = set()
-    for section in ("thimacs", "actions", "storages", "flows", "triggers"):
-        for entry in data[section]:
+    sections = {}
+    for section, (record, properties) in _SECTIONS.items():
+        entries = data[section]
+        for entry in entries:
             if entry["id"] in ids:
                 raise ConvertError(f"duplicate id {entry['id']!r}")
             ids.add(entry["id"])
-
-    model = StaticModel(
-        name=data["name"],
-        thimacs=tuple(
-            Thimac(t["id"], t["name"], t["parent"], t["note"])
-            for t in data["thimacs"]
-        ),
-        actions=tuple(
-            Action(a["id"], a["kind"], a["owner"], a["label"], a["anchor"])
-            for a in data["actions"]
-        ),
-        storages=tuple(
-            Storage(s["id"], s["owner"], s["name"]) for s in data["storages"]
-        ),
-        flows=tuple(Flow(f["id"], f["from"], f["to"]) for f in data["flows"]),
-        triggers=tuple(
-            Trigger(t["id"], t["from"], t["to"], t["condition"])
-            for t in data["triggers"]
-        ),
-    )
+        row = itemgetter(*properties)
+        sections[section] = tuple(record(*row(entry)) for entry in entries)
+    model = StaticModel(data["name"], **sections)
     check_depth(model)
 
     events = {}

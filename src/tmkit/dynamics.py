@@ -450,13 +450,13 @@ def conformance(trace: Trace, chronology: ChronologyGraph) -> ConformanceResult:
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     """Parse ``guard = T,F,...`` lines (``#`` comments allowed)."""
     decisions: dict[str, tuple[bool, ...]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ScenarioError(f"line {lineno}: expected 'guard = T,F,...'")
-        label, _, values = line.partition("=")
+        label, _, values = line.rpartition("=")  # values hold no "="
         label = label.strip()
         if not label:
             raise ScenarioError(f"line {lineno}: empty guard label")

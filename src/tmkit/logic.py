@@ -322,7 +322,7 @@ def parse_argument(text: str) -> Argument:
     negation, the goal marked with a leading ``|-``, ``#`` comments."""
     premises: list[Implication] = []
     goal: Optional[Implication] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -33,6 +33,11 @@ def tmkit_env(**variables: str) -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=source, **variables)
 
 
+#: Line breaks to ``str.splitlines`` besides "\n"; scenario and argument
+#: files end a line at "\n" only, as ``.tm`` files do.
+ODD_LINE_BREAKS = ["\r", "\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 def load_scenario(name: str) -> tmkit.Scenario:
     path = FIXTURES / "scenarios" / f"{name}.scenario"
     return tmkit.parse_scenario(path.read_text(), name)

@@ -195,6 +195,22 @@ def test_simulate_fails_when_the_scenario_runs_dry(tmp_path):
     assert "error: " in result.stderr
 
 
+def test_simulate_names_a_guard_that_holds_an_equals_sign(tmp_path):
+    model = tmp_path / "bank.tm"
+    model.write_text(
+        "model bank { thimac t { process a } }\n"
+        'events { event E1 "x" { t/a } event E2 "y" { t/a } }\n'
+        'chronology { E1 -> E2 if "balance >= amount" }\n'
+    )
+    scenario = tmp_path / "rich.scenario"
+    scenario.write_text("balance >= amount = T\n")
+    result = invoke("simulate", model, "--scenario", scenario)
+    assert result.exit_code == 0, result.stderr
+    assert [step["event"] for step in json.loads(result.stdout)["steps"]] == [
+        "E1", "E2",
+    ]
+
+
 def test_conform_round_trip(tmp_path):
     trace_file = tmp_path / "trace.json"
     invoke(

@@ -36,7 +36,9 @@ from tmkit import (
 )
 from tmkit import convert
 from tmkit.convert import FLOW_NODE_KINDS, FLOWCHART_SCHEMA, MODEL_SCHEMA
-from tmkit.model import LEGAL_FLOW_PAIRS
+from tmkit.model import (
+    LEGAL_FLOW_PAIRS, Action, Flow, StaticModel, Storage, Thimac, Trigger,
+)
 
 from conftest import read_fixture
 from generators import mutate, random_chart, random_document
@@ -539,6 +541,44 @@ def test_chronology_to_dot_escapes_event_ids():
 # JSON
 
 
+def every_optional_field_doc():
+    """A document that holds every optional field both null and set."""
+    model = StaticModel(
+        "full",
+        thimacs=(Thimac("t", "t"), Thimac("t/u", "u", "t", "a note")),
+        actions=(
+            Action("t/a", "create", "t"),
+            Action("t/u/b", "process", "t/u", "a label", "7"),
+        ),
+        storages=(Storage("t/s", "t", "s"),),
+        flows=(Flow("f1", "t/a", "t/u/b"),),
+        triggers=(
+            Trigger("g1", "t/a", "t/u/b"),
+            Trigger("g2", "t/u/b", "t/a", "when ready"),
+        ),
+    )
+    events = (
+        define_event(model, "E1", "start", ["t/a"]),
+        define_event(model, "E2", "go on", ["t/u/b", "t/a"]),
+        define_event(model, "E3", "stop", ["t/u/b"]),
+    )
+    edges = [
+        ChronEdge("E1", "E2"), ChronEdge("E2", "E3"), ChronEdge("E3", "E2", "again"),
+    ]
+    graph = build_chronology(events, edges, {("E3", "E2"): 3})
+    return Document(model, events, graph)
+
+
+SECTION_KEYS = {
+    "thimacs": ["id", "name", "parent", "note"],
+    "actions": ["id", "kind", "owner", "label", "anchor"],
+    "storages": ["id", "owner", "name"],
+    "flows": ["id", "from", "to"],
+    "triggers": ["id", "from", "to", "condition"],
+    "events": ["id", "label", "region"],
+}
+
+
 def test_to_json_is_canonical(ordering_doc):
     data = json.loads(to_json(ordering_doc))
     assert list(data) == [
@@ -550,6 +590,91 @@ def test_to_json_is_canonical(ordering_doc):
         assert event["region"] == sorted(event["region"])
     for edge in data["chronology"]["edges"]:
         assert list(edge) == ["from", "to", "guard", "max"]
+    for doc in (ordering_doc, every_optional_field_doc()):
+        data = json.loads(to_json(doc))
+        for section, keys in SECTION_KEYS.items():
+            assert all(list(entry) == keys for entry in data[section]), section
+        assert list(data["chronology"]) == ["edges"]
+    assert all(data[section] for section in SECTION_KEYS)  # the full document
+
+
+def to_json_by_hand(doc):
+    """The writer that spelled out each section's keys, before
+    ``convert._SECTIONS`` held them: the reference ``to_json`` must match."""
+    if isinstance(doc, StaticModel):
+        doc = Document(doc)
+    model = doc.model
+    chronology = None
+    if doc.chronology is not None:
+        chronology = {
+            "edges": [
+                {
+                    "from": e.src,
+                    "to": e.dst,
+                    "guard": e.guard,
+                    "max": doc.chronology.loop_bounds.get((e.src, e.dst)),
+                }
+                for e in doc.chronology.edges
+            ]
+        }
+    payload = {
+        "name": model.name,
+        "thimacs": [
+            {"id": t.id, "name": t.name, "parent": t.parent, "note": t.note}
+            for t in model.thimacs
+        ],
+        "actions": [
+            {
+                "id": a.id,
+                "kind": a.kind,
+                "owner": a.owner,
+                "label": a.label,
+                "anchor": a.anchor,
+            }
+            for a in model.actions
+        ],
+        "storages": [
+            {"id": s.id, "owner": s.owner, "name": s.name} for s in model.storages
+        ],
+        "flows": [{"id": f.id, "from": f.src, "to": f.dst} for f in model.flows],
+        "triggers": [
+            {"id": t.id, "from": t.src, "to": t.dst, "condition": t.condition}
+            for t in model.triggers
+        ],
+        "events": [
+            {"id": e.id, "label": e.label, "region": sorted(e.region)}
+            for e in doc.events
+        ],
+        "chronology": chronology,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_the_full_document_holds_every_optional_field_null_and_set():
+    data = json.loads(to_json_by_hand(every_optional_field_doc()))
+    optional = [
+        ("thimacs", "parent"), ("thimacs", "note"), ("actions", "label"),
+        ("actions", "anchor"), ("triggers", "condition"),
+    ]
+    rows = [(data[section], key) for section, key in optional]
+    rows += [(data["chronology"]["edges"], key) for key in ("guard", "max")]
+    for entries, key in rows:
+        values = [entry[key] for entry in entries]
+        assert None in values and any(v is not None for v in values), key
+
+
+def test_to_json_matches_the_hand_written_writer(atm_doc, ordering_doc):
+    for doc in (atm_doc, ordering_doc, every_optional_field_doc(), dot_doc()):
+        assert to_json(doc) == to_json_by_hand(doc)
+        again = from_json(to_json(doc))
+        assert to_json(again) == to_json_by_hand(again)
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_to_json_matches_the_hand_written_writer_on_generated_documents(seed):
+    doc = random_document(Random(seed))
+    assert to_json(doc) == to_json_by_hand(doc)
 
 
 def test_json_round_trips_the_shipped_documents(atm_doc, ordering_doc):
@@ -603,6 +728,15 @@ def test_from_json_still_refuses_duplicate_ids(ordering_doc):
         ordering_doc, lambda d: d["thimacs"].append(dict(d["thimacs"][0]))
     )
     with pytest.raises(ConvertError, match="duplicate id"):
+        from_json(text)
+
+
+def test_ids_are_unique_across_the_model_sections(ordering_doc):
+    def flow_named_as_thimac(data):
+        data["flows"][0]["id"] = data["thimacs"][0]["id"]
+
+    text = mutated_json(ordering_doc, flow_named_as_thimac)
+    with pytest.raises(ConvertError, match="^duplicate id 'client'$"):
         from_json(text)
 
 
@@ -693,8 +827,25 @@ def test_schema_messages_keep_their_wording():
             "'decision', 'message-send', 'message-receive']",
         ),
     ]
+    thimac_gaps = json.loads(to_json(report_doc()))
+    del thimac_gaps["thimacs"][0]["name"]
+    thimac_gaps["thimacs"][0]["zz"] = 1
+    two_bad = json.loads(to_json(report_doc()))
+    two_bad["thimacs"][0]["id"] = 1
+    two_bad["actions"][0]["kind"] = "box"
+    cases += [
+        # of several violations, the first in the schema's key order
+        (thimac_gaps, MODEL_SCHEMA, "$.thimacs[0]: 'name' is a required property"),
+        (two_bad, MODEL_SCHEMA, "$.thimacs[0].id: 1 is not of type 'string'"),
+        (
+            {**chart, "nodes": [{"id": "x", "lane": "a", "kind": "box", "zz": 1}]},
+            FLOWCHART_SCHEMA,
+            "$.nodes[0]: Additional properties are not allowed ('zz' was unexpected)",
+        ),
+    ]
     for data, schema, message in cases:
         assert convert._violation(data, schema) == message
+        check_against_jsonschema(data, schema)
 
     doc = json.loads(to_json(report_doc()))
     edge = doc["chronology"]["edges"][0]

@@ -44,7 +44,7 @@ from tmkit.dynamics import (
 )
 from tmkit.errors import decode_json
 
-from conftest import load_scenario, tmkit_env
+from conftest import ODD_LINE_BREAKS, load_scenario, tmkit_env
 from generators import mutate, random_document, random_raw_model
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -532,6 +532,22 @@ def test_parse_scenario_rejects_garbage():
         parse_scenario("g = T\ng = F\n")
     with pytest.raises(ScenarioError, match="empty guard label"):
         parse_scenario("= T\n")
+
+
+def test_a_scenario_line_splits_at_its_last_equals_sign():
+    scenario = parse_scenario("balance >= amount = T, F\na == b = F\n")
+    assert scenario.decisions == {
+        "balance >= amount": (True, False),
+        "a == b": (False,),
+    }
+
+
+@pytest.mark.parametrize("odd", ODD_LINE_BREAKS)
+def test_scenario_line_numbers_count_newlines(odd):
+    with pytest.raises(ScenarioError, match="^line 3: expected 'guard"):
+        parse_scenario(f"g = T{odd}\n# two\nbad\n")
+    with pytest.raises(ScenarioError, match="^line 1: expected T or F"):
+        parse_scenario(f"g = T{odd}h\n")
 
 
 def test_trace_json_round_trip():

@@ -25,6 +25,7 @@ from tmkit import (
 )
 from tmkit.logic import MAX_VARIABLES, _literal_thimac
 
+from conftest import ODD_LINE_BREAKS
 from generators import random_argument
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -324,6 +325,14 @@ def test_parse_argument_rejects_malformed_files():
         parse_argument("|- a -> b\n|- b -> c\na -> b\n")
     with pytest.raises(LogicError, match="line 1: expected 'literal -> literal'"):
         parse_argument("a & b -> c\n|- a -> c\n")
+
+
+@pytest.mark.parametrize("odd", ODD_LINE_BREAKS)
+def test_argument_line_numbers_count_newlines(odd):
+    with pytest.raises(LogicError, match="^line 3: expected 'literal -> literal'"):
+        parse_argument(f"a -> b{odd}\n|- a -> c\nbad line\n")
+    with pytest.raises(LogicError, match="^line 1: expected 'literal -> literal'"):
+        parse_argument(f"a -> b{odd}c -> d\n|- a -> d\n")
 
 
 def test_format_argument_round_trips():
