@@ -87,25 +87,23 @@ def _array(items: dict, **extra: object) -> dict:
     return {"type": "array", **extra, "items": items}
 
 
+#: Chart nodes and edges as ``{json key: schema}``, keys in ``FlowNode``'s
+#: and ``FlowEdge``'s field order (``from`` is ``src``, ``to`` is ``dst``).
+_CHART_NODE = {
+    "id": _NAME,
+    "lane": _STRING,
+    "kind": {"enum": list(FLOW_NODE_KINDS)},
+    "label": _STRING,
+}
+_CHART_EDGE = {"from": _STRING, "to": _STRING, "guard": _STRING}
+
 FLOWCHART_SCHEMA = _object(
     {
         "name": _NAME,
         "description": _STRING,
         "lanes": _array(_NAME, minItems=1),
-        "nodes": _array(
-            _object(
-                {
-                    "id": _NAME,
-                    "lane": _STRING,
-                    "kind": {"enum": list(FLOW_NODE_KINDS)},
-                    "label": _STRING,
-                },
-                "label",
-            )
-        ),
-        "edges": _array(
-            _object({"from": _STRING, "to": _STRING, "guard": _STRING}, "guard")
-        ),
+        "nodes": _array(_object(_CHART_NODE, "label")),
+        "edges": _array(_object(_CHART_EDGE, "guard")),
     },
     "description",
 )
@@ -215,10 +213,7 @@ def load_flowchart(text: str) -> FlowchartDoc:
     lanes = tuple(data["lanes"])
     if len(set(lanes)) != len(lanes):
         raise ConvertError("flowchart declares a lane twice")
-    nodes = tuple(
-        FlowNode(n["id"], n["lane"], n["kind"], n.get("label"))
-        for n in data["nodes"]
-    )
+    nodes = tuple(FlowNode(*map(n.get, _CHART_NODE)) for n in data["nodes"])
     seen: set[str] = set()
     for node in nodes:
         if node.id in seen:
@@ -226,9 +221,7 @@ def load_flowchart(text: str) -> FlowchartDoc:
         seen.add(node.id)
         if node.lane not in lanes:
             raise ConvertError(f"node {node.id!r} sits in unknown lane {node.lane!r}")
-    edges = tuple(
-        FlowEdge(e["from"], e["to"], e.get("guard")) for e in data["edges"]
-    )
+    edges = tuple(FlowEdge(*map(e.get, _CHART_EDGE)) for e in data["edges"])
     pairs: set[tuple[str, str]] = set()
     for edge in edges:
         for ref in (edge.src, edge.dst):

@@ -532,9 +532,7 @@ def _step_index(raw: object) -> int:
 def structurally_equal_documents(a: Document, b: Document) -> bool:
     if not structurally_equal(a.model, b.model):
         return False
-    if {e.id: (e.label, e.region) for e in a.events} != {
-        e.id: (e.label, e.region) for e in b.events
-    }:
+    if a.events_by_id != b.events_by_id:
         return False
     ca, cb = a.chronology, b.chronology
     if (ca is None) != (cb is None):

@@ -669,19 +669,9 @@ def structurally_equal(a: StaticModel, b: StaticModel) -> bool:
     triggers are compared as multisets of endpoints (and condition),
     since their ids are generated plumbing.
     """
-    if a.name != b.name:
-        return False
-    if {t.id: (t.name, t.parent, t.note) for t in a.thimacs} != {
-        t.id: (t.name, t.parent, t.note) for t in b.thimacs
-    }:
-        return False
-    if {x.id: (x.kind, x.owner, x.label, x.anchor) for x in a.actions} != {
-        x.id: (x.kind, x.owner, x.label, x.anchor) for x in b.actions
-    }:
-        return False
-    if {s.id: (s.owner, s.name) for s in a.storages} != {
-        s.id: (s.owner, s.name) for s in b.storages
-    }:
+    if (a.name, a.thimacs_by_id, a.actions_by_id, a.storages_by_id) != (
+        b.name, b.thimacs_by_id, b.actions_by_id, b.storages_by_id
+    ):
         return False
     if sorted((f.src, f.dst) for f in a.flows) != sorted(
         (f.src, f.dst) for f in b.flows

@@ -211,6 +211,22 @@ def test_simulate_names_a_guard_that_holds_an_equals_sign(tmp_path):
     ]
 
 
+def test_a_guard_with_outer_spaces_cannot_be_named(tmp_path):
+    model = tmp_path / "spaced.tm"
+    model.write_text(
+        "model spaced { thimac t { process a } }\n"
+        'events { event E1 "x" { t/a } event E2 "y" { t/a } }\n'
+        'chronology { E1 -> E2 if " ok" }\n'
+    )
+    scenario = tmp_path / "s.scenario"
+    scenario.write_text(" ok = T\n")  # the label is read as "ok"
+    result = invoke("simulate", model, "--scenario", scenario)
+    assert result.exit_code == 1
+    assert result.stderr == (
+        "error: scenario 's' has no decision left for guard ' ok' at step 0\n"
+    )
+
+
 def test_conform_round_trip(tmp_path):
     trace_file = tmp_path / "trace.json"
     invoke(

@@ -1,4 +1,5 @@
 """Events, chronologies, simulation, conformance, and the file formats."""
+import dataclasses
 import json
 import subprocess
 import sys
@@ -21,12 +22,14 @@ from tmkit import (
     define_event,
     parse_scenario,
     simulate,
+    structurally_equal_documents,
     trace_from_json,
     trace_to_json,
 )
 from tmkit.dynamics import (
     ConformanceResult,
     DisconnectedRegionError,
+    Document,
     DynamicsError,
     Event,
     NoEnabledSuccessorError,
@@ -46,6 +49,7 @@ from tmkit.errors import decode_json
 
 from conftest import ODD_LINE_BREAKS, load_scenario, tmkit_env
 from generators import mutate, random_document, random_raw_model
+from test_model import model_changes, record_changes, structurally_equal_by_fields
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -542,6 +546,12 @@ def test_a_scenario_line_splits_at_its_last_equals_sign():
     }
 
 
+def test_a_scenario_label_is_stripped():
+    # so a guard with leading or trailing whitespace cannot be named
+    scenario = parse_scenario(" ok = T\n\t padded\t= F\n")
+    assert scenario.decisions == {"ok": (True,), "padded": (False,)}
+
+
 @pytest.mark.parametrize("odd", ODD_LINE_BREAKS)
 def test_scenario_line_numbers_count_newlines(odd):
     with pytest.raises(ScenarioError, match="^line 3: expected 'guard"):
@@ -909,3 +919,64 @@ def test_trace_from_json_matches_the_reference(seed):
 def test_trace_from_json_keeps_every_refusal(steps):
     text = json.dumps({"scenario": "walk", "steps": steps})
     assert outcome(trace_from_json, text) == outcome(trace_from_json_by_checks, text)
+
+
+# ---------------------------------------------------------------------------
+# structural equality of documents
+
+
+def structurally_equal_documents_by_fields(a: Document, b: Document) -> bool:
+    """``structurally_equal_documents`` as it was before events were compared
+    by their own ``==``.  The reference the tests below check it against."""
+    if not structurally_equal_by_fields(a.model, b.model):
+        return False
+    if {e.id: (e.label, e.region) for e in a.events} != {
+        e.id: (e.label, e.region) for e in b.events
+    }:
+        return False
+    ca, cb = a.chronology, b.chronology
+    if (ca is None) != (cb is None):
+        return False
+    if ca is None or cb is None:
+        return True
+    if {e.id for e in ca.events} != {e.id for e in cb.events}:
+        return False
+    if sorted((e.src, e.dst, e.guard or "") for e in ca.edges) != sorted(
+        (e.src, e.dst, e.guard or "") for e in cb.edges
+    ):
+        return False
+    return dict(ca.loop_bounds) == dict(cb.loop_bounds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, seeds)
+def test_document_equality_agrees_with_the_field_tuples_on_pairs(seed, other):
+    one = random_document(Random(seed))
+    again = random_document(Random(seed))
+    two = random_document(Random(other))
+    same_model = dataclasses.replace(two, model=one.model)
+    assert structurally_equal_documents(one, again)
+    assert structurally_equal_documents_by_fields(one, again)
+    for a, b in [(one, two), (one, same_model), (same_model, one)]:
+        assert structurally_equal_documents(a, b) == (
+            structurally_equal_documents_by_fields(a, b)
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_document_equality_agrees_with_the_field_tuples_on_one_field_changes(seed):
+    rng = Random(seed)
+    doc = random_document(rng)
+    changes = [
+        dataclasses.replace(doc, model=model)
+        for *_, model in model_changes(doc.model, rng)
+    ]
+    for name, form, events in record_changes(doc.events, rng):
+        changes.append(dataclasses.replace(doc, events=events))
+        if form == "replaced":
+            assert not structurally_equal_documents(doc, changes[-1]), name
+    for changed in changes:
+        verdict = structurally_equal_documents(doc, changed)
+        assert verdict == structurally_equal_documents_by_fields(doc, changed)
+        assert structurally_equal_documents(changed, doc) == verdict

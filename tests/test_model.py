@@ -1,4 +1,5 @@
 """Model assembly, validation rules, and the simplification pass."""
+import dataclasses
 import json
 import time
 from random import Random
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmkit import (
+    ACTION_KINDS,
     LEGAL_FLOW_PAIRS,
     TRANSPORT_KINDS,
     Action,
@@ -563,6 +565,103 @@ def test_structural_equality_sees_condition_changes():
     two = builder.build()
 
     assert not structurally_equal(one, two)
+
+
+def structurally_equal_by_fields(a: StaticModel, b: StaticModel) -> bool:
+    """``structurally_equal`` as it was before node records were compared by
+    their own ``==``: each record spelled out as a tuple of its fields.
+    The reference the tests below check it against."""
+    if a.name != b.name:
+        return False
+    if {t.id: (t.name, t.parent, t.note) for t in a.thimacs} != {
+        t.id: (t.name, t.parent, t.note) for t in b.thimacs
+    }:
+        return False
+    if {x.id: (x.kind, x.owner, x.label, x.anchor) for x in a.actions} != {
+        x.id: (x.kind, x.owner, x.label, x.anchor) for x in b.actions
+    }:
+        return False
+    if {s.id: (s.owner, s.name) for s in a.storages} != {
+        s.id: (s.owner, s.name) for s in b.storages
+    }:
+        return False
+    if sorted((f.src, f.dst) for f in a.flows) != sorted(
+        (f.src, f.dst) for f in b.flows
+    ):
+        return False
+    return sorted((t.src, t.dst, t.condition or "") for t in a.triggers) == sorted(
+        (t.src, t.dst, t.condition or "") for t in b.triggers
+    )
+
+
+NODE_SECTIONS = ("thimacs", "actions", "storages")
+MODEL_SECTIONS = (*NODE_SECTIONS, "flows", "triggers")
+
+
+def one_field_changes(record):
+    """``(field name, copy of record)`` for each field, with that field
+    changed to a value no generated record holds."""
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if field.name == "kind":
+            value = next(kind for kind in ACTION_KINDS if kind != value)
+        elif field.name == "region":
+            value = value | {"elsewhere"}
+        else:
+            value = "changed" if value is None else value + "~"
+        yield field.name, dataclasses.replace(record, **{field.name: value})
+
+
+def record_changes(records: tuple, rng: Random):
+    """``(field name, form, records)`` where one record of ``records`` has
+    one field changed: in place, or as a copy added before or after it."""
+    if not records:
+        return
+    index = rng.randrange(len(records))
+    before, record, after = records[:index], records[index], records[index + 1:]
+    for name, changed in one_field_changes(record):
+        yield name, "replaced", (*before, changed, *after)
+        yield name, "copy before", (*before, changed, record, *after)
+        yield name, "copy after", (*before, record, changed, *after)
+
+
+def model_changes(model: StaticModel, rng: Random):
+    """``(section, field name, form, copy of model)`` for one record of each
+    section, every field and every form of ``record_changes``."""
+    yield "model", "name", "replaced", dataclasses.replace(model, name=model.name + "~")
+    for section in MODEL_SECTIONS:
+        for name, form, records in record_changes(getattr(model, section), rng):
+            yield section, name, form, dataclasses.replace(model, **{section: records})
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, seeds)
+def test_structural_equality_agrees_with_the_field_tuples_on_pairs(seed, other):
+    one = random_document(Random(seed)).model
+    again = random_document(Random(seed)).model
+    two = random_document(Random(other)).model
+    renamed = dataclasses.replace(two, name=one.name)
+    assert structurally_equal(one, again) and structurally_equal_by_fields(one, again)
+    for a, b in [(one, two), (one, renamed), (renamed, one)]:
+        assert structurally_equal(a, b) == structurally_equal_by_fields(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_structural_equality_agrees_with_the_field_tuples_on_one_field_changes(seed):
+    rng = Random(seed)
+    model = random_document(rng).model
+    seen = set()
+    for section, name, form, changed in model_changes(model, rng):
+        seen.add((section, name))
+        verdict = structurally_equal(model, changed)
+        assert verdict == structurally_equal_by_fields(model, changed)
+        assert structurally_equal(changed, model) == verdict
+        if form == "replaced":  # only edge ids are free to differ
+            assert verdict == (section in ("flows", "triggers") and name == "id")
+        elif form == "copy before" and section in NODE_SECTIONS and name != "id":
+            assert verdict  # the last record with an id is the one compared
+    assert {("thimacs", "note"), ("actions", "anchor")} <= seen
 
 
 def test_legality_table_is_the_single_authority():

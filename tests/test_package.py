@@ -1,0 +1,105 @@
+"""The package surface: its public names, its version, the README example."""
+import importlib
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tmkit
+
+from conftest import tmkit_env
+
+ROOT = Path(__file__).parents[1]
+
+#: ``tmkit.__all__``, in order, grouped by home module.
+PUBLIC_NAMES = [
+    "__version__",
+    # model
+    "ACTION_KINDS", "TRANSPORT_KINDS", "LEGAL_FLOW_PAIRS", "Thimac", "Action",
+    "Storage", "Flow", "Trigger", "Diagnostic", "StaticModel", "ModelBuilder",
+    "ModelError", "SimplifyError", "validate", "simplify", "structurally_equal",
+    # dynamics
+    "Event", "ChronEdge", "ChronologyGraph", "Scenario", "Trace", "Violation",
+    "ConformanceResult", "Document", "DynamicsError", "SimulationError",
+    "ScenarioExhaustedError", "NoEnabledSuccessorError", "ScenarioError",
+    "define_event", "check_coverage", "build_chronology", "simulate",
+    "conformance", "parse_scenario", "trace_to_json", "trace_from_json",
+    "structurally_equal_documents",
+    # dsl
+    "ParseError", "FormatError", "SourceSpan", "parse", "format_document",
+    # logic
+    "Literal", "Origin", "Implication", "Argument", "ProofPath", "LogicError",
+    "MAX_VARIABLES", "close_contrapositive", "derive", "format_proof",
+    "truth_table_validate", "parse_argument", "format_argument", "encode_as_tm",
+    # convert
+    "ConvertError", "FlowNode", "FlowEdge", "FlowchartDoc", "FLOWCHART_SCHEMA",
+    "MODEL_SCHEMA", "load_flowchart", "import_flowchart", "to_dot",
+    "chronology_to_dot", "to_json", "from_json", "generate_report",
+    # errors
+    "TmkitError",
+]
+
+#: The home module of each exported value that names none itself.
+DATA_HOMES = {
+    "__version__": "tmkit",
+    "ACTION_KINDS": "tmkit.model",
+    "TRANSPORT_KINDS": "tmkit.model",
+    "LEGAL_FLOW_PAIRS": "tmkit.model",
+    "MAX_VARIABLES": "tmkit.logic",
+    "FLOWCHART_SCHEMA": "tmkit.convert",
+    "MODEL_SCHEMA": "tmkit.convert",
+}
+
+
+def test_all_lists_the_public_names_once_in_order():
+    assert tmkit.__all__ == PUBLIC_NAMES
+    assert len(set(PUBLIC_NAMES)) == len(PUBLIC_NAMES) == 72
+
+
+def test_each_public_name_is_its_home_modules_object():
+    for name in PUBLIC_NAMES:
+        value = getattr(tmkit, name)
+        home = DATA_HOMES.get(name) or value.__module__
+        assert home.split(".")[0] == "tmkit", name
+        assert getattr(importlib.import_module(home), name) is value, name
+
+
+def test_a_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from tmkit import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(PUBLIC_NAMES)
+    assert all(namespace[name] is getattr(tmkit, name) for name in PUBLIC_NAMES)
+
+
+def test_a_bare_import_binds_the_submodules():
+    probe = "import tmkit; print(tmkit.model.__name__, tmkit.convert.__name__, tmkit.errors.__name__)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=tmkit_env(), check=True,
+    )
+    assert result.stdout == "tmkit.model tmkit.convert tmkit.errors\n"
+
+
+def test_the_version_is_stated_once():
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "tmkit.__version__"
+    }
+
+
+def test_the_readme_python_example_runs_as_written():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    result = subprocess.run(
+        [sys.executable, "-c", blocks[0]],
+        capture_output=True, text=True, cwd=ROOT, env=tmkit_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
