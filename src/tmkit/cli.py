@@ -147,6 +147,13 @@ def simplify(model_file: str, output: Optional[str]) -> None:
         _fail("cannot simplify a model that has errors", 1)
     if doc.events or doc.chronology is not None:
         _note("events and chronology dropped; their regions name removed actions")
+    kept = {trigger.id for trigger in reduced.triggers}
+    for trigger in doc.model.triggers:
+        if trigger.id not in kept:
+            _note(
+                f"trigger {trigger.id} {trigger.src} ~> {trigger.dst} dropped; "
+                f"no two distinct surviving actions stand in for its ends"
+            )
     _write(output, format_document(Document(reduced)))
 
 

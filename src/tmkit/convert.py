@@ -266,6 +266,14 @@ def import_flowchart(chart: FlowchartDoc) -> tuple[StaticModel, tuple[str, ...]]
     builder = ModelBuilder(chart.name)
     for lane in chart.lanes:
         builder.add_thimac(lane, id=lane)
+    maker: dict[str, str] = {}  # action id -> the node or edge that made it
+
+    def claim(action_id: str, claimant: str) -> str:
+        if maker.setdefault(action_id, claimant) != claimant:
+            raise ConvertError(
+                f"{maker[action_id]} and {claimant} both make the action {action_id!r}"
+            )
+        return action_id
 
     for node in chart.nodes:
         actions = _NODE_ACTIONS[node.kind]
@@ -274,7 +282,10 @@ def import_flowchart(chart: FlowchartDoc) -> tuple[StaticModel, tuple[str, ...]]
         path = f"{node.lane}/{node.id}"
         ids = [
             builder.add_action(
-                kind, node.lane, None if suffix else node.label, id=path + suffix
+                kind,
+                node.lane,
+                None if suffix else node.label,
+                id=claim(path + suffix, f"node {node.id!r}"),
             )
             for suffix, kind in actions
         ]
@@ -289,8 +300,9 @@ def import_flowchart(chart: FlowchartDoc) -> tuple[StaticModel, tuple[str, ...]]
             continue
         # the source's last action, the bridge, then the target's first
         chain = [f"{src.lane}/{src.id}{_NODE_ACTIONS[src.kind][-1][0]}"]
+        claimant = f"edge {edge.src} -> {edge.dst}"
         for action_id, lane, kind in _bridge(edge, src, dst):
-            chain.append(builder.add_action(kind, lane, id=action_id))
+            chain.append(builder.add_action(kind, lane, id=claim(action_id, claimant)))
         chain.append(f"{dst.lane}/{dst.id}{_NODE_ACTIONS[dst.kind][0][0]}")
         for a, b in zip(chain, chain[1:]):
             builder.add_flow(a, b)
@@ -355,28 +367,6 @@ def _reject_unmappable(chart: FlowchartDoc, nodes_by_id: dict[str, FlowNode]) ->
                         f"cross-lane edge out of message-receive {node.id!r}; "
                         f"the receiver is unidentifiable"
                     )
-    _reject_id_clashes(chart, nodes_by_id)
-
-
-def _reject_id_clashes(chart: FlowchartDoc, nodes_by_id: dict[str, FlowNode]) -> None:
-    """Refuse two nodes or edges that would make the same action id, such
-    as a node ``x_to_y_rel`` beside the bridged edge ``x -> y``."""
-    claims = [
-        (f"{node.lane}/{node.id}{suffix}", f"node {node.id!r}")
-        for node in chart.nodes
-        for suffix, _ in _NODE_ACTIONS[node.kind]
-    ]
-    for edge in chart.edges:
-        src, dst = nodes_by_id[edge.src], nodes_by_id[edge.dst]
-        if _NODE_ACTIONS[dst.kind]:
-            claimant = f"edge {edge.src} -> {edge.dst}"
-            claims += [(i, claimant) for i, _, _ in _bridge(edge, src, dst)]
-    maker: dict[str, str] = {}
-    for action_id, claimant in claims:
-        if maker.setdefault(action_id, claimant) != claimant:
-            raise ConvertError(
-                f"{maker[action_id]} and {claimant} both make the action {action_id!r}"
-            )
 
 
 def _bridge(edge: FlowEdge, src: FlowNode, dst: FlowNode) -> list[tuple[str, str, str]]:

@@ -513,20 +513,17 @@ def containment_walk(model: StaticModel) -> Iterator[tuple[bool, Thimac, int]]:
 class _Formatter:
     def __init__(self, model: StaticModel):
         self.model = model
-        self.nodes = set(model.actions_by_id) | set(model.storages_by_id)
         self.lines: list[str] = []
         # flows and triggers by the thimac that prints them, in model order
         self.flows = grouped((self._grouping_owner(f), f) for f in model.flows)
-        self.triggers = grouped(
-            (self._grouping_owner(t), t) for t in model.triggers
-        )
+        self.triggers = grouped((self._grouping_owner(t), t) for t in model.triggers)
 
     def _print_ref(self, node_id: str, owner: str) -> str:
         local = node_id.rsplit("/", 1)[-1]
-        if self.model.node_owner(node_id) == owner:
-            if _resolve(local, owner, self.nodes) == node_id:
+        if self.model.nodes[node_id][1] == owner:
+            if _resolve(local, owner, self.model.nodes) == node_id:
                 return local  # checked where the node is declared
-        if _resolve(node_id, owner, self.nodes) == node_id:
+        if _resolve(node_id, owner, self.model.nodes) == node_id:
             return _bare(node_id, "reference")
         raise FormatError(
             f"{node_id!r} cannot be written unambiguously from {owner!r}"
@@ -575,13 +572,13 @@ class _Formatter:
             self.lines.append(line)
 
     def _grouping_owner(self, edge) -> Optional[str]:
-        owner = self.model.node_owner(edge.src)
-        if owner is None or self.model.node_owner(edge.dst) is None:
+        nodes = self.model.nodes
+        if edge.src not in nodes or edge.dst not in nodes:
             raise FormatError(
                 f"edge {edge.id!r} has an unresolved endpoint and cannot "
                 f"be written"
             )
-        return owner
+        return nodes[edge.src][1]
 
 
 def format_document(doc: Union[Document, StaticModel]) -> str:

@@ -143,7 +143,9 @@ class StaticModel:
 
     The lookups below read indexes that are built on first use and cached,
     so each index costs one pass over the model however often it is asked.
-    The grouped indexes keep declaration order within each group.
+    The grouped indexes keep declaration order within each group.  ``nodes``
+    gives each action and storage id its ``(kind, owner)`` (a storage's kind
+    is ``"storage"``); the validator and the formatter resolve endpoints there.
     """
 
     name: str
@@ -167,23 +169,19 @@ class StaticModel:
     def storages_by_id(self) -> dict[str, Storage]:
         return {s.id: s for s in self.storages}
 
+    @cached_property
+    def nodes(self) -> dict[str, tuple[str, str]]:
+        """Node id -> ``(kind, owner)``; an action wins an id a storage shares."""
+        out = {s.id: (_STORAGE, s.owner) for s in self.storages}
+        out.update((a.id, (a.kind, a.owner)) for a in self.actions)
+        return out
+
     def node_kind(self, node_id: str) -> Optional[str]:
         """Kind of a flow endpoint: an action kind, ``"storage"``, or None."""
-        action = self.actions_by_id.get(node_id)
-        if action is not None:
-            return action.kind
-        if node_id in self.storages_by_id:
-            return _STORAGE
-        return None
+        return self.nodes.get(node_id, (None, None))[0]
 
     def node_owner(self, node_id: str) -> Optional[str]:
-        action = self.actions_by_id.get(node_id)
-        if action is not None:
-            return action.owner
-        storage = self.storages_by_id.get(node_id)
-        if storage is not None:
-            return storage.owner
-        return None
+        return self.nodes.get(node_id, (None, None))[1]
 
     @cached_property
     def flows_from(self) -> dict[str, tuple[Flow, ...]]:
@@ -405,38 +403,30 @@ def validate(model: StaticModel) -> tuple[Diagnostic, ...]:
     Never raises: structurally broken models (dangling references,
     containment cycles) come back as R5/R6 errors.
     """
+    # Each flow and trigger whose endpoints both exist, with their
+    # ``(kind, owner)``; an edge with a missing endpoint is judged by R6 alone.
+    nodes = model.nodes
+    flows, triggers = (
+        [
+            (edge, nodes[edge.src], nodes[edge.dst])
+            for edge in edges
+            if edge.src in nodes and edge.dst in nodes
+        ]
+        for edges in (model.flows, model.triggers)
+    )
     out: list[Diagnostic] = []
-    resolved = _resolved_edges(model)
-
-    out.extend(_check_flow_legality(model, resolved))  # R1 + R2
-    out.extend(_check_receive_inputs(model, resolved))  # R3
+    out.extend(_check_flow_legality(flows))  # R1 + R2
+    out.extend(_check_receive_inputs(model, flows))  # R3
     out.extend(_check_trigger_sources(model))  # R4
     out.extend(_check_containment(model))  # R5
     out.extend(_check_references(model))  # R6
     out.extend(_check_self_loops(model))  # R7
-    out.extend(_check_reachability(model, resolved))  # R8
+    out.extend(_check_reachability(model, flows + triggers))  # R8
     return tuple(out)
 
 
-def _resolved_edges(model: StaticModel) -> dict[str, bool]:
-    """Edge id -> both endpoints resolve (so kind rules can be applied)."""
-    ok = {}
-    for edge in (*model.flows, *model.triggers):
-        ok[edge.id] = (
-            model.node_kind(edge.src) is not None
-            and model.node_kind(edge.dst) is not None
-        )
-    return ok
-
-
-def _check_flow_legality(model, resolved) -> Iterator[Diagnostic]:
-    for flow in model.flows:
-        if not resolved[flow.id]:
-            continue  # reported under R6
-        src_kind = model.node_kind(flow.src)
-        dst_kind = model.node_kind(flow.dst)
-        src_owner = model.node_owner(flow.src)
-        dst_owner = model.node_owner(flow.dst)
+def _check_flow_legality(flows) -> Iterator[Diagnostic]:
+    for flow, (src_kind, src_owner), (dst_kind, dst_owner) in flows:
         if src_owner == dst_owner:
             if (src_kind, dst_kind) not in LEGAL_FLOW_PAIRS:
                 yield Diagnostic(
@@ -458,12 +448,8 @@ def _check_flow_legality(model, resolved) -> Iterator[Diagnostic]:
             )
 
 
-def _check_receive_inputs(model, resolved) -> Iterator[Diagnostic]:
-    fed = {
-        f.dst
-        for f in model.flows
-        if resolved[f.id] and model.node_kind(f.src) == "transfer"
-    }
+def _check_receive_inputs(model, flows) -> Iterator[Diagnostic]:
+    fed = {flow.dst for flow, (src_kind, _), _ in flows if src_kind == "transfer"}
     for action in model.actions:
         if action.kind == "receive" and action.id not in fed:
             yield Diagnostic(
@@ -510,15 +496,12 @@ def _check_references(model) -> Iterator[Diagnostic]:
     for thimac in model.thimacs:
         if thimac.parent is not None and thimac.parent not in model.thimacs_by_id:
             yield dangling(thimac.id, thimac.parent, "parent thimac")
-    for action in model.actions:
-        if action.owner not in model.thimacs_by_id:
-            yield dangling(action.id, action.owner, "owner thimac")
-    for storage in model.storages:
-        if storage.owner not in model.thimacs_by_id:
-            yield dangling(storage.id, storage.owner, "owner thimac")
+    for node in (*model.actions, *model.storages):
+        if node.owner not in model.thimacs_by_id:
+            yield dangling(node.id, node.owner, "owner thimac")
     for edge in (*model.flows, *model.triggers):
         for ref in (edge.src, edge.dst):
-            if model.node_kind(ref) is None:
+            if ref not in model.nodes:
                 yield dangling(edge.id, ref, "endpoint")
 
 
@@ -532,11 +515,8 @@ def _check_self_loops(model) -> Iterator[Diagnostic]:
             )
 
 
-def _check_reachability(model, resolved) -> Iterator[Diagnostic]:
-    adjacency: dict[str, list[str]] = {}
-    for edge in (*model.flows, *model.triggers):
-        if resolved[edge.id]:
-            adjacency.setdefault(edge.src, []).append(edge.dst)
+def _check_reachability(model, edges) -> Iterator[Diagnostic]:
+    adjacency = grouped((edge.src, edge.dst) for edge, _, _ in edges)
     seeds = [a.id for a in model.actions if a.kind in ("create", "receive")]
     reached = set(seeds)
     frontier = list(seeds)

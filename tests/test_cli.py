@@ -105,6 +105,50 @@ def test_simplify_writes_to_a_file(tmp_path):
     assert out.read_text().startswith("model ordering_process {\n")
 
 
+DROPPED = "dropped; no two distinct surviving actions stand in for its ends"
+
+
+@pytest.mark.parametrize(
+    "text, notes, kept",
+    [
+        (
+            # the transfer x leads to no surviving action
+            "model m { thimac t { create a  process p  release r  transfer x\n"
+            "  a -> p  p -> r  r -> x\n"
+            '  p ~> x if "go"  a ~> p  a ~> r } }\n'
+            'events { event E1 "start" { t/a } }\n',
+            [
+                "events and chronology dropped; their regions name removed actions",
+                f"trigger trigger1 t/p ~> t/x {DROPPED}",
+                f"trigger trigger3 t/a ~> t/r {DROPPED}",
+            ],
+            ["a ~> p"],
+        ),
+        (
+            # the transport chain from r leads back to p, the trigger's source
+            "model m {\n"
+            "  thimac t { create a  process p  release r  transfer x\n"
+            "             transfer z  receive rc\n"
+            "    a -> p  p -> r  r -> x  z -> rc  rc -> p  p ~> r  x -> u/y }\n"
+            "  thimac u { transfer y  y -> t/z }\n"
+            "}\n",
+            [f"trigger trigger1 t/p ~> t/r {DROPPED}"],
+            [],
+        ),
+    ],
+    ids=["dead-end", "lands-on-its-source"],
+)
+def test_simplify_notes_each_trigger_it_drops(tmp_path, text, notes, kept):
+    path = tmp_path / "drops.tm"
+    path.write_text(text)
+    assert invoke("check", path).stdout == "0 errors, 0 warnings\n"
+    result = invoke("simplify", path)
+    assert result.exit_code == 0
+    assert result.stderr == "".join(f"note: {note}\n" for note in notes)
+    triggers = [line.strip() for line in result.stdout.splitlines() if "~>" in line]
+    assert triggers == kept
+
+
 def test_simplify_refuses_a_model_with_errors(tmp_path):
     # needs a transport on board: with nothing to remove, simplify is the
     # identity and never reaches its error gate

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 from random import Random
-from unittest import mock
 
 import jsonschema
 import pytest
@@ -321,8 +320,7 @@ def import_by_cases(chart):
     ``import_flowchart``.  Its refusals are the ones first written too:
     with no id-clash check, a clash reaches the builder as a ModelError."""
     nodes_by_id = {n.id: n for n in chart.nodes}
-    with mock.patch.object(convert, "_reject_id_clashes"):
-        convert._reject_unmappable(chart, nodes_by_id)
+    convert._reject_unmappable(chart, nodes_by_id)
 
     notes = []
     builder = ModelBuilder(chart.name)
@@ -728,6 +726,17 @@ def test_from_json_still_refuses_duplicate_ids(ordering_doc):
         ordering_doc, lambda d: d["thimacs"].append(dict(d["thimacs"][0]))
     )
     with pytest.raises(ConvertError, match="duplicate id"):
+        from_json(text)
+
+
+def test_from_json_refuses_a_repeated_event_id_without_a_chronology(ordering_doc):
+    # with no chronology to refuse it, a second E1 would replace the first
+    def repeat_first_event(data):
+        data["chronology"] = None
+        data["events"].append(dict(data["events"][0], label="again"))
+
+    text = mutated_json(ordering_doc, repeat_first_event)
+    with pytest.raises(ConvertError, match="^duplicate event id 'E1'$"):
         from_json(text)
 
 

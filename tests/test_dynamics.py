@@ -980,3 +980,27 @@ def test_document_equality_agrees_with_the_field_tuples_on_one_field_changes(see
         verdict = structurally_equal_documents(doc, changed)
         assert verdict == structurally_equal_documents_by_fields(doc, changed)
         assert structurally_equal_documents(changed, doc) == verdict
+
+
+def test_document_equality_sees_each_chronology_difference(ordering_doc):
+    chronology = ordering_doc.chronology
+    first, *rest = chronology.edges
+    guarded = next(i for i, e in enumerate(chronology.edges) if e.guard is not None)
+    edges = list(chronology.edges)
+    edges[guarded] = dataclasses.replace(edges[guarded], guard="otherwise")
+    changes = {
+        "no chronology": None,
+        "an event fewer": dataclasses.replace(
+            chronology, events=chronology.events[:-1]
+        ),
+        "an edge fewer": dataclasses.replace(chronology, edges=tuple(rest)),
+        "an edge reversed": dataclasses.replace(
+            chronology, edges=(ChronEdge(first.dst, first.src), *rest)
+        ),
+        "a guard changed": dataclasses.replace(chronology, edges=tuple(edges)),
+    }
+    for name, changed in changes.items():
+        other = dataclasses.replace(ordering_doc, chronology=changed)
+        assert structurally_equal_documents(other, other), name
+        assert not structurally_equal_documents(ordering_doc, other), name
+        assert not structurally_equal_documents(other, ordering_doc), name

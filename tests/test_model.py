@@ -4,6 +4,7 @@ import json
 import time
 from random import Random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from tmkit import (
     ModelError,
     SimplifyError,
     StaticModel,
+    Storage,
     Thimac,
     Trigger,
     from_json,
@@ -151,6 +153,36 @@ def test_node_kind_and_owner():
     assert model.node_owner(act) == "a"
     assert model.node_owner(store) == "b"
     assert model.node_owner("missing") is None
+
+
+def test_nodes_index_gives_each_endpoint_its_kind_and_owner():
+    model = StaticModel(
+        "shared",
+        thimacs=(Thimac("t", "t"),),
+        storages=(Storage("t/x", "t", "x"), Storage("t/s", "ghost", "s")),
+        actions=(Action("t/x", "process", "t"), Action("t/c", "create", "t")),
+    )
+    # the action wins the id it shares with a storage
+    assert model.nodes == {
+        "t/x": ("process", "t"),
+        "t/s": ("storage", "ghost"),
+        "t/c": ("create", "t"),
+    }
+    assert model.node_kind("t/x") == "process"
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_nodes_index_matches_the_record_lookups(seed):
+    model = random_raw_model(Random(seed))
+    expected = {s.id: ("storage", s.owner) for s in model.storages}
+    expected |= {a.id: (a.kind, a.owner) for a in model.actions}
+    assert model.nodes == expected
+    for edge in (*model.flows, *model.triggers):
+        for ref in (edge.src, edge.dst):
+            assert (model.node_kind(ref), model.node_owner(ref)) == expected.get(
+                ref, (None, None)
+            )
 
 
 def test_children_of_none_lists_roots():
@@ -328,6 +360,26 @@ def test_r6_dangling_references():
     assert not any(d.rule in ("R1", "R2") for d in diagnostics)
 
 
+@pytest.mark.parametrize(
+    "flow_dst, trigger_dst",
+    [("t/ghost", "t/b"), ("t/b", "t/ghost")],
+    ids=["dangling-flow", "dangling-trigger"],
+)
+def test_a_flow_and_trigger_sharing_an_id_are_judged_apart(flow_dst, trigger_dst):
+    # the builder and from_json refuse the shared id; a model assembled in
+    # Python may carry it, and gets its R6 error and nothing spurious
+    model = StaticModel(
+        "shared",
+        thimacs=(Thimac("t", "t"),),
+        actions=(Action("t/a", "create", "t"), Action("t/b", "process", "t")),
+        flows=(Flow("e", "t/a", flow_dst),),
+        triggers=(Trigger("e", "t/a", trigger_dst),),
+    )
+    assert validate(model) == (
+        Diagnostic("error", "R6", "e", "endpoint 't/ghost' does not exist"),
+    )
+
+
 def test_r7_self_loop_in_directly_assembled_model():
     model = StaticModel(
         "loopy",
@@ -494,6 +546,84 @@ def test_simplify_skips_flow_ids_the_model_keeps(atm_doc):
     ids = [f.id for f in reduced.flows]
     assert ids.count("flow_s1") == 1 and "flow_s2" in ids
     assert from_json(to_json(reduced)).model == reduced
+
+
+def transport_flows_by_networkx(model: StaticModel) -> set[tuple[str, str]]:
+    """The flows ``simplify`` should leave: each flow between survivors, and
+    survivor to survivor wherever a path runs through removed nodes only."""
+    removed = {a.id for a in model.actions if a.kind in TRANSPORT_KINDS}
+    graph = nx.DiGraph()
+    graph.add_edges_from((f.src, f.dst) for f in model.flows)
+    inner = graph.subgraph(removed)
+    pairs = set()
+    for flow in model.flows:
+        if flow.src in removed:
+            continue
+        if flow.dst not in removed:
+            pairs.add((flow.src, flow.dst))
+            continue
+        for node in nx.descendants(inner, flow.dst) | {flow.dst}:
+            pairs.update(
+                (flow.src, end)
+                for end in graph.successors(node)
+                if end not in removed and end != flow.src
+            )
+    return pairs
+
+
+def simplified_flows(model: StaticModel) -> set[tuple[str, str]]:
+    flows = [(f.src, f.dst) for f in simplify(model).flows]
+    assert len(flows) == len(set(flows))
+    return set(flows)
+
+
+def test_simplify_follows_converging_transports_once():
+    # one release into two transfers that meet again at b/in
+    builder = two_thimac_builder()
+    builder.add_action("create", "a", id="a/p")
+    builder.add_action("release", "a", id="a/rel")
+    builder.add_action("transfer", "b", id="b/in")
+    builder.add_action("receive", "b", id="b/rcv")
+    builder.add_action("process", "b", id="b/q")
+    builder.add_flow("a/p", "a/rel")
+    for branch in ("a/out_x", "a/out_y"):
+        builder.add_action("transfer", "a", id=branch)
+        builder.add_flow("a/rel", branch)
+        builder.add_flow(branch, "b/in")
+    builder.add_flow("b/in", "b/rcv")
+    builder.add_flow("b/rcv", "b/q")
+    model = builder.build()
+    assert [d for d in validate(model) if d.severity == "error"] == []
+    assert simplified_flows(model) == {("a/p", "b/q")}
+    assert transport_flows_by_networkx(model) == {("a/p", "b/q")}
+
+
+def test_simplify_terminates_on_a_transfer_cycle():
+    builder = two_thimac_builder()
+    builder.add_action("create", "a", id="a/p")
+    builder.add_action("release", "a", id="a/rel")
+    builder.add_action("transfer", "a", id="a/out")
+    builder.add_action("transfer", "b", id="b/in")
+    builder.add_action("receive", "b", id="b/rcv")
+    builder.add_action("process", "b", id="b/q")
+    builder.add_flow("a/p", "a/rel")
+    builder.add_flow("a/rel", "a/out")
+    builder.add_flow("a/out", "b/in")
+    builder.add_flow("b/in", "a/out")  # back across: a legal transfer cycle
+    builder.add_flow("b/in", "b/rcv")
+    builder.add_flow("b/rcv", "b/q")
+    model = builder.build()
+    assert [d for d in validate(model) if d.severity == "error"] == []
+    reduced = simplify(model)
+    assert [(f.src, f.dst) for f in reduced.flows] == [("a/p", "b/q")]
+    assert transport_flows_by_networkx(model) == {("a/p", "b/q")}
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_simplified_flows_match_networkx_reachability(seed):
+    model = random_legal_model(Random(seed))
+    assert simplified_flows(model) == transport_flows_by_networkx(model)
 
 
 def flow_reachable(model: StaticModel, start: str) -> set[str]:
