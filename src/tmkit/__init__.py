@@ -4,8 +4,10 @@ Static models of things-that-are-machines, the events and chronologies
 that animate them, implicational arguments rendered in the same shapes,
 and interchange with flowcharts, JSON, and Graphviz.
 
-``_EXPORTS`` lists the public names once, module by module; importing
-the package binds each of them here and lists it in ``__all__``.
+``_EXPORTS`` lists the public names once, module by module, and
+``__all__`` is built from it.  Importing the package loads no module of
+its own: the first use of a public name, or of a module name such as
+``tmkit.model``, imports that module and binds the name here (PEP 562).
 """
 
 from importlib import import_module
@@ -92,8 +94,24 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
 }
 
 __all__ = ["__version__"]
+#: Each public name's home module.
+_HOME: dict[str, str] = {}
 for _module, _names in _EXPORTS.items():
-    _source = import_module(f".{_module}", __name__)
-    globals().update({name: getattr(_source, name) for name in _names})
     __all__ += _names
-del import_module, _module, _names, _source
+    _HOME.update(dict.fromkeys(_names, _module))
+del _module, _names
+
+
+def __getattr__(name: str) -> object:
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return list(__all__)

@@ -11,41 +11,25 @@ Exit 2 is decided in one place, ``_Main.invoke``: every
 :class:`TmkitError` that no command turned into a negative result.  A
 file that cannot be read or decoded as UTF-8, and an output that cannot
 be written or encoded as UTF-8, raise one too.
+
+Each command imports the layers it runs inside its body, below its
+docstring (click reads the help text from it), so a command loads no
+layer it does not use.
 """
 from __future__ import annotations
 
 import errno
 import os
 import pathlib
-from typing import NoReturn, Optional
+from typing import TYPE_CHECKING, NoReturn, Optional
 
 import click
 
 from . import __version__
-from .convert import (
-    chronology_to_dot,
-    from_json,
-    generate_report,
-    import_flowchart,
-    load_flowchart,
-    to_dot,
-    to_json,
-)
-from .dsl import format_document, parse
-from .dynamics import (
-    Document,
-    Scenario,
-    SimulationError,
-    check_coverage,
-    conformance,
-    parse_scenario,
-    simulate as simulate_chronology,
-    trace_from_json,
-    trace_to_json,
-)
 from .errors import TmkitError
-from .logic import derive, format_proof, parse_argument, truth_table_validate
-from .model import SimplifyError, simplify as simplify_model, validate
+
+if TYPE_CHECKING:
+    from .dynamics import Document, Scenario
 
 _MODEL_FILE = click.Path(exists=True, dir_okay=False)
 
@@ -99,10 +83,18 @@ def _lines(lines) -> str:
 
 def _load_document(path: str) -> Document:
     text = _read(path)
-    return from_json(text) if path.endswith(".json") else parse(text)
+    if path.endswith(".json"):
+        from .convert import from_json
+
+        return from_json(text)
+    from .dsl import parse
+
+    return parse(text)
 
 
 def _load_scenario(path: str) -> Scenario:
+    from .dynamics import parse_scenario
+
     return parse_scenario(_read(path), name=pathlib.Path(path).stem)
 
 
@@ -124,6 +116,8 @@ def main() -> None:
 @click.argument("model_file", type=_MODEL_FILE)
 def check(model_file: str) -> None:
     """Validate a model and print what the rules find."""
+    from .model import validate
+
     doc = _load_document(model_file)
     diagnostics = validate(doc.model)
     errors = sum(1 for d in diagnostics if d.severity == "error")
@@ -138,6 +132,10 @@ def check(model_file: str) -> None:
 @click.option("-o", "--output", type=click.Path(dir_okay=False))
 def simplify(model_file: str, output: Optional[str]) -> None:
     """Collapse transport actions and print the reduced model."""
+    from .dsl import format_document
+    from .dynamics import Document
+    from .model import SimplifyError, simplify as simplify_model
+
     doc = _load_document(model_file)
     try:
         reduced = simplify_model(doc.model)
@@ -162,6 +160,8 @@ def simplify(model_file: str, output: Optional[str]) -> None:
 @click.option("--coverage", is_flag=True, help="List actions no event covers.")
 def events(model_file: str, coverage: bool) -> None:
     """List a model's events (or its coverage gaps)."""
+    from .dynamics import check_coverage
+
     doc = _load_document(model_file)
     if coverage:
         uncovered = check_coverage(doc.model, doc.events)
@@ -187,6 +187,8 @@ def events(model_file: str, coverage: bool) -> None:
 @click.option("-o", "--output", type=click.Path(dir_okay=False))
 def simulate(model_file: str, scenario_file: str, output: Optional[str]) -> None:
     """Walk the chronology under a scenario; print the trace as JSON."""
+    from .dynamics import SimulationError, simulate as simulate_chronology, trace_to_json
+
     doc = _load_document(model_file)
     if doc.chronology is None:
         raise TmkitError("model has no chronology to simulate")
@@ -203,6 +205,8 @@ def simulate(model_file: str, scenario_file: str, output: Optional[str]) -> None
 @click.argument("trace_file", type=_MODEL_FILE)
 def conform(model_file: str, trace_file: str) -> None:
     """Check a recorded trace against the chronology."""
+    from .dynamics import conformance, trace_from_json
+
     doc = _load_document(model_file)
     if doc.chronology is None:
         raise TmkitError("model has no chronology to conform against")
@@ -218,6 +222,8 @@ def conform(model_file: str, trace_file: str) -> None:
 @click.argument("argument_file", type=_MODEL_FILE)
 def prove(argument_file: str) -> None:
     """Derive an argument's goal by chaining premises."""
+    from .logic import derive, format_proof, parse_argument
+
     path = derive(parse_argument(_read(argument_file)))
     if path is None:
         _fail("no derivation found", 1)
@@ -228,6 +234,8 @@ def prove(argument_file: str) -> None:
 @click.argument("argument_file", type=_MODEL_FILE)
 def validate_arg(argument_file: str) -> None:
     """Check an argument against its full truth table."""
+    from .logic import parse_argument, truth_table_validate
+
     argument = parse_argument(_read(argument_file))
     valid, countermodel, checked = truth_table_validate(argument)
     if valid:
@@ -246,6 +254,10 @@ def validate_arg(argument_file: str) -> None:
 @click.option("-o", "--output", type=click.Path(dir_okay=False))
 def import_chart(chart_file: str, output: Optional[str]) -> None:
     """Turn a swimlane flowchart (JSON) into model text."""
+    from .convert import import_flowchart, load_flowchart
+    from .dsl import format_document
+    from .dynamics import Document
+
     model, notes = import_flowchart(load_flowchart(_read(chart_file)))
     for note in notes:
         _note(note)
@@ -262,6 +274,8 @@ def import_chart(chart_file: str, output: Optional[str]) -> None:
 @click.option("-o", "--output", type=click.Path(dir_okay=False))
 def export(model_file: str, fmt: str, part: str, output: Optional[str]) -> None:
     """Write a document as canonical JSON or Graphviz text."""
+    from .convert import chronology_to_dot, to_dot, to_json
+
     doc = _load_document(model_file)
     if fmt == "json":
         if part != "model":
@@ -284,6 +298,9 @@ def export(model_file: str, fmt: str, part: str, output: Optional[str]) -> None:
 )
 def report(model_file: str, scenario_files: tuple[str, ...]) -> None:
     """Summarize a document: thimacs, findings, events, walks."""
+    from .convert import generate_report
+    from .dynamics import SimulationError
+
     doc = _load_document(model_file)
     scenarios = [_load_scenario(f) for f in scenario_files]
     try:

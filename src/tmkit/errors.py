@@ -1,5 +1,4 @@
 """Shared exception base class, and the one JSON reader the loaders use."""
-import json
 import sys
 
 
@@ -9,6 +8,8 @@ class TmkitError(Exception):
 
 def decode_json(text: str, what: str, error: type[TmkitError]) -> object:
     """``text`` as JSON, or an ``error`` that says why ``what`` is not."""
+    import json  # here, so that commands that read no JSON never load it
+
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

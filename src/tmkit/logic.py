@@ -33,10 +33,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import TmkitError
-from .model import ModelBuilder, StaticModel
+
+if TYPE_CHECKING:
+    from .model import StaticModel
 
 #: Past this many variables a truth table stops being a reasonable way to
 #: spend time and memory.  ``truth_table_validate`` no longer enumerates
@@ -369,6 +371,8 @@ def encode_as_tm(argument: Argument, name: str = "argument") -> StaticModel:
     :class:`LogicError` when two literals would share a thimac, as ``~a``
     and a variable named ``not_a`` would.
     """
+    from .model import ModelBuilder
+
     rules = close_contrapositive(argument.premises)
     builder = ModelBuilder(name)
     created: dict[str, tuple[Literal, str]] = {}

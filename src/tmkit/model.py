@@ -462,13 +462,13 @@ def _check_receive_inputs(model, flows) -> Iterator[Diagnostic]:
 
 def _check_trigger_sources(model) -> Iterator[Diagnostic]:
     for trigger in model.triggers:
-        src = model.actions_by_id.get(trigger.src)
-        if src is not None and src.kind not in ("process", "create"):
+        kind = model.node_kind(trigger.src)
+        if kind is not None and kind not in ("process", "create"):
             yield Diagnostic(
                 "warning",
                 "R4",
                 trigger.id,
-                f"trigger source {trigger.src} is a {src.kind}; triggers "
+                f"trigger source {trigger.src} is a {kind}; triggers "
                 f"normally originate at a process or create",
             )
 

@@ -2,6 +2,7 @@
 import json
 import os
 import subprocess
+import sys
 import time
 
 import pytest
@@ -67,6 +68,20 @@ def test_check_fails_on_errors(broken_model):
     assert "error R2 " in result.stdout
     # the stranded processes also draw reachability warnings
     assert result.stdout.splitlines()[-1] == "1 errors, 2 warnings"
+
+
+def test_check_warns_of_a_trigger_that_a_storage_sources(tmp_path):
+    path = tmp_path / "stored.tm"
+    path.write_text(
+        "model m { thimac t { create a  process p  storage s  a -> s  s -> p  s ~> p } }\n"
+    )
+    result = invoke("check", path)
+    assert result.exit_code == 0
+    assert result.stdout == (
+        "warning R4 trigger1: trigger source t/s is a storage; "
+        "triggers normally originate at a process or create\n"
+        "0 errors, 1 warnings\n"
+    )
 
 
 def test_check_rejects_unparseable_input(tmp_path):
@@ -945,6 +960,52 @@ def test_import_writes_no_keyword_as_a_name(tmp_path, edit, complaint):
     path.write_text(json.dumps(chart))
     assert_unusable(invoke("import", path, "-o", out), complaint)
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# start-up: each command loads only the layers it runs
+
+#: Runs the CLI on its arguments, then prints to stderr, as its last line,
+#: the tmkit modules the run loaded.
+LOADED_PROBE = """\
+import sys
+from tmkit.cli import main
+try:
+    main(sys.argv[1:])
+finally:
+    print(*sorted(m for m in sys.modules if m.startswith("tmkit")), file=sys.stderr)
+"""
+
+STARTUP = ["tmkit", "tmkit.cli", "tmkit.errors"]
+
+
+def modules_loaded_by(*args):
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED_PROBE, *map(str, args)],
+        capture_output=True, text=True, env=tmkit_env(),
+    )
+    assert result.returncode in (0, 1), result.stderr
+    return result.stderr.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize(
+    "args, layers",
+    [
+        (["--version"], []),
+        (["prove", fixture_path("carroll.arg")], ["tmkit.logic"]),
+        (["validate-arg", fixture_path("carroll.arg")], ["tmkit.logic"]),
+        (["check", fixture_path("atm.tm")], ["tmkit.dsl", "tmkit.dynamics", "tmkit.model"]),
+    ],
+)
+def test_a_command_loads_only_the_layers_it_runs(args, layers):
+    assert modules_loaded_by(*args) == sorted(STARTUP + layers)
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_keeps_its_docstring_as_help(command):
+    cmd = main.commands[command]
+    assert cmd.help
+    assert cmd.help == cmd.callback.__doc__
 
 
 # ---------------------------------------------------------------------------

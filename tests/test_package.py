@@ -83,6 +83,29 @@ def test_a_bare_import_binds_the_submodules():
     assert result.stdout == "tmkit.model tmkit.convert tmkit.errors\n"
 
 
+def test_a_bare_import_loads_a_layer_on_first_use():
+    probe = (
+        "import sys, tmkit\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('tmkit'))\n"
+        "print(*loaded()); tmkit.derive; print(*loaded())"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=tmkit_env(), check=True,
+    )
+    assert result.stdout == "tmkit\ntmkit tmkit.errors tmkit.logic\n"
+
+
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC_NAMES) <= set(dir(tmkit))
+
+
+def test_an_unknown_name_is_the_usual_attribute_error():
+    with pytest.raises(AttributeError) as raised:
+        tmkit.no_such_name
+    assert str(raised.value) == "module 'tmkit' has no attribute 'no_such_name'"
+
+
 def test_the_version_is_stated_once():
     tomllib = pytest.importorskip("tomllib")
     config = tomllib.loads((ROOT / "pyproject.toml").read_text())
