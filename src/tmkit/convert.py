@@ -10,14 +10,15 @@ logic survives the trip.
 
 JSON serialization is canonical: fixed key order, every key always
 present, ``null`` rather than omission.  ``_SECTIONS`` states the format
-of the five model sections once; ``MODEL_SCHEMA``, ``to_json`` and
-``from_json`` are all built from it.  Loading is deliberately more
-permissive than the builder -- dangling references and self-loops come
-back as models that ``validate`` can complain about, not as exceptions.
+of the five model sections once, and ``_EVENT`` and ``_CHRON_EDGE`` that
+of events and chronology edges; ``MODEL_SCHEMA``, ``to_json`` and
+``from_json`` are all built from these tables.  Loading is deliberately
+more permissive than the builder -- dangling references and self-loops
+come back as models that ``validate`` can complain about, not as
+exceptions.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, fields
 from operator import attrgetter, itemgetter
@@ -211,7 +212,8 @@ def load_flowchart(text: str) -> FlowchartDoc:
     _check_schema(data, FLOWCHART_SCHEMA, "flowchart")
 
     lanes = tuple(data["lanes"])
-    if len(set(lanes)) != len(lanes):
+    lane_set = set(lanes)
+    if len(lane_set) != len(lanes):
         raise ConvertError("flowchart declares a lane twice")
     nodes = tuple(FlowNode(*map(n.get, _CHART_NODE)) for n in data["nodes"])
     seen: set[str] = set()
@@ -219,7 +221,7 @@ def load_flowchart(text: str) -> FlowchartDoc:
         if node.id in seen:
             raise ConvertError(f"duplicate node id {node.id!r}")
         seen.add(node.id)
-        if node.lane not in lanes:
+        if node.lane not in lane_set:
             raise ConvertError(f"node {node.id!r} sits in unknown lane {node.lane!r}")
     edges = tuple(FlowEdge(*map(e.get, _CHART_EDGE)) for e in data["edges"])
     pairs: set[tuple[str, str]] = set()
@@ -476,6 +478,9 @@ _SECTIONS: dict[str, tuple[type, dict[str, dict]]] = {
     ),
 }
 
+#: Events and chronology edges as ``{json key: schema}``, in the order of
+#: ``Event``'s fields and of ``ChronEdge``'s plus the edge's loop bound.
+_EVENT = {"id": _STRING, "label": _STRING, "region": _array(_STRING, minItems=1)}
 _CHRON_EDGE = {
     "from": _STRING,
     "to": _STRING,
@@ -490,15 +495,7 @@ MODEL_SCHEMA = _object(
             section: _array(_object(properties))
             for section, (_, properties) in _SECTIONS.items()
         },
-        "events": _array(
-            _object(
-                {
-                    "id": _STRING,
-                    "label": _STRING,
-                    "region": _array(_STRING, minItems=1),
-                }
-            )
-        ),
+        "events": _array(_object(_EVENT)),
         "chronology": dict(
             _object({"edges": _array(_object(_CHRON_EDGE))}),
             type=["object", "null"],
@@ -509,31 +506,29 @@ MODEL_SCHEMA = _object(
 
 def to_json(doc: Union[Document, StaticModel]) -> str:
     """Canonical JSON: fixed key order, all keys present, sorted regions."""
+    import json  # here, so that commands that write no JSON never load it
+
     if isinstance(doc, StaticModel):
         doc = Document(doc)
     model = doc.model
-    chronology = None
+    payload: dict[str, object] = {"name": model.name}
+    for section, (record, properties) in _SECTIONS.items():
+        row = attrgetter(*(field.name for field in fields(record)))
+        payload[section] = [
+            dict(zip(properties, row(r))) for r in getattr(model, section)
+        ]
+    payload["events"] = [
+        dict(zip(_EVENT, (e.id, e.label, sorted(e.region)))) for e in doc.events
+    ]
+    payload["chronology"] = None
     if doc.chronology is not None:
-        chronology = {
+        bound = doc.chronology.loop_bounds.get
+        payload["chronology"] = {
             "edges": [
-                {
-                    "from": e.src,
-                    "to": e.dst,
-                    "guard": e.guard,
-                    "max": doc.chronology.loop_bounds.get((e.src, e.dst)),
-                }
+                dict(zip(_CHRON_EDGE, (e.src, e.dst, e.guard, bound((e.src, e.dst)))))
                 for e in doc.chronology.edges
             ]
         }
-    payload: dict[str, object] = {"name": model.name}
-    for section, (record, properties) in _SECTIONS.items():
-        keys = tuple(properties)
-        row = attrgetter(*(field.name for field in fields(record)))
-        payload[section] = [dict(zip(keys, row(r))) for r in getattr(model, section)]
-    payload["events"] = [
-        {"id": e.id, "label": e.label, "region": sorted(e.region)} for e in doc.events
-    ]
-    payload["chronology"] = chronology
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -551,32 +546,33 @@ def from_json(text: str) -> Document:
     ids: set[str] = set()
     sections = {}
     for section, (record, properties) in _SECTIONS.items():
-        entries = data[section]
-        for entry in entries:
-            if entry["id"] in ids:
-                raise ConvertError(f"duplicate id {entry['id']!r}")
-            ids.add(entry["id"])
         row = itemgetter(*properties)
-        sections[section] = tuple(record(*row(entry)) for entry in entries)
+        records = []
+        for entry in data[section]:
+            item = record(*row(entry))
+            if item.id in ids:
+                raise ConvertError(f"duplicate id {item.id!r}")
+            ids.add(item.id)
+            records.append(item)
+        sections[section] = tuple(records)
     model = StaticModel(data["name"], **sections)
     check_depth(model)
 
     events = {}
-    for entry in data["events"]:
-        if entry["id"] in events:
-            raise ConvertError(f"duplicate event id {entry['id']!r}")
-        events[entry["id"]] = define_event(
-            model, entry["id"], entry["label"], entry["region"]
-        )
+    for event_id, label, region in map(itemgetter(*_EVENT), data["events"]):
+        if event_id in events:
+            raise ConvertError(f"duplicate event id {event_id!r}")
+        events[event_id] = define_event(model, event_id, label, region)
 
     chronology = None
     if data["chronology"] is not None:
         edges = []
         bounds = {}
-        for entry in data["chronology"]["edges"]:
-            edges.append(ChronEdge(entry["from"], entry["to"], entry["guard"]))
-            if entry["max"] is not None:
-                bounds[(entry["from"], entry["to"])] = int(entry["max"])
+        entries = data["chronology"]["edges"]
+        for src, dst, guard, bound in map(itemgetter(*_CHRON_EDGE), entries):
+            edges.append(ChronEdge(src, dst, guard))
+            if bound is not None:
+                bounds[(src, dst)] = int(bound)
         chronology = build_chronology(events.values(), edges, bounds)
 
     return Document(model, tuple(events.values()), chronology)

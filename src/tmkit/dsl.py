@@ -96,7 +96,7 @@ class FormatError(TmkitError):
 # ---------------------------------------------------------------------------
 # lexer
 
-# A NAME is words joined by '/'.  The formatter checks bare words with these.
+# A NAME is words joined by '/'.
 _WORD = "[A-Za-z_][A-Za-z0-9_]*"
 _NAME = f"{_WORD}(?:/{_WORD})*"
 _INT = "[0-9]+"  # not \d, which takes any Unicode digit
@@ -449,21 +449,19 @@ def _quoted(text: str) -> str:
     return f'"{escape(text)}"'
 
 
-_WORD_RE = re.compile(_WORD)
-_NAME_RE = re.compile(_NAME)
-_ANCHOR_RE = re.compile(f"{_NAME}|{_INT}")
-
-
 def _bare(word: str, what: str) -> str:
-    """``word`` written bare as a ``what``.  An anchor is a name or an int;
-    a reference is a name and no keyword; any other bare word declares
-    something, so, as the parser asks, it is an unqualified name and no
-    keyword."""
+    """``word`` written bare as a ``what``, if the lexer reads it back as
+    one token that the parser takes there.  An anchor is a NAME or an INT;
+    a reference is a NAME and no keyword; any other bare word declares
+    something, so, as the parser asks, it is also unqualified (no ``/``)."""
+    match = _TOKEN_RE.fullmatch(word)
+    kind = match.lastgroup if match else None
     if what == "anchor":
-        readable = _ANCHOR_RE.fullmatch(word)
+        readable = kind in ("NAME", "INT")
+    elif what == "reference":
+        readable = kind == "NAME" and word not in KEYWORDS
     else:
-        pattern = _NAME_RE if what == "reference" else _WORD_RE
-        readable = pattern.fullmatch(word) and word not in KEYWORDS
+        readable = kind == "NAME" and word not in KEYWORDS and "/" not in word
     if not readable:
         raise FormatError(f"cannot write {word!r} as a bare {what}: parse refuses it")
     return word

@@ -9,7 +9,6 @@ a chronology without raising.
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -484,7 +483,9 @@ def trace_to_json(trace: Trace) -> str:
     """The bytes ``json.dumps(payload, indent=2) + "\\n"`` writes for
     ``{"scenario": ..., "steps": [{"index": ..., "event": ...}, ...]}``,
     from a template; names go through the encoder ``json.dumps`` uses."""
-    encode = json.encoder.encode_basestring_ascii
+    # here, so that commands that write no JSON never load it
+    from json.encoder import encode_basestring_ascii as encode
+
     steps = ",\n".join(
         [_TRACE_STEP % (index, encode(event)) for event, index in trace.steps]
     )

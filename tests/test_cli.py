@@ -966,17 +966,19 @@ def test_import_writes_no_keyword_as_a_name(tmp_path, edit, complaint):
 # start-up: each command loads only the layers it runs
 
 #: Runs the CLI on its arguments, then prints to stderr, as its last line,
-#: the tmkit modules the run loaded.
+#: the tmkit modules the run loaded, and ``json`` if it was loaded.
 LOADED_PROBE = """\
 import sys
 from tmkit.cli import main
 try:
     main(sys.argv[1:])
 finally:
-    print(*sorted(m for m in sys.modules if m.startswith("tmkit")), file=sys.stderr)
+    loaded = (m for m in sys.modules if m.startswith("tmkit") or m == "json")
+    print(*sorted(loaded), file=sys.stderr)
 """
 
 STARTUP = ["tmkit", "tmkit.cli", "tmkit.errors"]
+TM_LAYERS = ["tmkit.dsl", "tmkit.dynamics", "tmkit.model"]
 
 
 def modules_loaded_by(*args):
@@ -995,6 +997,14 @@ def modules_loaded_by(*args):
         (["prove", fixture_path("carroll.arg")], ["tmkit.logic"]),
         (["validate-arg", fixture_path("carroll.arg")], ["tmkit.logic"]),
         (["check", fixture_path("atm.tm")], ["tmkit.dsl", "tmkit.dynamics", "tmkit.model"]),
+        (["events", fixture_path("atm.tm")], TM_LAYERS),
+        (["simplify", fixture_path("atm.tm")], TM_LAYERS),
+        (["report", fixture_path("atm.tm")], TM_LAYERS + ["tmkit.convert"]),
+        (["export", "--format", "dot", fixture_path("atm.tm")], TM_LAYERS + ["tmkit.convert"]),
+        (
+            ["simulate", fixture_path("atm.tm"), "--scenario", scenario_arg("atm_happy")],
+            TM_LAYERS + ["json"],
+        ),
     ],
 )
 def test_a_command_loads_only_the_layers_it_runs(args, layers):

@@ -33,6 +33,7 @@ from tmkit.dsl import (
     SourceSpan,
     _TOKEN_RE,
     _Token,
+    _bare,
     _describe,
     _resolve,
     _tokenize,
@@ -975,6 +976,49 @@ def test_format_refuses_bare_words_that_parse_refuses(changes, complaint):
 def test_anchors_may_be_any_name_or_int(anchor):
     doc = one_action_document(anchor=anchor)
     assert parse(format_document(doc)).model.actions[0].anchor == anchor
+
+
+_BARE_WHATS = [
+    "anchor", "reference", "model name", "thimac name", "action name",
+    "storage name", "event id",
+]
+_bare_words = st.lists(
+    st.one_of(
+        st.text(alphabet='aZ_09/- #"\n', max_size=4), st.sampled_from(sorted(KEYWORDS))
+    ),
+    max_size=3,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(word=_bare_words, what=st.sampled_from(_BARE_WHATS))
+@example(word="a b", what="anchor")
+@example(word=" a", what="reference")
+@example(word="a #c", what="reference")
+@example(word="12", what="anchor")
+@example(word="12", what="event id")
+@example(word="a/b", what="reference")
+@example(word="a/b", what="thimac name")
+@example(word="max", what="anchor")
+@example(word="max", what="action name")
+def test_a_bare_word_is_written_exactly_when_the_lexer_reads_it_back(word, what):
+    # the parser takes a NAME or an INT as an anchor, a NAME but no keyword
+    # as a reference, and an unqualified one as any declared name
+    try:
+        tokens = [(t.type, t.value) for t in _tokenize(word) if t.type != "EOF"]
+    except ParseError:
+        tokens = []
+    kinds = ("NAME", "INT") if what == "anchor" else ("NAME",)
+    readable = len(tokens) == 1 and tokens[0][0] in kinds and tokens[0][1] == word
+    if what != "anchor":
+        readable = readable and word not in KEYWORDS
+    if what not in ("anchor", "reference"):
+        readable = readable and "/" not in word
+    try:
+        written = _bare(word, what) == word
+    except FormatError:
+        written = False
+    assert written == readable
 
 
 def test_format_accepts_bare_models():
