@@ -116,14 +116,12 @@ def main() -> None:
 @click.argument("model_file", type=_MODEL_FILE)
 def check(model_file: str) -> None:
     """Validate a model and print what the rules find."""
-    from .model import validate
+    from .model import tally, validate
 
     doc = _load_document(model_file)
     diagnostics = validate(doc.model)
-    errors = sum(1 for d in diagnostics if d.severity == "error")
-    tally = f"{errors} errors, {len(diagnostics) - errors} warnings"
-    _write(None, _lines([*diagnostics, tally]))
-    if errors:
+    _write(None, _lines([*diagnostics, tally(diagnostics)]))
+    if any(d.severity == "error" for d in diagnostics):
         raise SystemExit(1)
 
 

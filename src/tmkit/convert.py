@@ -33,7 +33,7 @@ from .dynamics import (
     define_event,
     simulate,
 )
-from .dsl import containment_walk, escape
+from .dsl import _WORD, containment_walk, escape
 from .errors import TmkitError, decode_json
 from .model import (
     ACTION_KINDS,
@@ -46,6 +46,7 @@ from .model import (
     Thimac,
     Trigger,
     check_depth,
+    tally,
     validate,
 )
 
@@ -57,7 +58,7 @@ class ConvertError(TmkitError):
 # ---------------------------------------------------------------------------
 # flowcharts
 
-_IDENT = r"^[A-Za-z_][A-Za-z0-9_]*$"
+_IDENT = f"^{_WORD}$"  # a chart id is one word of the DSL
 
 FLOW_NODE_KINDS = (
     "start",
@@ -600,10 +601,7 @@ def generate_report(doc: Document, scenarios: Iterable[Scenario] = ()) -> str:
     lines.append("")
 
     diagnostics = validate(model)
-    errors = sum(1 for d in diagnostics if d.severity == "error")
-    warnings = len(diagnostics) - errors
-    lines += ["validation", "----------"]
-    lines.append(f"{errors} errors, {warnings} warnings")
+    lines += ["validation", "----------", tally(diagnostics)]
     for diagnostic in diagnostics:
         lines.append(f"- {diagnostic}")
     lines.append("")

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from typing import Callable, Container, Iterator, NamedTuple, NoReturn, Optional, Union
 
 from .dynamics import (
+    _ESCAPE_RE,
+    _STRING,
     ChronEdge,
     ChronologyGraph,
     Document,
@@ -102,19 +104,17 @@ _NAME = f"{_WORD}(?:/{_WORD})*"
 _INT = "[0-9]+"  # not \d, which takes any Unicode digit
 
 # One named group per token kind, tried in order; STRAY takes any other
-# character, so ``finditer`` skips nothing.  In a string, \\ and \" are
-# escapes and any other backslash is text.  The close is optional, so the
-# greedy first try matches and never backtracks to read a final \" as text.
+# character, so ``finditer`` skips nothing.  A STRING reads by the string
+# rule ``dynamics`` states, which scenario files share.
 _TOKEN_RE = re.compile(
     r"(?P<NEWLINE>\n)"
     r"|(?P<SKIP>[ \t\r]+|#[^\n]*)"  # not \s, which also takes \x0b, \f, NBSP
     r"|(?P<ARROW>->)|(?P<TRIG>~>)|(?P<LBRACE>\{)|(?P<RBRACE>\})"
     r"|(?P<AT>@)|(?P<COMMA>,)"
-    r'|(?P<STRING>"[^"\\\n]*(?:\\[\\"]?[^"\\\n]*)*(?P<CLOSE>")?)'
+    f"|(?P<STRING>{_STRING})"
     f"|(?P<NAME>{_NAME})|(?P<INT>{_INT})"
     r"|(?P<STRAY>.)"
 )
-_ESCAPE_RE = re.compile(r'\\([\\"])')
 
 
 class _Token(NamedTuple):

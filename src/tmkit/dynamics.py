@@ -9,6 +9,7 @@ a chronology without raising.
 """
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -446,19 +447,36 @@ def conformance(trace: Trace, chronology: ChronologyGraph) -> ConformanceResult:
 # scenario and trace files
 
 
+#: A string literal as the DSL writes it, which ``dsl`` lexes with and a
+#: scenario line may quote its guard in.  \\ and \" are escapes and any
+#: other backslash is text; a string ends on its own line.  The close is
+#: optional, so the greedy first try matches and never backtracks to read a
+#: final \" as text: a reader checks the ``CLOSE`` group.
+_STRING = r'"[^"\\\n]*(?:\\[\\"]?[^"\\\n]*)*(?P<CLOSE>")?'
+_STRING_RE = re.compile(_STRING)
+_ESCAPE_RE = re.compile(r'\\([\\"])')
+
+
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
-    """Parse ``guard = T,F,...`` lines (``#`` comments allowed)."""
+    """Parse ``guard = T,F,...`` lines (``#`` comments allowed).  A line
+    whose first non-blank character is ``"`` quotes its guard as the DSL
+    quotes a string; any other line's guard is the text before its last
+    ``=``, stripped."""
     decisions: dict[str, tuple[bool, ...]] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ScenarioError(f"line {lineno}: expected 'guard = T,F,...'")
-        label, _, values = line.rpartition("=")  # values hold no "="
-        label = label.strip()
-        if not label:
-            raise ScenarioError(f"line {lineno}: empty guard label")
+        line = raw.lstrip()
+        if line.startswith('"'):
+            label, values = _quoted_guard(line, lineno)
+        else:
+            line = line.split("#", 1)[0].rstrip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ScenarioError(f"line {lineno}: expected 'guard = T,F,...'")
+            label, _, values = line.rpartition("=")  # values hold no "="
+            label = label.strip()
+            if not label:
+                raise ScenarioError(f"line {lineno}: empty guard label")
         if label in decisions:
             raise ScenarioError(f"line {lineno}: duplicate guard {label!r}")
         choices = []
@@ -474,6 +492,17 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 )
         decisions[label] = tuple(choices)
     return Scenario(name, decisions)
+
+
+def _quoted_guard(line: str, lineno: int) -> tuple[str, str]:
+    """The guard and the values of a scenario line that starts with ``"``."""
+    match = _STRING_RE.match(line)
+    if match["CLOSE"] is None:
+        raise ScenarioError(f"line {lineno}: expected '\"' to close the guard")
+    rest = line[match.end():].split("#", 1)[0].strip()
+    if not rest.startswith("="):
+        raise ScenarioError(f"line {lineno}: expected '=' after the quoted guard")
+    return _ESCAPE_RE.sub(r"\1", match.group()[1:-1]), rest[1:]
 
 
 _TRACE_STEP = '    {\n      "index": %d,\n      "event": %s\n    }'

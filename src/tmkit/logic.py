@@ -307,6 +307,8 @@ def truth_table_validate(
 # argument files
 
 
+# A variable is a word of the DSL (``dsl._WORD``), spelled again here
+# because ``prove`` and ``validate-arg`` must not load ``dsl``.
 _LINE_RE = re.compile(
     r"^(?P<goal>\|-\s*)?(?P<ant>~?[A-Za-z_][A-Za-z0-9_]*)\s*->\s*"
     r"(?P<cons>~?[A-Za-z_][A-Za-z0-9_]*)$"

@@ -12,11 +12,11 @@ which checks references as elements are added; everything after that --
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count, groupby
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, TypeVar
+from typing import Container, Iterable, Iterator, Optional, TypeVar
 
 from .errors import TmkitError
 
@@ -135,6 +135,12 @@ class Diagnostic:
 
     def __str__(self) -> str:
         return f"{self.severity} {self.rule} {self.subject}: {self.message}"
+
+
+def tally(diagnostics: tuple[Diagnostic, ...]) -> str:
+    """The ``N errors, M warnings`` line that counts ``diagnostics``."""
+    errors = sum(1 for d in diagnostics if d.severity == "error")
+    return f"{errors} errors, {len(diagnostics) - errors} warnings"
 
 
 @dataclass(frozen=True)
@@ -271,6 +277,12 @@ def check_depth(model: StaticModel) -> None:
             raise NestingError(thimac.name, depth)
 
 
+def fresh_ids(prefix: str, taken: Container[str]) -> Iterator[str]:
+    """``prefix1``, ``prefix2``, ..., skipping each id in ``taken`` as it
+    stands when that id is drawn."""
+    return (i for i in (f"{prefix}{n}" for n in count(1)) if i not in taken)
+
+
 class ModelBuilder:
     """Accumulates elements, rejecting dangling references and duplicate
     ids at the point of insertion, then freezes into a ``StaticModel``.
@@ -287,29 +299,20 @@ class ModelBuilder:
         self._ids: set[str] = set()
         self._depths: dict[str, int] = {}  # thimac id -> nesting depth
         self.node_ids: set[str] = set()  # actions and storages; read by the parser
-        self._counters: dict[str, int] = {}
+        self._fresh: dict[str, Iterator[str]] = {}  # prefix -> its auto ids
 
     # -- id management -----------------------------------------------------
 
-    def _claim(self, explicit: Optional[str], prefix: str) -> str:
-        if explicit is not None:
-            if explicit in self._ids:
-                raise ModelError(f"duplicate id {explicit!r}")
-            self._ids.add(explicit)
-            return explicit
-        n = self._counters.get(prefix, 0)
-        while True:
-            n += 1
-            candidate = f"{prefix}{n}"
-            if candidate not in self._ids:
-                break
-        self._counters[prefix] = n
-        self._ids.add(candidate)
-        return candidate
-
-    def _require_node(self, node_id: str, what: str) -> None:
-        if node_id not in self.node_ids:
-            raise ModelError(f"{what} references unknown node {node_id!r}")
+    def _claim(self, id: Optional[str], prefix: str) -> str:
+        """``id``, or if it is None the next of ``prefix``'s auto ids."""
+        if id is None:
+            if prefix not in self._fresh:
+                self._fresh[prefix] = fresh_ids(prefix, self._ids)
+            id = next(self._fresh[prefix])
+        elif id in self._ids:
+            raise ModelError(f"duplicate id {id!r}")
+        self._ids.add(id)
+        return id
 
     def _require_thimac(self, thimac_id: str, what: str) -> None:
         if thimac_id not in self._depths:
@@ -359,13 +362,7 @@ class ModelBuilder:
         return sid
 
     def add_flow(self, src: str, dst: str, id: Optional[str] = None) -> str:
-        self._require_node(src, "flow")
-        self._require_node(dst, "flow")
-        if src == dst:
-            raise ModelError(f"flow may not loop on {src!r}")
-        fid = self._claim(id, "flow")
-        self._flows.append(Flow(fid, src, dst))
-        return fid
+        return self._add_edge(self._flows, Flow, src, dst, id)
 
     def add_trigger(
         self,
@@ -374,13 +371,21 @@ class ModelBuilder:
         condition: Optional[str] = None,
         id: Optional[str] = None,
     ) -> str:
-        self._require_node(src, "trigger")
-        self._require_node(dst, "trigger")
+        return self._add_edge(self._triggers, Trigger, src, dst, id, condition)
+
+    def _add_edge(
+        self, edges: list, record: type, src: str, dst: str, id: Optional[str], *extra
+    ) -> str:
+        """Check a ``Flow`` or ``Trigger`` and append it to ``edges``."""
+        what = record.__name__.lower()  # in messages, and its auto ids' prefix
+        for end in (src, dst):
+            if end not in self.node_ids:
+                raise ModelError(f"{what} references unknown node {end!r}")
         if src == dst:
-            raise ModelError(f"trigger may not loop on {src!r}")
-        tid = self._claim(id, "trigger")
-        self._triggers.append(Trigger(tid, src, dst, condition))
-        return tid
+            raise ModelError(f"{what} may not loop on {src!r}")
+        eid = self._claim(id, what)
+        edges.append(record(eid, src, dst, *extra))
+        return eid
 
     def build(self) -> StaticModel:
         return StaticModel(
@@ -582,8 +587,7 @@ def simplify(model: StaticModel) -> StaticModel:
 
     # New flows are flow_s1, flow_s2, ..., skipping ids the output keeps.
     parts = (model.thimacs, kept_actions, model.storages, flows, triggers)
-    taken = {element.id for part in parts for element in part}
-    fresh_ids = (i for i in (f"flow_s{n}" for n in count(1)) if i not in taken)
+    new_ids = fresh_ids("flow_s", {element.id for part in parts for element in part})
     for flow in model.flows:
         # Chase each surviving node's outgoing flows through removed nodes.
         if flow.src in removed or flow.dst not in removed:
@@ -592,16 +596,11 @@ def simplify(model: StaticModel) -> StaticModel:
         for _, end in _through_removed(model, flow.dst, removed, forward=True):
             if end == start or (start, end) in present:
                 continue
-            flows.append(Flow(next(fresh_ids), start, end))
+            flows.append(Flow(next(new_ids), start, end))
             present.add((start, end))
 
-    return StaticModel(
-        name=model.name,
-        thimacs=model.thimacs,
-        actions=kept_actions,
-        storages=model.storages,
-        flows=tuple(flows),
-        triggers=tuple(triggers),
+    return replace(
+        model, actions=kept_actions, flows=tuple(flows), triggers=tuple(triggers)
     )
 
 

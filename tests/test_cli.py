@@ -270,6 +270,22 @@ def test_simulate_names_a_guard_that_holds_an_equals_sign(tmp_path):
     ]
 
 
+def test_simulate_names_a_quoted_guard_that_holds_a_hash(tmp_path):
+    model = tmp_path / "items.tm"
+    model.write_text(
+        "model items { thimac t { process a } }\n"
+        'events { event E1 "x" { t/a } event E2 "y" { t/a } }\n'
+        'chronology { E1 -> E2 if "item #1 ok" }\n'
+    )
+    scenario = tmp_path / "items.scenario"
+    scenario.write_text('"item #1 ok" = T  # quoted, so the # is the guard\'s\n')
+    result = invoke("simulate", model, "--scenario", scenario)
+    assert result.exit_code == 0, result.stderr
+    assert [step["event"] for step in json.loads(result.stdout)["steps"]] == [
+        "E1", "E2",
+    ]
+
+
 def test_a_guard_with_outer_spaces_cannot_be_named(tmp_path):
     model = tmp_path / "spaced.tm"
     model.write_text(

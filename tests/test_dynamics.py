@@ -45,6 +45,7 @@ from tmkit.dynamics import (
     _step_index,
     _weak_components,
 )
+from tmkit.dsl import escape
 from tmkit.errors import decode_json
 
 from conftest import ODD_LINE_BREAKS, load_scenario, tmkit_env
@@ -550,6 +551,36 @@ def test_a_scenario_label_is_stripped():
     # so a guard with leading or trailing whitespace cannot be named
     scenario = parse_scenario(" ok = T\n\t padded\t= F\n")
     assert scenario.decisions == {"ok": (True,), "padded": (False,)}
+
+
+@given(
+    st.text().filter(lambda text: "\n" not in text),
+    st.sampled_from(["", "  ", "\t"]),
+    st.sampled_from([" = ", "=", "\t= "]),
+    st.sampled_from(["", " ", "  # note"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_quoted_scenario_label_reads_back_as_its_guard(guard, indent, equals, tail):
+    # "x" = T names x, not a guard spelled with its quotes
+    line = f'{indent}"{escape(guard)}"{equals}T, F{tail}'
+    assert parse_scenario(line).decisions == {guard: (True, False)}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('"open = T\n', "line 1: expected '\"' to close the guard"),
+        ('g = T\n "ends \\" = T\n', "line 2: expected '\"' to close the guard"),
+        ('"g" T\n', "line 1: expected '=' after the quoted guard"),
+        ('"g" # = T\n', "line 1: expected '=' after the quoted guard"),
+        ('"g" = T\n"g" = F\n', "line 2: duplicate guard 'g'"),
+        ('"g" = T, = F\n', "line 1: expected T or F, found '= F'"),
+    ],
+)
+def test_a_malformed_quoted_scenario_line_names_its_line(text, message):
+    with pytest.raises(ScenarioError) as raised:
+        parse_scenario(text)
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("odd", ODD_LINE_BREAKS)

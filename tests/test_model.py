@@ -109,6 +109,117 @@ def test_builder_caps_nesting_depth():
     assert len(builder.build().thimacs) == MAX_DEPTH
 
 
+class CountingBuilder(ModelBuilder):
+    """The builder with its former id rule and edge insertion: one counter
+    per prefix that resumes past the last auto id it gave, and a near-copy
+    of the checks for each edge kind."""
+
+    def __init__(self, name: str):
+        super().__init__(name)
+        self._counters: dict[str, int] = {}
+
+    def _claim(self, explicit, prefix):
+        if explicit is not None:
+            if explicit in self._ids:
+                raise ModelError(f"duplicate id {explicit!r}")
+            self._ids.add(explicit)
+            return explicit
+        n = self._counters.get(prefix, 0)
+        while True:
+            n += 1
+            candidate = f"{prefix}{n}"
+            if candidate not in self._ids:
+                break
+        self._counters[prefix] = n
+        self._ids.add(candidate)
+        return candidate
+
+    def _require_node(self, node_id, what):
+        if node_id not in self.node_ids:
+            raise ModelError(f"{what} references unknown node {node_id!r}")
+
+    def add_flow(self, src, dst, id=None):
+        self._require_node(src, "flow")
+        self._require_node(dst, "flow")
+        if src == dst:
+            raise ModelError(f"flow may not loop on {src!r}")
+        fid = self._claim(id, "flow")
+        self._flows.append(Flow(fid, src, dst))
+        return fid
+
+    def add_trigger(self, src, dst, condition=None, id=None):
+        self._require_node(src, "trigger")
+        self._require_node(dst, "trigger")
+        if src == dst:
+            raise ModelError(f"trigger may not loop on {src!r}")
+        tid = self._claim(id, "trigger")
+        self._triggers.append(Trigger(tid, src, dst, condition))
+        return tid
+
+
+#: Explicit ids shaped like the ones the builder makes, so the two meet.
+ID_POOL = [
+    f"{kind}{n}"
+    for kind in ("thimac", "action", "storage", "flow", "trigger")
+    for n in (1, 2, 3)
+]
+builder_calls = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["add_thimac", "add_action", "add_storage", "add_flow", "add_trigger"]
+        ),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.none() | st.sampled_from(ID_POOL),
+    ),
+    max_size=40,
+)
+
+
+def run_calls(builder, calls):
+    """Each ``add_*`` call's id, or the text of its ``ModelError``, after a
+    thimac, a process and a storage whose ids are not auto-shaped.  A call's
+    two ints pick its references among the thimacs or the nodes made so far,
+    3 naming an unknown one; a thimac's first int picks its parent, 0 for
+    none."""
+    thimacs = [builder.add_thimac("root", id="root")]
+    nodes = [
+        builder.add_action("process", "root", id="p"),
+        builder.add_storage("root", "s", id="s"),
+    ]
+    out = []
+
+    def pick(elements, i):
+        return elements[i % len(elements)] if i < 3 else "unknown"
+
+    for method, a, b, id in calls:
+        args = {
+            "add_thimac": ("t", pick(thimacs, a) if a else None, None, id),
+            "add_action": (ACTION_KINDS[b], pick(thimacs, a), None, None, id),
+            "add_storage": (pick(thimacs, a), "s", id),
+            "add_flow": (pick(nodes, a), pick(nodes, b), id),
+            "add_trigger": (pick(nodes, a), pick(nodes, b), "c" if b else None, id),
+        }[method]
+        try:
+            out.append(getattr(builder, method)(*args))
+        except ModelError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+            continue
+        if method == "add_thimac":
+            thimacs.append(out[-1])
+        elif method in ("add_action", "add_storage"):
+            nodes.append(out[-1])
+    return out
+
+
+@given(builder_calls)
+@settings(max_examples=400, deadline=None)
+def test_builder_ids_and_refusals_match_the_counter_loop(calls):
+    builder, reference = ModelBuilder("m"), CountingBuilder("m")
+    assert run_calls(builder, calls) == run_calls(reference, calls)
+    assert builder.build() == reference.build()
+
+
 def depth_by_walk(model, thimac):
     """The distinct thimacs on ``thimac``'s parent chain, walked alone."""
     parents = {t.id: t.parent for t in model.thimacs}
@@ -545,6 +656,17 @@ def test_simplify_skips_flow_ids_the_model_keeps(atm_doc):
     reduced = simplify(from_json(json.dumps(data)).model)
     ids = [f.id for f in reduced.flows]
     assert ids.count("flow_s1") == 1 and "flow_s2" in ids
+    assert from_json(to_json(reduced)).model == reduced
+
+    # With flow_s1 and flow_s3 kept, the new flows are flow_s2, flow_s4, ...
+    assert data["flows"][47]["id"] == "flow48"  # atm/pw_req -> atm/pw_req_store
+    data["flows"][47]["id"] = "flow_s3"
+    model = from_json(json.dumps(data)).model
+    reduced = simplify(model)
+    old_ids = {f.id for f in model.flows}
+    assert {"flow_s1", "flow_s3"} <= {f.id for f in reduced.flows}
+    new = [f.id for f in reduced.flows if f.id not in old_ids]
+    assert new == ["flow_s2"] + [f"flow_s{n}" for n in range(4, len(new) + 3)]
     assert from_json(to_json(reduced)).model == reduced
 
 
