@@ -58,10 +58,6 @@ class Literal:
     def negated(self) -> "Literal":
         return Literal(self.variable, not self.positive)
 
-    def holds_under(self, assignment: dict[str, bool]) -> bool:
-        value = assignment[self.variable]
-        return value if self.positive else not value
-
     def __str__(self) -> str:
         return self.variable if self.positive else f"~{self.variable}"
 
@@ -98,11 +94,6 @@ class Implication:
             Origin(self.origin.index, not self.origin.contrapositive),
         )
 
-    def holds_under(self, assignment: dict[str, bool]) -> bool:
-        return (not self.antecedent.holds_under(assignment)) or (
-            self.consequent.holds_under(assignment)
-        )
-
     def __str__(self) -> str:
         return f"{self.antecedent} -> {self.consequent}"
 
@@ -111,19 +102,6 @@ class Implication:
 class Argument:
     premises: tuple[Implication, ...]
     goal: Implication
-
-    @property
-    def premise_variables(self) -> frozenset[str]:
-        return frozenset(
-            lit.variable
-            for imp in self.premises
-            for lit in (imp.antecedent, imp.consequent)
-        )
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        extra = {self.goal.antecedent.variable, self.goal.consequent.variable}
-        return tuple(sorted(self.premise_variables | extra))
 
 
 @dataclass(frozen=True)
@@ -223,13 +201,15 @@ def format_proof(path: ProofPath) -> str:
 
 
 def truth_table_validate(
-    argument: Argument, allow_new_goal_variables: bool = False
+    argument: Argument
 ) -> tuple[bool, Optional[dict[str, bool]], int]:
     """Decide validity as a truth table would, without enumerating it.
 
-    Returns ``(valid, countermodel, assignments_checked)``.  Variables
-    are taken in sorted order and assignments read False-first, so the
-    countermodel returned for an invalid argument is always the
+    Returns ``(valid, countermodel, assignments_checked)``.  The table's
+    variables are the premises' variables, as ``_implication_graph``
+    numbers them; a goal variable that no premise uses is refused.
+    Variables are taken in sorted order and assignments read False-first,
+    so the countermodel returned for an invalid argument is always the
     lexicographically least one, and the count is the rows read to reach
     it: its rank plus one, the first variable being the most significant
     bit and True being 1, or all ``2**v`` for a valid argument.
@@ -245,28 +225,22 @@ def truth_table_validate(
     the least countermodel.  This takes O(v * (v + rules)) for v
     variables.
     """
-    if not allow_new_goal_variables:
-        fresh = {
-            argument.goal.antecedent.variable,
-            argument.goal.consequent.variable,
-        } - set(argument.premise_variables)
-        if fresh:
-            raise LogicError(
-                "goal uses variables absent from every premise: "
-                + ", ".join(sorted(fresh))
-            )
-    variables = argument.variables
+    graph = _implication_graph(argument.premises)
+    goal = argument.goal
+    fresh = {goal.antecedent.variable, goal.consequent.variable}
+    fresh -= graph.number.keys()
+    if fresh:
+        raise LogicError(
+            "goal uses variables absent from every premise: "
+            + ", ".join(sorted(fresh))
+        )
+    variables = sorted(graph.number)
     if len(variables) > MAX_VARIABLES:
         raise LogicError(
             f"{len(variables)} variables would need "
             f"2**{len(variables)} assignments; the cap is {MAX_VARIABLES}"
         )
-    graph = _implication_graph(argument.premises)
-    goal = argument.goal
-    for lit in (goal.antecedent, goal.consequent):  # numbers fresh ones
-        graph.number.setdefault(lit.variable, len(graph.number))
     implied = [[graph.heads[r] for r in rules] for rules in graph.out]
-    implied += [[] for _ in range(2 * len(graph.number) - len(implied))]
     a, b = graph.literal(goal.antecedent), graph.literal(goal.consequent)
     implied[a ^ 1].append(a)
     implied[b].append(b ^ 1)

@@ -92,6 +92,21 @@ def test_check_rejects_unparseable_input(tmp_path):
     assert result.stderr.startswith("error: line 1, col 7: ")
 
 
+def test_check_rejects_a_repeated_event_id_at_the_second(tmp_path):
+    path = tmp_path / "events.tm"
+    path.write_text(
+        "model m {\n  thimac t { create a }\n}\n"
+        'events {\n  event E1 "x" { t/a }\n  event E1 "y" { t/a }\n}\n'
+    )
+    result = invoke("check", path)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: line 6, col 9: expected a fresh event id, found 'E1' "
+        "(already declared)\n"
+    )
+
+
 def test_missing_file_is_a_usage_error(tmp_path):
     result = invoke("check", tmp_path / "nowhere.tm")
     assert result.exit_code == 2
@@ -162,6 +177,24 @@ def test_simplify_notes_each_trigger_it_drops(tmp_path, text, notes, kept):
     assert result.stderr == "".join(f"note: {note}\n" for note in notes)
     triggers = [line.strip() for line in result.stdout.splitlines() if "~>" in line]
     assert triggers == kept
+
+
+def test_simplify_moves_a_trigger_source_backward(tmp_path):
+    path = tmp_path / "back.tm"
+    path.write_text(
+        "model m {\n"
+        "  thimac a { create c  release r  transfer t  release u\n"
+        "    c -> r  r -> t  t -> b/t2  u -> t\n"
+        '    r ~> b/p if "go"  u ~> b/p }\n'
+        "  thimac b { transfer t2  receive rc  process p  t2 -> rc  rc -> p }\n"
+        "}\n"
+    )
+    result = invoke("simplify", path)
+    assert result.exit_code == 0
+    # u has nothing flowing into it, so its trigger has no survivor to move to
+    assert result.stderr == f"note: trigger trigger2 a/u ~> b/p {DROPPED}\n"
+    triggers = [line.strip() for line in result.stdout.splitlines() if "~>" in line]
+    assert triggers == ['c ~> b/p if "go"']
 
 
 def test_simplify_refuses_a_model_with_errors(tmp_path):
@@ -318,6 +351,17 @@ def test_conform_round_trip(tmp_path):
     result = invoke("conform", model_arg(), trace_file)
     assert result.exit_code == 1
     assert result.stdout.startswith("violation at step ")
+
+
+def test_conform_needs_a_chronology(tmp_path):
+    path = tmp_path / "plain.tm"
+    path.write_text("model plain {\n  thimac t { create a }\n}\n")
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text('{"steps": []}')
+    result = invoke("conform", path, trace_file)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: model has no chronology to conform against\n"
 
 
 def test_conform_rejects_unreadable_traces(tmp_path):
@@ -515,6 +559,18 @@ def test_report_walks_scenarios():
     assert "walk: ordering_all_yes" in result.stdout
     assert "walk: ordering_invalid" in result.stdout
     assert "12. E16: " in result.stdout
+
+
+def test_report_fails_when_a_walk_runs_dry(tmp_path):
+    empty = tmp_path / "empty.scenario"
+    empty.write_text("# no decisions\n")
+    result = invoke("report", model_arg(), "--scenario", empty)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: scenario 'empty' has no decision left for guard 'order valid' "
+        "at step 1\n"
+    )
 
 
 def test_report_needs_a_chronology_for_walks(tmp_path):

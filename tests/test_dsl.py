@@ -219,6 +219,23 @@ def test_action_outside_thimac():
     assert "a thimac to hold this action" in str(err)
 
 
+def test_storage_outside_thimac():
+    err = error_for("model m {\n  storage s\n}\n")
+    assert str(err) == (
+        "line 2, col 3: expected a thimac to hold this storage, found 'storage'"
+    )
+
+
+def test_duplicate_event_ids_rejected_at_the_second():
+    err = error_for(
+        "model m {\n  thimac t { create a }\n}\n"
+        'events {\n  event E1 "x" { t/a }\n  event E1 "y" { t/a }\n}\n'
+    )
+    assert str(err) == (
+        "line 6, col 9: expected a fresh event id, found 'E1' (already declared)"
+    )
+
+
 def test_unterminated_string():
     err = error_for('model m { thimac t { create a "oops } }')
     assert "closing" in str(err)
@@ -938,6 +955,15 @@ def test_format_refuses_a_line_break_in_a_string(ordering_doc, section, key):
     entries[0][key] = "two\nlines"
     with pytest.raises(FormatError, match="holds a line break"):
         format_document(from_json(json.dumps(data)))
+
+
+def test_format_refuses_an_edge_with_an_unresolved_endpoint(ordering_doc):
+    # from_json loads a dangling flow; validate reports it as R6
+    data = json.loads(to_json(ordering_doc))
+    data["flows"].append({"id": "f9", "from": "client/make_order", "to": "ghost/x"})
+    with pytest.raises(FormatError) as exc:
+        format_document(from_json(json.dumps(data)))
+    assert str(exc.value) == "edge 'f9' has an unresolved endpoint and cannot be written"
 
 
 def one_action_document(

@@ -272,6 +272,20 @@ def test_initial_events_are_sorted():
     assert graph.initial_events == ("E1", "E3")
 
 
+def test_chronology_edges_may_be_given_as_pairs():
+    # the pair form is kept for callers that build chronologies from data
+    events = events_over(one_action_model(), 3)
+    from_pairs = build_chronology(
+        events, [("E1", "E2"), ("E2", "E3"), ("E3", "E2")], {("E3", "E2"): 2}
+    )
+    from_edges = build_chronology(
+        events,
+        [ChronEdge("E1", "E2"), ChronEdge("E2", "E3"), ChronEdge("E3", "E2")],
+        {("E3", "E2"): 2},
+    )
+    assert from_pairs == from_edges
+
+
 def test_a_long_chain_chronology_builds():
     events = events_over(one_action_model(), 3000)
     chain = [ChronEdge(f"E{i}", f"E{i + 1}") for i in range(1, 3000)]

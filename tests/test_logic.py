@@ -94,19 +94,31 @@ def derive_by_literals(argument: Argument) -> Optional[ProofPath]:
 
 
 def validate_by_enumeration(
-    argument: Argument, allow_new_goal_variables: bool = False
+    argument: Argument
 ) -> tuple[bool, Optional[dict[str, bool]], int]:
-    if not allow_new_goal_variables:
-        fresh = {
-            argument.goal.antecedent.variable,
-            argument.goal.consequent.variable,
-        } - set(argument.premise_variables)
-        if fresh:
-            raise LogicError(
-                "goal uses variables absent from every premise: "
-                + ", ".join(sorted(fresh))
-            )
-    variables = argument.variables
+    def holds(lit: Literal, assignment: dict[str, bool]) -> bool:
+        return assignment[lit.variable] == lit.positive
+
+    def implies(imp: Implication, assignment: dict[str, bool]) -> bool:
+        return not holds(imp.antecedent, assignment) or holds(
+            imp.consequent, assignment
+        )
+
+    premise_variables = {
+        lit.variable
+        for imp in argument.premises
+        for lit in (imp.antecedent, imp.consequent)
+    }
+    fresh = {
+        argument.goal.antecedent.variable,
+        argument.goal.consequent.variable,
+    } - premise_variables
+    if fresh:
+        raise LogicError(
+            "goal uses variables absent from every premise: "
+            + ", ".join(sorted(fresh))
+        )
+    variables = sorted(premise_variables)
     if len(variables) > MAX_VARIABLES:
         raise LogicError(
             f"{len(variables)} variables would need "
@@ -116,8 +128,8 @@ def validate_by_enumeration(
     for values in itertools.product((False, True), repeat=len(variables)):
         checked += 1
         assignment = dict(zip(variables, values))
-        if all(p.holds_under(assignment) for p in argument.premises) and (
-            not argument.goal.holds_under(assignment)
+        if all(implies(p, assignment) for p in argument.premises) and (
+            not implies(argument.goal, assignment)
         ):
             return (False, assignment, checked)
     return (True, None, checked)
@@ -250,12 +262,6 @@ def test_fresh_goal_variables_are_refused_by_default():
     arg = argument(("a", "b"), goal=("a", "z"))
     with pytest.raises(LogicError, match="absent from every premise: z"):
         truth_table_validate(arg)
-    valid, countermodel, checked = truth_table_validate(
-        arg, allow_new_goal_variables=True
-    )
-    assert not valid
-    assert countermodel == {"a": True, "b": True, "z": False}
-    assert checked == 7
 
 
 def test_truth_table_refuses_oversized_arguments():
@@ -269,34 +275,32 @@ def test_truth_table_refuses_oversized_arguments():
 
 def test_chaining_is_incomplete_by_design():
     # b is forced outright, so anything implies it -- but no chain can
-    # start from a variable with no outgoing rules.
-    arg = argument(("a", "b"), ("~a", "b"), goal=("c", "b"))
+    # reach b from c, whose only rule leads to d.
+    arg = argument(("a", "b"), ("~a", "b"), ("c", "d"), goal=("c", "b"))
     assert derive(arg) is None
-    valid, _, _ = truth_table_validate(arg, allow_new_goal_variables=True)
-    assert valid
+    assert truth_table_validate(arg) == (True, None, 16)
 
 
-def _outcome(validator, arg, allow_new_goal_variables):
+def _outcome(validator, arg):
     try:
-        return validator(arg, allow_new_goal_variables)
+        return validator(arg)
     except LogicError as error:
         return str(error)
 
 
-@given(seeds, st.booleans())
+@given(seeds)
 @settings(max_examples=500, deadline=None)
-def test_truth_table_validate_matches_enumeration(seed, allow_new_goal_variables):
+def test_truth_table_validate_matches_enumeration(seed):
     arg = random_argument(Random(seed), fresh_goal_variables=True)
-    assert _outcome(truth_table_validate, arg, allow_new_goal_variables) == _outcome(
-        validate_by_enumeration, arg, allow_new_goal_variables
+    assert _outcome(truth_table_validate, arg) == _outcome(
+        validate_by_enumeration, arg
     )
 
 
 def test_a_literal_implied_by_its_negation_is_forced():
     # ~a -> a: both values of a conflict, so any goal ending in a is valid
-    arg = argument(("~a", "a"), goal=("b", "a"))
-    verdict = truth_table_validate(arg, allow_new_goal_variables=True)
-    assert verdict == (True, None, 4)
+    arg = argument(("~a", "a"), ("b", "c"), goal=("b", "a"))
+    assert truth_table_validate(arg) == (True, None, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -630,6 +630,57 @@ def test_simplify_drops_triggers_with_no_surviving_anchor():
     assert reduced.triggers == ()
 
 
+def test_simplify_moves_a_trigger_source_back_to_the_nearest_survivor():
+    builder = two_thimac_builder()
+    chain = [("create", "a/c"), ("release", "a/r"), ("transfer", "a/t"),
+             ("transfer", "b/t2"), ("receive", "b/rc"), ("process", "b/p")]
+    for kind, node in chain:
+        builder.add_action(kind, node.split("/")[0], id=node)
+    for (_, src), (_, dst) in zip(chain, chain[1:]):
+        builder.add_flow(src, dst)
+    builder.add_trigger("a/r", "b/p", condition="go")
+    model = builder.build()
+    reduced = simplify(model)
+    assert [(t.src, t.dst, t.condition) for t in reduced.triggers] == [
+        ("a/c", "b/p", "go")
+    ]
+    assert reanchored_triggers_by_networkx(model) == [("trigger1", "a/c", "b/p")]
+
+
+def test_simplify_moves_a_trigger_source_to_the_least_id_on_a_tie():
+    builder = two_thimac_builder()
+    builder.add_action("create", "a", id="a/z")  # declared first, larger id
+    builder.add_action("create", "a", id="a/y")
+    builder.add_action("release", "a", id="a/r")
+    builder.add_action("transfer", "a", id="a/t")
+    builder.add_action("receive", "a", id="a/rc")
+    builder.add_action("process", "a", id="a/p")
+    for src, dst in [("a/z", "a/r"), ("a/y", "a/r"), ("a/r", "a/t"),
+                     ("a/t", "a/rc"), ("a/rc", "a/p")]:
+        builder.add_flow(src, dst)
+    builder.add_trigger("a/t", "a/p")
+    model = builder.build()
+    assert [(t.src, t.dst) for t in simplify(model).triggers] == [("a/y", "a/p")]
+    assert reanchored_triggers_by_networkx(model) == [("trigger1", "a/y", "a/p")]
+
+
+def test_simplify_drops_a_trigger_whose_source_chain_dead_ends():
+    builder = two_thimac_builder()
+    builder.add_action("create", "a", id="a/c")
+    builder.add_action("release", "a", id="a/r")  # nothing flows into it
+    builder.add_action("transfer", "a", id="a/t")
+    builder.add_action("process", "a", id="a/p")
+    builder.add_flow("a/c", "a/p")
+    builder.add_flow("a/r", "a/t")
+    builder.add_trigger("a/t", "a/p")
+    builder.add_trigger("a/c", "a/p")
+    model = builder.build()
+    assert [(t.id, t.src, t.dst) for t in simplify(model).triggers] == [
+        ("trigger2", "a/c", "a/p")
+    ]
+    assert reanchored_triggers_by_networkx(model) == [("trigger2", "a/c", "a/p")]
+
+
 def test_simplify_merges_parallel_synthesized_flows():
     # two transport paths between the same survivors yield one direct flow
     builder = two_thimac_builder()
@@ -693,6 +744,41 @@ def transport_flows_by_networkx(model: StaticModel) -> set[tuple[str, str]]:
     return pairs
 
 
+def reanchored_triggers_by_networkx(
+    model: StaticModel,
+) -> list[tuple[str, str, str]]:
+    """The triggers ``simplify`` should leave, as ``(id, src, dst)``: each
+    removed end moves to the nearest survivor along a path through removed
+    nodes only, back from a source and on from a target, the least id
+    winning a tie.  A trigger whose end has no such survivor, or whose
+    ends meet, is dropped."""
+    removed = {a.id for a in model.actions if a.kind in TRANSPORT_KINDS}
+    forward = nx.DiGraph()
+    forward.add_nodes_from(model.nodes)
+    forward.add_edges_from((f.src, f.dst) for f in model.flows)
+    backward = forward.reverse()
+
+    def nearest(node: str, graph: nx.DiGraph):
+        if node not in removed:
+            return node
+        depths = nx.single_source_shortest_path_length(graph.subgraph(removed), node)
+        found = [
+            (depth + 1, end)
+            for mid, depth in depths.items()
+            for end in graph.successors(mid)
+            if end not in removed
+        ]
+        return min(found)[1] if found else None
+
+    kept = []
+    for trigger in model.triggers:
+        src = nearest(trigger.src, backward)
+        dst = nearest(trigger.dst, forward)
+        if src is not None and dst is not None and src != dst:
+            kept.append((trigger.id, src, dst))
+    return kept
+
+
 def simplified_flows(model: StaticModel) -> set[tuple[str, str]]:
     flows = [(f.src, f.dst) for f in simplify(model).flows]
     assert len(flows) == len(set(flows))
@@ -746,6 +832,24 @@ def test_simplify_terminates_on_a_transfer_cycle():
 def test_simplified_flows_match_networkx_reachability(seed):
     model = random_legal_model(Random(seed))
     assert simplified_flows(model) == transport_flows_by_networkx(model)
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_reanchored_triggers_match_networkx(seed):
+    # random_legal_model only triggers survivor -> release; add triggers
+    # between any two actions, so sources move backward too
+    rng = Random(seed)
+    model = random_legal_model(rng)
+    ids = [a.id for a in model.actions]
+    extra = tuple(
+        Trigger(f"extra{n}", *rng.sample(ids, 2), None)
+        for n in range(rng.randint(1, 6))
+    )
+    model = dataclasses.replace(model, triggers=model.triggers + extra)
+    assert [(t.id, t.src, t.dst) for t in simplify(model).triggers] == (
+        reanchored_triggers_by_networkx(model)
+    )
 
 
 def flow_reachable(model: StaticModel, start: str) -> set[str]:
