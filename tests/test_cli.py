@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from random import Random
 
 import pytest
 from click.testing import CliRunner
@@ -487,6 +488,37 @@ def test_prove_rejects_malformed_files(tmp_path):
     path.write_text("a -> \n")
     result = invoke("prove", path)
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["prove", "validate-arg"])
+def test_a_vacuous_implication_names_its_line(tmp_path, command):
+    path = tmp_path / "vacuous.arg"
+    path.write_text("a -> b\n|- a -> b\n~b -> ~b\n")
+    result = invoke(command, path)
+    assert_unusable(result, "line 3: implication ~b -> itself is vacuous")
+    assert result.stderr == "error: line 3: implication ~b -> itself is vacuous\n"
+
+
+def test_prove_prints_a_backward_chain_byte_for_byte(tmp_path):
+    # Each link n_k -> n_k+1 is stated as its contrapositive, on a shuffled
+    # line, so every step of the proof is "contrapositive of" that line.
+    rng = Random(18)
+    names = [f"n{k:04d}" for k in range(2001)]
+    rng.shuffle(names)
+    links = list(range(2000))
+    rng.shuffle(links)
+    line_of = {link: line for line, link in enumerate(links, start=1)}
+    path = tmp_path / "backward.arg"
+    path.write_text(
+        "".join(f"~{names[k + 1]} -> ~{names[k]}\n" for k in links)
+        + f"|- {names[0]} -> {names[-1]}\n"
+    )
+    result = invoke("prove", path)
+    assert result.exit_code == 0
+    assert result.stdout == "".join(
+        f"{names[k]} -> {names[k + 1]} [contrapositive of {line_of[k]}]\n"
+        for k in range(2000)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Implication chaining, validity, argument files, and the encoding."""
 import itertools
+import re
+from collections import Counter
 from random import Random
 from typing import Optional
 
@@ -13,7 +15,6 @@ from tmkit import (
     Literal,
     LogicError,
     Origin,
-    ProofPath,
     close_contrapositive,
     derive,
     encode_as_tm,
@@ -65,7 +66,7 @@ def close_by_literals(
     return tuple(out)
 
 
-def derive_by_literals(argument: Argument) -> Optional[ProofPath]:
+def derive_by_literals(argument: Argument) -> Optional[tuple[Implication, ...]]:
     rules = close_by_literals(argument.premises)
     outgoing: dict[Literal, list[Implication]] = {}
     for rule in rules:
@@ -88,7 +89,7 @@ def derive_by_literals(argument: Argument) -> Optional[ProofPath]:
                 while nxt != start:
                     steps.append(came_by[nxt])
                     nxt = came_by[nxt].antecedent
-                return ProofPath(tuple(reversed(steps)))
+                return tuple(reversed(steps))
             queue.append(nxt)
     return None
 
@@ -133,6 +134,53 @@ def validate_by_enumeration(
         ):
             return (False, assignment, checked)
     return (True, None, checked)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the argument-file reader as it was before it read the whole
+# text with one regex and numbered variables as it went -- a line at a
+# time, building records
+
+
+_LINE_BY_LINE_RE = re.compile(
+    r"^(?P<goal>\|-\s*)?(?P<ant>~?[A-Za-z_][A-Za-z0-9_]*)\s*->\s*"
+    r"(?P<cons>~?[A-Za-z_][A-Za-z0-9_]*)$"
+)
+
+
+def _parse_literal(text: str) -> Literal:
+    if text.startswith("~"):
+        return Literal(text[1:], False)
+    return Literal(text)
+
+
+def parse_argument_by_lines(text: str) -> Argument:
+    premises: list[Implication] = []
+    goal: Optional[Implication] = None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        match = _LINE_BY_LINE_RE.match(line)
+        if match is None:
+            raise LogicError(
+                f"line {lineno}: expected 'literal -> literal', found {line!r}"
+            )
+        ant = _parse_literal(match.group("ant"))
+        cons = _parse_literal(match.group("cons"))
+        if match.group("goal"):
+            if goal is not None:
+                raise LogicError(f"line {lineno}: second goal line")
+            goal = Implication(ant, cons)
+        else:
+            premises.append(
+                Implication(ant, cons, Origin(len(premises) + 1))
+            )
+    if goal is None:
+        raise LogicError("no goal line ('|- a -> b') found")
+    if not premises:
+        raise LogicError("no premises found")
+    return Argument(tuple(premises), goal)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +277,8 @@ def test_derivations_are_sound_and_well_chained(seed):
 @settings(max_examples=500, deadline=None)
 def test_derive_and_closure_match_the_literal_oracles(seed):
     arg = random_argument(Random(seed), fresh_goal_variables=True)
-    assert derive(arg) == derive_by_literals(arg)
+    path = derive(arg)
+    assert (path and path.steps) == derive_by_literals(arg)
     assert close_contrapositive(arg.premises) == close_by_literals(arg.premises)
 
 
@@ -329,6 +378,10 @@ def test_parse_argument_rejects_malformed_files():
         parse_argument("|- a -> b\n|- b -> c\na -> b\n")
     with pytest.raises(LogicError, match="line 1: expected 'literal -> literal'"):
         parse_argument("a & b -> c\n|- a -> c\n")
+    with pytest.raises(LogicError, match="^line 2: implication ~a -> itself is vacuous$"):
+        parse_argument("a -> b\n ~a->~a # no news\n|- a -> b\n")
+    with pytest.raises(LogicError, match="^line 3: implication b -> itself is vacuous$"):
+        parse_argument("a -> b\n\n|- b -> b\n")
 
 
 @pytest.mark.parametrize("odd", ODD_LINE_BREAKS)
@@ -342,6 +395,97 @@ def test_argument_line_numbers_count_newlines(odd):
 def test_format_argument_round_trips():
     arg = argument(("p", "~q"), ("~q", "r"), goal=("p", "r"))
     assert parse_argument(format_argument(arg)) == arg
+
+
+@given(seeds, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_an_argument_round_trips_through_records_and_text(seed, fresh):
+    arg = random_argument(Random(seed), fresh_goal_variables=fresh)
+    assert Argument(arg.premises, arg.goal) == arg
+    assert parse_argument(format_argument(arg)) == arg
+    # the record views and the text table render the same argument
+    assert format_argument(arg) == (
+        "".join(f"{p}\n" for p in arg.premises) + f"|- {arg.goal}\n"
+    )
+    assert [p.origin for p in arg.premises] == [
+        Origin(k) for k in range(1, len(arg.premises) + 1)
+    ]
+
+
+# Blanks: what str.strip() removes besides "\n", odd line breaks included.
+_BLANKS = [" ", "\t", "\r", "\xa0", "\x85", "\u3000", *ODD_LINE_BREAKS]
+_MALFORMED = [
+    "a & b -> c", "a ->", "-> b", "~ a -> b", "a -> b c", "|-", "|- a",
+    "1a -> b", "a - > b", "a => b", "~~a -> b", "|- |- a -> b", "a -> ~",
+    "a#b -> c", "a -> b -> c",
+]
+
+
+@st.composite
+def argument_lines(draw):
+    def blank():
+        return draw(st.text(st.sampled_from(_BLANKS), max_size=2))
+
+    kind = draw(st.sampled_from(
+        ["premise"] * 6 + ["goal", "goal", "blank", "blank", "bad", "vacuous"]
+    ))
+    if kind == "bad" and draw(st.booleans()):
+        line = draw(st.text("ab~-> |#\t\r", max_size=10))
+    elif kind == "bad":
+        line = blank() + draw(st.sampled_from(_MALFORMED)) + blank()
+    elif kind == "blank":
+        line = blank()
+    else:
+        literals = ["a", "~a", "b", "~b", "B_2", "_x", "~c9"]
+        ant = draw(st.sampled_from(literals))
+        others = [lit for lit in literals if lit != ant]
+        cons = ant if kind == "vacuous" else draw(st.sampled_from(others))
+        goal = kind == "goal" or (kind == "vacuous" and draw(st.booleans()))
+        mark = "|-" + blank() if goal else ""
+        line = f"{blank()}{mark}{ant}{blank()}->{blank()}{cons}{blank()}"
+    if draw(st.booleans()):
+        line += "#" + draw(st.text("a~->|# \t\x85", max_size=6))
+    return line
+
+
+@given(st.lists(argument_lines(), max_size=8), st.booleans())
+@settings(max_examples=1000, deadline=None)
+def test_parse_argument_agrees_with_the_line_by_line_reader(lines, final_newline):
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    found = _outcome(parse_argument, text)
+    expected = _outcome(parse_argument_by_lines, text)
+    if isinstance(expected, str) and expected.startswith("implication "):
+        # The one difference: a vacuous line is now named, and it is the
+        # line the records refuse on their own.
+        lineno, message = re.fullmatch(r"line (\d+): (.*)", found).groups()
+        assert message == expected
+        line = text.split("\n")[int(lineno) - 1]
+        assert _outcome(parse_argument_by_lines, line) == expected
+    else:
+        assert found == expected
+
+
+def test_prove_builds_no_record_per_premise_or_step(monkeypatch):
+    # Every other link is stated backward, so the proof takes premises
+    # and contrapositives alike.
+    names = [f"v{k}" for k in range(1001)]
+    text = "".join(
+        f"~{b} -> ~{a}\n" if k % 2 else f"{a} -> {b}\n"
+        for k, (a, b) in enumerate(zip(names, names[1:]))
+    ) + "|- v0 -> v1000\n"
+    built = Counter()
+    for record in (Implication, Literal, Origin):
+        def counting(self, *args, _init=record.__init__, _name=record.__name__):
+            built[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(record, "__init__", counting)
+    path = derive(parse_argument(text))
+    proof = format_proof(path)
+    assert proof.count("[premise") == proof.count("[contrapositive") == 500
+    assert not built
+    assert len(path.steps) == 1000  # the view builds records, and is counted
+    assert set(built) == {"Implication", "Literal", "Origin"}
 
 
 # ---------------------------------------------------------------------------
