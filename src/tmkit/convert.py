@@ -12,16 +12,22 @@ JSON serialization is canonical: fixed key order, every key always
 present, ``null`` rather than omission.  ``_SECTIONS`` states the format
 of the five model sections once, and ``_EVENT`` and ``_CHRON_EDGE`` that
 of events and chronology edges; ``MODEL_SCHEMA``, ``to_json`` and
-``from_json`` are all built from these tables.  Loading is deliberately
-more permissive than the builder -- dangling references and self-loops
-come back as models that ``validate`` can complain about, not as
-exceptions.
+``from_json`` are all built from these tables.  ``to_json`` fills
+``%``-templates made from them, writing the bytes ``json.dumps(indent=2)``
+would.  A document or chart is checked against its schema a column at a
+time (``_conforms``), and only one it refuses is walked value by value
+(``_violation``), which words the message: the walk stays the one
+source of each message, its path, and which fault is reported first.
+Loading is deliberately more permissive than the builder -- dangling
+references and self-loops come back as models that ``validate`` can
+complain about, not as exceptions.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from operator import attrgetter, itemgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter, le, lt
 from typing import Iterable, Optional, Union
 
 from .dynamics import (
@@ -202,10 +208,82 @@ def _violation(value: object, schema: dict, path: str = "$") -> Optional[str]:
     return None
 
 
+#: The Python types of the JSON values each schema type admits.  JSON
+#: values come as exact types, so ``type(v) in`` is ``_TYPES``' isinstance,
+#: and a bool, whose type is ``bool``, is no integer.
+_PYTHON_TYPES = {
+    "object": {dict},
+    "array": {list},
+    "string": {str},
+    "null": {type(None)},
+    "integer": {int, float},  # a float only with no fraction
+}
+
+
+def _conforms(values: list, schema: dict) -> bool:
+    """Whether every JSON value in ``values`` satisfies ``schema``: the
+    verdict ``_violation`` gives each one, reached a column at a time.
+    Each keyword is tested over the whole column with C-level builtins,
+    and ``properties`` and ``items`` recurse on the column of every
+    value's member, so the Python work is per schema node, not per
+    value."""
+    types = {*map(type, values)}
+
+    def only(kind: type) -> list:  # the values of type ``kind``
+        if kind not in types:
+            return []
+        return values if len(types) == 1 else [v for v in values if type(v) is kind]
+
+    if "type" in schema:
+        names = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
+        if not types <= set().union(*(_PYTHON_TYPES[name] for name in names)):
+            return False
+        if "integer" in names and not all(map(float.is_integer, only(float))):
+            return False
+    if "enum" in schema and not all(map(schema["enum"].__contains__, values)):
+        return False
+    if "pattern" in schema:
+        if not all(map(re.compile(schema["pattern"]).fullmatch, only(str))):
+            return False
+    if "minimum" in schema:
+        numbers = chain(only(int), only(float))
+        if any(map(lt, numbers, repeat(schema["minimum"]))):
+            return False
+    lists = only(list)
+    if lists and min(map(len, lists)) < schema.get("minItems", 0):
+        return False
+    if lists and "items" in schema:
+        if not _conforms(list(chain.from_iterable(lists)), schema["items"]):
+            return False
+    objects = only(dict)
+    if not objects:
+        return True
+    required = schema.get("required", [])
+    if not all(map(le, repeat(set(required)), map(dict.keys, objects))):
+        return False
+    properties = schema.get("properties", {})
+    if schema.get("additionalProperties") is False:
+        if not all(map(le, map(dict.keys, objects), repeat(properties.keys()))):
+            return False
+    for name, subschema in properties.items():
+        if name in required:
+            column = list(map(itemgetter(name), objects))
+        else:
+            column = [o[name] for o in objects if name in o]
+        if not _conforms(column, subschema):
+            return False
+    return True
+
+
 def _check_schema(data: object, schema: dict, what: str) -> None:
+    """Refuse ``data`` unless it satisfies ``schema``.  ``_conforms``
+    decides; only a refusal runs the walk, which words the message."""
+    if _conforms([data], schema):
+        return
     found = _violation(data, schema)
-    if found:
-        raise ConvertError(f"{what}: {found}")
+    if found is None:  # a fault of tmkit's, not of the input
+        raise AssertionError(f"{what}: _conforms refused what _violation accepts")
+    raise ConvertError(f"{what}: {found}")
 
 
 def load_flowchart(text: str) -> FlowchartDoc:
@@ -505,32 +583,76 @@ MODEL_SCHEMA = _object(
 )
 
 
+def _template(keys: Iterable[str], depth: int) -> str:
+    """The ``%``-template ``json.dumps(indent=2)`` writes for an object
+    with ``keys``, its braces at nesting ``depth``: a ``%s`` per value."""
+    pad = "  " * depth
+    body = f",\n{pad}  ".join(f'"{key}": %s' for key in keys)
+    return f"{{\n{pad}  {body}\n{pad}}}"
+
+
+def _list(items: list[str], depth: int) -> str:
+    """A JSON list of items already written, its brackets at nesting
+    ``depth`` and its items one deeper."""
+    if not items:
+        return "[]"
+    pad = "  " * depth
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
+#: Each section's field getter and row template, the document's template
+#: and its chronology's, and those of an event and a chronology edge.
+_ROWS = {
+    section: (attrgetter(*(field.name for field in fields(record))), _template(keys, 2))
+    for section, (record, keys) in _SECTIONS.items()
+}
+_DOCUMENT = _template(MODEL_SCHEMA["properties"], 0)
+_CHRONOLOGY = _template(MODEL_SCHEMA["properties"]["chronology"]["properties"], 1)
+_EVENT_ROW = _template(_EVENT, 2)
+_CHRON_EDGE_ROW = _template(_CHRON_EDGE, 3)
+
+
 def to_json(doc: Union[Document, StaticModel]) -> str:
-    """Canonical JSON: fixed key order, all keys present, sorted regions."""
-    import json  # here, so that commands that write no JSON never load it
+    """Canonical JSON: fixed key order, all keys present, sorted regions.
+
+    The bytes are those ``json.dumps(payload, indent=2) + "\\n"`` writes,
+    filled into templates built from the format tables; strings go
+    through the encoder ``json.dumps`` uses, ``None`` is ``null``."""
+    # here, so that commands that write no JSON never load it
+    from json.encoder import encode_basestring_ascii as encode
 
     if isinstance(doc, StaticModel):
         doc = Document(doc)
     model = doc.model
-    payload: dict[str, object] = {"name": model.name}
-    for section, (record, properties) in _SECTIONS.items():
-        row = attrgetter(*(field.name for field in fields(record)))
-        payload[section] = [
-            dict(zip(properties, row(r))) for r in getattr(model, section)
+    sections = []
+    for section, (row, template) in _ROWS.items():
+        rows = [
+            template % tuple([encode(v) if v is not None else "null" for v in row(r)])
+            for r in getattr(model, section)
         ]
-    payload["events"] = [
-        dict(zip(_EVENT, (e.id, e.label, sorted(e.region)))) for e in doc.events
+        sections.append(_list(rows, 1))
+    events = [
+        _EVENT_ROW % (
+            encode(e.id),
+            encode(e.label),
+            _list([encode(member) for member in sorted(e.region)], 3),
+        )
+        for e in doc.events
     ]
-    payload["chronology"] = None
+    chronology = "null"
     if doc.chronology is not None:
         bound = doc.chronology.loop_bounds.get
-        payload["chronology"] = {
-            "edges": [
-                dict(zip(_CHRON_EDGE, (e.src, e.dst, e.guard, bound((e.src, e.dst)))))
-                for e in doc.chronology.edges
-            ]
-        }
-    return json.dumps(payload, indent=2) + "\n"
+        edges = []
+        for e in doc.chronology.edges:
+            limit = bound((e.src, e.dst))
+            edges.append(_CHRON_EDGE_ROW % (
+                encode(e.src),
+                encode(e.dst),
+                "null" if e.guard is None else encode(e.guard),
+                "null" if limit is None else "%d" % limit,
+            ))
+        chronology = _CHRONOLOGY % _list(edges, 2)
+    return _DOCUMENT % (encode(model.name), *sections, _list(events, 1), chronology) + "\n"
 
 
 def from_json(text: str) -> Document:

@@ -100,12 +100,12 @@ class Implication:
             raise LogicError(f"implication {self.antecedent} -> itself is vacuous")
 
     def contrapositive(self) -> "Implication":
-        assert self.origin is not None
-        return Implication(
-            self.consequent.negated(),
-            self.antecedent.negated(),
-            Origin(self.origin.index, not self.origin.contrapositive),
-        )
+        """``~consequent -> ~antecedent``, from the same premise flipped;
+        an implication with no origin gives one with none."""
+        origin = self.origin
+        if origin is not None:
+            origin = Origin(origin.index, not origin.contrapositive)
+        return Implication(self.consequent.negated(), self.antecedent.negated(), origin)
 
     def __str__(self) -> str:
         return f"{self.antecedent} -> {self.consequent}"

@@ -38,6 +38,20 @@ def tmkit_env(**variables: str) -> dict[str, str]:
 ODD_LINE_BREAKS = ["\r", "\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
+#: Strings a JSON writer must escape or pass through with care: quotes,
+#: backslashes, control characters, non-ASCII and a lone surrogate.
+ODD_NAMES = [
+    "",
+    "E1",
+    "café über 日本",
+    'say "hi"',
+    "back\\slash",
+    "tab\there\nline\rcr\x00nul\x1f\x7f",
+    "\U0001f600 and \ud800 alone",
+    "</script>  ",
+]
+
+
 def load_scenario(name: str) -> tmkit.Scenario:
     path = FIXTURES / "scenarios" / f"{name}.scenario"
     return tmkit.parse_scenario(path.read_text(), name)

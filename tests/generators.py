@@ -318,13 +318,13 @@ def random_chart(rng: Random) -> dict:
     return {"name": "chart", "lanes": lanes, "nodes": nodes, "edges": edges}
 
 
-_ODD_VALUES = (
+ODD_VALUES = (
     None, True, 0, 1, -3, 0.0, 2.0, 0.5, "", "x", "a\n", "9z", "create",
     "activity", [], {}, ["a"], {"id": "x"},
 )
 
 
-def mutate(rng, data, values=_ODD_VALUES):
+def mutate(rng, data, values=ODD_VALUES):
     """One random edit somewhere in a JSON value: end a string in a
     newline, replace a value with one of ``values``, drop a key or an
     item, add a key, or wrap a value in a list.  Returns the edited

@@ -4,6 +4,9 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
+from functools import reduce
+from operator import getitem, itemgetter
 from pathlib import Path
 from random import Random
 
@@ -34,13 +37,16 @@ from tmkit import (
     validate,
 )
 from tmkit import convert
-from tmkit.convert import FLOW_NODE_KINDS, FLOWCHART_SCHEMA, MODEL_SCHEMA
+from tmkit.convert import (
+    FLOW_NODE_KINDS, FLOWCHART_SCHEMA, MODEL_SCHEMA, FlowchartDoc, FlowEdge, FlowNode,
+)
+from tmkit.errors import decode_json
 from tmkit.model import (
-    LEGAL_FLOW_PAIRS, Action, Flow, StaticModel, Storage, Thimac, Trigger,
+    LEGAL_FLOW_PAIRS, Action, Flow, StaticModel, Storage, Thimac, Trigger, check_depth,
 )
 
-from conftest import read_fixture
-from generators import mutate, random_chart, random_document
+from conftest import ODD_NAMES, read_fixture
+from generators import ODD_VALUES, mutate, random_chart, random_document
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -675,6 +681,53 @@ def test_to_json_matches_the_hand_written_writer_on_generated_documents(seed):
     assert to_json(doc) == to_json_by_hand(doc)
 
 
+def odd_strings_doc(text):
+    """A document whose names, labels, notes, anchor, conditions and
+    guards all hold ``text``."""
+    model = StaticModel(
+        text,
+        thimacs=(Thimac("t", text, None, text),),
+        actions=(Action("t/a", "create", "t", text, text), Action("t/b", "process", "t", text)),
+        storages=(Storage("t/s", "t", text),),
+        flows=(Flow("f1", "t/a", "t/b"),),
+        triggers=(Trigger("g1", "t/b", "t/a", text),),
+    )
+    events = (
+        define_event(model, "E1", text, ["t/a"]),
+        define_event(model, "E2", text, ["t/b", "t/a"]),
+        define_event(model, "E3", text, ["t/b"]),
+    )
+    edges = [
+        ChronEdge("E1", "E2", text), ChronEdge("E2", "E3"), ChronEdge("E3", "E2", text + "!"),
+    ]
+    return Document(model, events, build_chronology(events, edges, {("E3", "E2"): 2}))
+
+
+@pytest.mark.parametrize("text", ODD_NAMES)
+def test_to_json_writes_odd_strings_as_json_dumps_does(text):
+    doc = odd_strings_doc(text)
+    assert to_json(doc) == to_json_by_hand(doc)
+    again = from_json(to_json(doc))
+    assert to_json(again) == to_json_by_hand(again) == to_json(doc)
+
+
+def test_to_json_writes_empty_lists_and_a_missing_chronology():
+    model = StaticModel(
+        "bare", thimacs=(Thimac("t", "t"),), actions=(Action("t/a", "create", "t"),)
+    )
+    event = define_event(model, "E1", "one", ["t/a"])
+    for doc in (
+        Document(model),
+        Document(model, (event,)),
+        Document(model, (event,), build_chronology((event,), [])),
+    ):
+        text = to_json(doc)
+        assert text == to_json_by_hand(doc)
+        assert '  "storages": [],\n' in text
+    assert '  "events": [],\n  "chronology": null\n}\n' in to_json(Document(model))
+    assert '    "edges": []\n  }\n}\n' in text
+
+
 def test_json_round_trips_the_shipped_documents(atm_doc, ordering_doc):
     for doc in (atm_doc, ordering_doc):
         again = from_json(to_json(doc))
@@ -868,6 +921,21 @@ def test_schema_messages_keep_their_wording():
         found = convert._violation(doc, MODEL_SCHEMA)
         assert found == (message and f"$.chronology.edges[0].max: {message}")
 
+    # an integral float bound loads as the int it names, and writes as one
+    loaded = from_json(json.dumps(doc))
+    assert loaded.chronology.loop_bounds == {("E1", "E2"): 2}
+    assert type(loaded.chronology.loop_bounds["E1", "E2"]) is int
+    assert '        "max": 2\n' in to_json(loaded)
+
+    # the schema is checked before ids: a bad bound wins over a duplicate id
+    edge["max"] = 0
+    doc["thimacs"].append(dict(doc["thimacs"][0]))
+    message = "document: $.chronology.edges[0].max: 0 is less than the minimum of 1"
+    for loader in (from_json, from_json_by_walk):
+        with pytest.raises(ConvertError) as refused:
+            loader(json.dumps(doc))
+        assert str(refused.value) == message
+
 
 def _anchored_pattern(validator, pattern, instance, schema):
     if validator.is_type(instance, "string") and not re.fullmatch(pattern, instance):
@@ -891,6 +959,7 @@ def check_against_jsonschema(data, schema):
     found = [f"{e.json_path}: {e.message}" for e in errors]
     ours = convert._violation(data, schema)
     assert (ours is None) == (not found)
+    assert convert._conforms([data], schema) == (not found)
     if len(found) == 1:
         assert ours == found[0]
     elif found:
@@ -916,6 +985,171 @@ def test_schema_checker_agrees_with_jsonschema(ordering_doc, seed):
     for _ in range(rng.randint(1, 3)):
         data = mutate(rng, data)
     check_against_jsonschema(data, schema)
+
+
+def from_json_by_walk(text):
+    """``from_json`` as it was before ``convert._conforms``: the schema
+    walk over every value, then the build.  The reference ``from_json``
+    must match, result for result and error for error."""
+    data = decode_json(text, "document", ConvertError)
+    found = convert._violation(data, MODEL_SCHEMA)
+    if found:
+        raise ConvertError(f"document: {found}")
+
+    ids = set()
+    sections = {}
+    for section, (record, properties) in convert._SECTIONS.items():
+        row = itemgetter(*properties)
+        records = []
+        for entry in data[section]:
+            item = record(*row(entry))
+            if item.id in ids:
+                raise ConvertError(f"duplicate id {item.id!r}")
+            ids.add(item.id)
+            records.append(item)
+        sections[section] = tuple(records)
+    model = StaticModel(data["name"], **sections)
+    check_depth(model)
+
+    events = {}
+    for event_id, label, region in map(itemgetter(*convert._EVENT), data["events"]):
+        if event_id in events:
+            raise ConvertError(f"duplicate event id {event_id!r}")
+        events[event_id] = define_event(model, event_id, label, region)
+
+    chronology = None
+    if data["chronology"] is not None:
+        edges = []
+        bounds = {}
+        entries = data["chronology"]["edges"]
+        for src, dst, guard, bound in map(itemgetter(*convert._CHRON_EDGE), entries):
+            edges.append(ChronEdge(src, dst, guard))
+            if bound is not None:
+                bounds[(src, dst)] = int(bound)
+        chronology = build_chronology(events.values(), edges, bounds)
+
+    return Document(model, tuple(events.values()), chronology)
+
+
+def load_flowchart_by_walk(text):
+    """``load_flowchart`` as it was before ``convert._conforms``: the
+    reference for charts, as ``from_json_by_walk`` is for documents."""
+    data = decode_json(text, "flowchart", ConvertError)
+    found = convert._violation(data, FLOWCHART_SCHEMA)
+    if found:
+        raise ConvertError(f"flowchart: {found}")
+
+    lanes = tuple(data["lanes"])
+    lane_set = set(lanes)
+    if len(lane_set) != len(lanes):
+        raise ConvertError("flowchart declares a lane twice")
+    nodes = tuple(FlowNode(*map(n.get, convert._CHART_NODE)) for n in data["nodes"])
+    seen = set()
+    for node in nodes:
+        if node.id in seen:
+            raise ConvertError(f"duplicate node id {node.id!r}")
+        seen.add(node.id)
+        if node.lane not in lane_set:
+            raise ConvertError(f"node {node.id!r} sits in unknown lane {node.lane!r}")
+    edges = tuple(FlowEdge(*map(e.get, convert._CHART_EDGE)) for e in data["edges"])
+    pairs = set()
+    for edge in edges:
+        for ref in (edge.src, edge.dst):
+            if ref not in seen:
+                raise ConvertError(f"edge references unknown node {ref!r}")
+        if edge.src == edge.dst:
+            raise ConvertError(f"self-edge on {edge.src!r}")
+        if (edge.src, edge.dst) in pairs:
+            raise ConvertError(f"duplicate edge {edge.src} -> {edge.dst}")
+        pairs.add((edge.src, edge.dst))
+    return FlowchartDoc(data["name"], lanes, nodes, edges, data.get("description"))
+
+
+def load_outcome(loader, text):
+    try:
+        loaded = loader(text)
+    except TmkitError as exc:
+        return type(exc).__name__, str(exc)
+    return to_json(loaded) if isinstance(loaded, Document) else loaded
+
+
+@given(seeds)
+@settings(max_examples=500, deadline=None)
+def test_the_loaders_match_the_walk_first_references(ordering_doc, seed):
+    rng = Random(seed)
+    document = (MODEL_SCHEMA, from_json, from_json_by_walk)
+    chart = (FLOWCHART_SCHEMA, load_flowchart, load_flowchart_by_walk)
+    source, (schema, loader, reference) = rng.choice([
+        (lambda: to_json(random_document(rng)), document),
+        (lambda: to_json(ordering_doc), document),
+        (lambda: json.dumps(random_chart(rng)), chart),
+        (lambda: read_fixture("ordering_chart.json"), chart),
+    ])
+    data = json.loads(source())
+    for _ in range(rng.randint(0, 3)):
+        data = mutate(rng, data)
+    # the fast check accepts exactly what the walk accepts
+    verdict = convert._violation(data, schema)
+    assert convert._conforms([data], schema) == (verdict is None), verdict
+    text = json.dumps(data)
+    assert load_outcome(loader, text) == load_outcome(reference, text)
+
+
+#: What ``single_edits`` puts in place of a value: beside ``ODD_VALUES``,
+#: a float with a fraction that is no less than a loop bound's minimum.
+EDIT_VALUES = (*ODD_VALUES, 2.5)
+
+
+def single_edits(data):
+    """Copies of ``data`` with one value replaced by each of
+    ``EDIT_VALUES``, or dropped, for every value in it in turn."""
+    paths = [()]
+    for path in paths:
+        value = reduce(getitem, path, data)
+        if isinstance(value, dict):
+            paths.extend(path + (key,) for key in value)
+        elif isinstance(value, list):
+            paths.extend(path + (index,) for index in range(len(value)))
+    for *route, last in paths[1:]:
+        for edit in range(len(EDIT_VALUES) + 1):
+            copy = json.loads(json.dumps(data))
+            container = reduce(getitem, route, copy)
+            if edit == len(EDIT_VALUES):
+                del container[last]
+            else:
+                container[last] = EDIT_VALUES[edit]
+            yield copy
+
+
+def test_the_loaders_match_the_references_on_every_single_edit():
+    document = json.loads(to_json(every_optional_field_doc()))
+    chart = json.loads(
+        chart_text([("x", "a", "decision"), ("y", "b", "activity")], [("x", "y", "g")])
+    )
+    chart["nodes"][0]["label"] = "choose"
+    chart["description"] = "two lanes"
+    for data, schema, loader, reference in [
+        (document, MODEL_SCHEMA, from_json, from_json_by_walk),
+        (chart, FLOWCHART_SCHEMA, load_flowchart, load_flowchart_by_walk),
+    ]:
+        for edited in single_edits(data):
+            verdict = convert._violation(edited, schema)
+            assert convert._conforms([edited], schema) == (verdict is None), verdict
+            text = json.dumps(edited)
+            assert load_outcome(loader, text) == load_outcome(reference, text)
+
+
+def test_each_document_key_is_spelled_once():
+    """Keys with one owner in the format tables are written nowhere else
+    in ``convert.py``: the schemas, templates and loaders read the tables."""
+    tree = ast.parse(Path(convert.__file__).read_text())
+    strings = Counter(
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
+    for key in ("anchor", "parent", "note", "condition", "region", "max"):
+        assert strings[key] == 1, key
 
 
 def test_the_cli_imports_without_jsonschema():

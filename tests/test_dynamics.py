@@ -48,7 +48,7 @@ from tmkit.dynamics import (
 from tmkit.dsl import escape
 from tmkit.errors import decode_json
 
-from conftest import ODD_LINE_BREAKS, load_scenario, tmkit_env
+from conftest import ODD_LINE_BREAKS, ODD_NAMES, load_scenario, tmkit_env
 from generators import mutate, random_document, random_raw_model
 from test_model import model_changes, record_changes, structurally_equal_by_fields
 
@@ -885,18 +885,6 @@ def test_the_scans_agree_on_the_fixture_walks(atm_doc, ordering_doc):
         assert trace == simulate_by_scan(doc.chronology, scenario), name
         assert trace_to_json(trace) == trace_to_json_by_dumps(trace), name
         assert conformance(trace, doc.chronology) == ConformanceResult(True)
-
-
-ODD_NAMES = [
-    "",
-    "E1",
-    "café über 日本",
-    'say "hi"',
-    "back\\slash",
-    "tab\there\nline\rcr\x00nul\x1f\x7f",
-    "\U0001f600 and \ud800 alone",
-    "</script>  ",
-]
 
 
 @pytest.mark.parametrize("name", ODD_NAMES)

@@ -216,6 +216,12 @@ def test_closure_keeps_the_stated_form_of_a_premise():
     assert closed == premises
 
 
+def test_premises_without_an_origin_close_without_one():
+    closed = close_contrapositive((Implication(Literal("a"), Literal("b")),))
+    assert [str(rule) for rule in closed] == ["a -> b", "~b -> ~a"]
+    assert [rule.origin for rule in closed] == [None, None]
+
+
 def test_closing_twice_adds_nothing():
     premises = (imp("a", "b", 1), imp("c", "~b", 2))
     once = close_contrapositive(premises)
