@@ -25,16 +25,19 @@ anything else by ``/``-joined path; resolution tries the innermost
 enclosing thimac first and walks outward.  Node ids in the parsed model
 are the containment paths, so nesting is the namespace.
 
-The parser reads the file once, and each block is checked as it closes.
-References inside the model block may point forward: its edges resolve
-at its ``}``.  So of several faults, the first in reading order is the
-one reported.
+The lexer makes one regex match per token, whitespace and comments folded
+into it; a token's line and column come from its offset, and only for an
+error.  The parser reads the tokens once, by index, and checks each block
+as it closes.  References inside the model block may point forward: its
+edges resolve at its ``}``.  So of several faults, the first in reading
+order is the one reported.
 """
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Container, Iterator, NamedTuple, NoReturn, Optional, Union
+from typing import Callable, Container, Iterator, NoReturn, Optional, Union
 
 from .dynamics import (
     _ESCAPE_RE,
@@ -103,66 +106,18 @@ _WORD = "[A-Za-z_][A-Za-z0-9_]*"
 _NAME = f"{_WORD}(?:/{_WORD})*"
 _INT = "[0-9]+"  # not \d, which takes any Unicode digit
 
-# One named group per token kind, tried in order; STRAY takes any other
-# character, so ``finditer`` skips nothing.  A STRING reads by the string
-# rule ``dynamics`` states, which scenario files share.
+# One match per token: a prefix of spaces, tabs, \r, \n and comments (not
+# \s, which also takes \x0b, \f, NBSP), then one named group per token
+# kind, tried in order.  STRAY takes any other character and EOF the end,
+# so ``finditer`` skips nothing.  A STRING reads by the string rule
+# ``dynamics`` states, which scenario files share.
 _TOKEN_RE = re.compile(
-    r"(?P<NEWLINE>\n)"
-    r"|(?P<SKIP>[ \t\r]+|#[^\n]*)"  # not \s, which also takes \x0b, \f, NBSP
-    r"|(?P<ARROW>->)|(?P<TRIG>~>)|(?P<LBRACE>\{)|(?P<RBRACE>\})"
-    r"|(?P<AT>@)|(?P<COMMA>,)"
-    f"|(?P<STRING>{_STRING})"
-    f"|(?P<NAME>{_NAME})|(?P<INT>{_INT})"
-    r"|(?P<STRAY>.)"
+    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    f"(?:(?P<NAME>{_NAME})|(?P<ARROW>->)|(?P<TRIG>~>)"
+    r"|(?P<LBRACE>\{)|(?P<RBRACE>\})|(?P<AT>@)|(?P<COMMA>,)"
+    f"|(?P<STRING>{_STRING})|(?P<INT>{_INT})"
+    r"|(?P<EOF>\Z)|(?P<STRAY>.))"
 )
-
-
-class _Token(NamedTuple):
-    type: str  # NAME INT STRING ARROW TRIG LBRACE RBRACE AT COMMA EOF
-    value: str
-    line: int
-    col: int
-    length: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.col, self.length)
-
-
-def _describe(token: _Token) -> str:
-    if token.type == "EOF":
-        return "end of file"
-    if token.type == "STRING":
-        return f'string "{token.value}"'
-    return repr(token.value)
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    match = None
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "SKIP":
-            continue
-        start, value = match.start(), match.group()
-        if kind == "NEWLINE":
-            line, line_start = line + 1, start + 1
-            continue
-        col = start - line_start + 1
-        if kind == "STRING":
-            if match["CLOSE"] is None:
-                found = "end of file" if match.end() == len(text) else "end of line"
-                span = SourceSpan(line, col, len(value))
-                raise ParseError(span, "closing '\"'", found)
-            value = _ESCAPE_RE.sub(r"\1", value[1:-1])
-        elif kind == "STRAY":
-            raise ParseError(SourceSpan(line, col, 1), "a token", repr(value))
-        tokens.append(_Token(kind, value, line, col, match.end() - start))
-    # A comment moves no column: EOF right after one sits at its '#'.
-    end = match.start() if match and match.group()[0] == "#" else len(text)
-    tokens.append(_Token("EOF", "", line, end - line_start + 1, 1))
-    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -181,100 +136,148 @@ def _resolve(name: str, owner: Optional[str], nodes: Container[str]) -> Optional
     return name if name in nodes else None
 
 
-# An edge as read: (owner, src, dst, is trigger, condition).
-_Edge = tuple[Optional[str], _Token, _Token, bool, Optional[str]]
+# An edge as read: (owner, src, dst, is trigger, condition), ends as indices.
+_Edge = tuple[Optional[str], int, int, bool, Optional[str]]
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._pos = 0
+    """Token ``i`` is ``kinds[i]`` (NAME INT STRING ARROW TRIG LBRACE RBRACE
+    AT COMMA, and EOF last), ``values[i]`` and ``starts[i]``, its offset.  A
+    reader takes the index of its first token and returns the one after."""
+
+    def __init__(self, text: str):
+        self._text = text
+        self._newlines: Optional[list[int]] = None  # made by the first span
+        self._kinds, self._values, self._starts = self._lex(text)
+
+    def _lex(self, text: str) -> tuple[list[str], list[str], list[int]]:
+        """The token lists, from one ``_TOKEN_RE`` match per token.  The
+        first unclosed string or stray character is an error."""
+        kinds, values, starts = [], [], []
+        for match in _TOKEN_RE.finditer(text):
+            kind = match.lastgroup
+            start, value = match.start(kind), match[kind]
+            if kind == "STRING":
+                if match["CLOSE"] is None:
+                    found = "end of file" if match.end() == len(text) else "end of line"
+                    span = self._span_at(start, len(value))
+                    raise ParseError(span, "closing '\"'", found)
+                value = _ESCAPE_RE.sub(r"\1", value[1:-1])
+            elif kind == "STRAY":
+                raise ParseError(self._span_at(start, 1), "a token", repr(value))
+            elif kind == "EOF":
+                # A comment moves no column: EOF right after one sits at its '#'.
+                comment = text.find("#", max(match.start(), text.rfind("\n") + 1))
+                starts.append(start if comment < 0 else comment)
+                break
+            kinds.append(kind)
+            values.append(value)
+            starts.append(start)
+        kinds.append("EOF")
+        values.append("")
+        return kinds, values, starts
+
+    def _span_at(self, offset: int, length: int) -> SourceSpan:
+        if self._newlines is None:
+            self._newlines = [m.start() for m in re.finditer("\n", self._text)]
+        line = bisect_left(self._newlines, offset)  # line breaks before offset
+        line_start = self._newlines[line - 1] + 1 if line else 0
+        return SourceSpan(line + 1, offset - line_start + 1, length)
+
+    def _span(self, i: int) -> SourceSpan:
+        start = self._starts[i]
+        if self._kinds[i] == "EOF":
+            return self._span_at(start, 1)
+        return self._span_at(start, _TOKEN_RE.match(self._text, start).end() - start)
+
+    def _describe(self, i: int) -> str:
+        kind, value = self._kinds[i], self._values[i]
+        if kind == "STRING":  # as the source spells it
+            return f'string "{escape(value)}"'
+        return "end of file" if kind == "EOF" else repr(value)
 
     # -- token plumbing ------------------------------------------------------
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._pos]
+    def _error(self, i: int, expected: str) -> NoReturn:
+        raise ParseError(self._span(i), expected, self._describe(i))
 
-    def _advance(self) -> _Token:
-        token = self._tokens[self._pos]
-        if token.type != "EOF":
-            self._pos += 1
-        return token
+    def _expect(self, i: int, kind: str, expected: str) -> int:
+        if self._kinds[i] != kind:
+            self._error(i, expected)
+        return i + 1
 
-    def _error(self, token: _Token, expected: str) -> NoReturn:
-        raise ParseError(token.span, expected, _describe(token))
+    def _at_keyword(self, i: int, word: str) -> bool:
+        return self._kinds[i] == "NAME" and self._values[i] == word
 
-    def _expect(self, type_: str, expected: str) -> _Token:
-        token = self._peek()
-        if token.type != type_:
-            self._error(token, expected)
-        return self._advance()
+    def _declared_name(self, i: int, what: str) -> int:
+        value = self._values[i]
+        if self._kinds[i] != "NAME":
+            self._error(i, what)
+        if value in KEYWORDS:
+            raise ParseError(self._span(i), what, f"keyword {value!r}")
+        if "/" in value:
+            raise ParseError(self._span(i), f"an unqualified {what}", self._describe(i))
+        return i + 1
 
-    def _at_keyword(self, word: str) -> bool:
-        token = self._peek()
-        return token.type == "NAME" and token.value == word
-
-    def _expect_keyword(self, word: str) -> _Token:
-        token = self._peek()
-        if not self._at_keyword(word):
-            self._error(token, f"'{word}'")
-        return self._advance()
-
-    def _declared_name(self, what: str) -> _Token:
-        token = self._expect("NAME", what)
-        if token.value in KEYWORDS:
-            raise ParseError(token.span, what, f"keyword {token.value!r}")
-        if "/" in token.value:
-            raise ParseError(token.span, f"an unqualified {what}", _describe(token))
-        return token
+    def _known(self, i: int, names: Container[str], what: str, kind: str) -> int:
+        """Token ``i`` must be a NAME (else an error expecting ``what``)
+        among ``names`` (else an error expecting a declared ``kind``)."""
+        self._expect(i, "NAME", what)
+        if self._values[i] not in names:
+            self._error(i, f"a declared {kind}")
+        return i + 1
 
     # -- grammar -------------------------------------------------------------
 
     def parse_document(self) -> Document:
-        self._expect_keyword("model")
-        name = self._declared_name("model name")
-        self._expect("LBRACE", "'{'")
-        self._builder = ModelBuilder(name.value)
-        model = self._parse_model()
-        events = self._parse_events_block(model) if self._at_keyword("events") else {}
+        if not self._at_keyword(0, "model"):
+            self._error(0, "'model'")
+        self._declared_name(1, "model name")
+        self._expect(2, "LBRACE", "'{'")
+        self._builder = ModelBuilder(self._values[1])
+        model, i = self._parse_model(3)
+        events: dict[str, Event] = {}
+        if self._at_keyword(i, "events"):
+            events, i = self._parse_events_block(i + 1, model)
         chronology = None
-        if self._at_keyword("chronology"):
-            chronology = self._parse_chronology_block(events)
-        self._expect("EOF", "end of file")
+        if self._at_keyword(i, "chronology"):
+            chronology, i = self._parse_chronology_block(i + 1, events)
+        self._expect(i, "EOF", "end of file")
         return Document(model, tuple(events.values()), chronology)
 
-    def _parse_model(self) -> StaticModel:
+    def _parse_model(self, i: int) -> tuple[StaticModel, int]:
         """The model block's body and its ``}``, where the edges resolve,
         so they may name nodes declared after them.  Open thimacs are kept
         on an explicit stack of ids, so nesting depth is not bounded by
         Python's recursion limit."""
+        kinds, values = self._kinds, self._values
         stack: list[Optional[str]] = [None]
         edges: list[_Edge] = []
         while True:
-            token = self._peek()
-            if token.type in ("RBRACE", "EOF"):
-                self._expect("RBRACE", "'}'")
+            kind, value = kinds[i], values[i]
+            if kind == "RBRACE" or kind == "EOF":
+                i = self._expect(i, "RBRACE", "'}'")
                 if len(stack) == 1:
                     break
                 stack.pop()
-            elif token.type != "NAME":
-                self._error(token, "a declaration or '}'")
-            elif token.value == "thimac":
-                stack.append(self._open_thimac(stack[-1]))
-            elif token.value in ACTION_KINDS:
-                self._parse_action(stack[-1])
-            elif token.value == "storage":
-                self._parse_storage(stack[-1])
-            elif token.value in KEYWORDS:
-                self._error(token, "a declaration or '}'")
+            elif kind != "NAME":
+                self._error(i, "a declaration or '}'")
+            elif value not in KEYWORDS:
+                i = self._parse_edge(i, stack[-1], edges)
+            elif value in ACTION_KINDS:
+                i = self._parse_action(i, stack[-1])
+            elif value == "thimac":
+                i = self._open_thimac(i, stack)
+            elif value == "storage":
+                i = self._parse_storage(i, stack[-1])
             else:
-                edges.append(self._parse_edge(stack[-1]))
+                self._error(i, "a declaration or '}'")
         nodes = self._builder.node_ids
         for owner, src, dst, is_trigger, condition in edges:
-            src_id = _resolve(src.value, owner, nodes)
+            src_id = _resolve(values[src], owner, nodes)
             if src_id is None:
                 self._error(src, "a declared action or storage")
-            dst_id = _resolve(dst.value, owner, nodes)
+            dst_id = _resolve(values[dst], owner, nodes)
             if dst_id is None:
                 self._error(dst, "a declared action or storage")
             if src_id == dst_id:
@@ -283,139 +286,136 @@ class _Parser:
                 self._builder.add_trigger(src_id, dst_id, condition)
             else:
                 self._builder.add_flow(src_id, dst_id)
-        return self._builder.build()
+        return self._builder.build(), i
 
-    def _declare(
-        self, owner: Optional[str], name: _Token, add: Callable[..., str], *args
-    ) -> str:
-        """Add a thimac, action or storage through ``add(*args, id=path)``.
-        The builder's duplicate-id and nesting-depth checks are the only
-        ones."""
-        path = name.value if owner is None else f"{owner}/{name.value}"
+    def _declare(self, owner: Optional[str], name: int, add: Callable, *args) -> str:
+        """Add a thimac, action or storage named by token ``name`` through
+        ``add(*args, id=path)``.  The builder's duplicate-id and
+        nesting-depth checks are the only ones."""
+        value = self._values[name]
+        path = value if owner is None else f"{owner}/{value}"
         try:
             return add(*args, id=path)
         except NestingError as exc:
             raise ParseError(
-                name.span,
+                self._span(name),
                 f"at most {MAX_DEPTH} nested thimacs",
-                f"thimac {name.value} at depth {exc.depth}",
+                f"thimac {value} at depth {exc.depth}",
             ) from None
         except ModelError:  # the id is taken
             raise ParseError(
-                name.span, "a fresh name", f"{path!r} (already declared)"
+                self._span(name), "a fresh name", f"{path!r} (already declared)"
             ) from None
 
-    def _open_thimac(self, owner: Optional[str]) -> str:
-        """Read ``thimac NAME ["note"] {``; return the thimac's id."""
-        self._advance()
-        name = self._declared_name("thimac name")
-        note = self._advance().value if self._peek().type == "STRING" else None
-        add = self._builder.add_thimac
-        path = self._declare(owner, name, add, name.value, owner, note)
-        self._expect("LBRACE", "'{'")
-        return path
+    def _open_thimac(self, i: int, stack: list[Optional[str]]) -> int:
+        """Read ``thimac NAME ["note"] {`` and push the thimac's id."""
+        name = i + 1
+        i = self._declared_name(name, "thimac name")
+        note = None
+        if self._kinds[i] == "STRING":
+            note, i = self._values[i], i + 1
+        owner, add = stack[-1], self._builder.add_thimac
+        stack.append(self._declare(owner, name, add, self._values[name], owner, note))
+        return self._expect(i, "LBRACE", "'{'")
 
-    def _parse_action(self, owner: Optional[str]) -> None:
-        kind = self._advance()
+    def _parse_action(self, i: int, owner: Optional[str]) -> int:
         if owner is None:
-            self._error(kind, "a thimac to hold this action")
-        name = self._declared_name("action name")
-        label = self._advance().value if self._peek().type == "STRING" else None
-        anchor = None
-        if self._peek().type == "AT":
-            self._advance()
-            token = self._peek()
-            if token.type not in ("NAME", "INT"):
-                self._error(token, "an anchor")
-            anchor = self._advance().value
-        add = self._builder.add_action
-        self._declare(owner, name, add, kind.value, owner, label, anchor)
+            self._error(i, "a thimac to hold this action")
+        kinds, values = self._kinds, self._values
+        kind, name = values[i], i + 1
+        i = self._declared_name(name, "action name")
+        label = anchor = None
+        if kinds[i] == "STRING":
+            label, i = values[i], i + 1
+        if kinds[i] == "AT":
+            if kinds[i + 1] not in ("NAME", "INT"):
+                self._error(i + 1, "an anchor")
+            anchor, i = values[i + 1], i + 2
+        self._declare(owner, name, self._builder.add_action, kind, owner, label, anchor)
+        return i
 
-    def _parse_storage(self, owner: Optional[str]) -> None:
-        keyword = self._advance()
+    def _parse_storage(self, i: int, owner: Optional[str]) -> int:
         if owner is None:
-            self._error(keyword, "a thimac to hold this storage")
-        name = self._declared_name("storage name")
-        self._declare(owner, name, self._builder.add_storage, owner, name.value)
+            self._error(i, "a thimac to hold this storage")
+        name = i + 1
+        self._declared_name(name, "storage name")
+        self._declare(owner, name, self._builder.add_storage, owner, self._values[name])
+        return i + 2
 
-    def _parse_edge(self, owner: Optional[str]) -> _Edge:
-        src = self._advance()
-        arrow = self._peek()
-        if arrow.type not in ("ARROW", "TRIG"):
-            self._error(arrow, "'->' or '~>'")
-        self._advance()
-        dst = self._expect("NAME", "a node name")
+    def _parse_edge(self, i: int, owner: Optional[str], edges: list[_Edge]) -> int:
+        arrow = self._kinds[i + 1]
+        if arrow not in ("ARROW", "TRIG"):
+            self._error(i + 1, "'->' or '~>'")
+        end = self._expect(i + 2, "NAME", "a node name")
         condition = None
-        if arrow.type == "TRIG" and self._at_keyword("if"):
-            self._advance()
-            condition = self._expect("STRING", "a condition string").value
-        return owner, src, dst, arrow.type == "TRIG", condition
+        if arrow == "TRIG" and self._at_keyword(end, "if"):
+            end = self._expect(end + 1, "STRING", "a condition string")
+            condition = self._values[end - 1]
+        edges.append((owner, i, i + 2, arrow == "TRIG", condition))
+        return end
 
-    def _parse_events_block(self, model: StaticModel) -> dict[str, Event]:
+    def _parse_events_block(
+        self, i: int, model: StaticModel
+    ) -> tuple[dict[str, Event], int]:
         """Each event is defined as it is read, against the built model."""
-        self._advance()
-        self._expect("LBRACE", "'{'")
+        kinds, values = self._kinds, self._values
+        i = self._expect(i, "LBRACE", "'{'")
         actions = model.actions_by_id
         events: dict[str, Event] = {}
-        while self._peek().type not in ("RBRACE", "EOF"):
-            self._expect_keyword("event")
-            event_id = self._declared_name("event id")
-            if event_id.value in events:
-                raise ParseError(
-                    event_id.span,
-                    "a fresh event id",
-                    f"{event_id.value!r} (already declared)",
-                )
-            label = self._expect("STRING", "an event label").value
-            self._expect("LBRACE", "'{'")
-            region = [self._known(actions, "an action name", "action").value]
-            while self._peek().type == "COMMA":
-                self._advance()
-                region.append(self._known(actions, "an action name", "action").value)
-            self._expect("RBRACE", "'}'")
-            events[event_id.value] = define_event(model, event_id.value, label, region)
-        self._expect("RBRACE", "'}'")
-        return events
+        while kinds[i] != "RBRACE" and kinds[i] != "EOF":
+            if not self._at_keyword(i, "event"):
+                self._error(i, "'event'")
+            name = i + 1
+            i = self._declared_name(name, "event id")
+            event_id = values[name]
+            if event_id in events:
+                found = f"{event_id!r} (already declared)"
+                raise ParseError(self._span(name), "a fresh event id", found)
+            label, i = values[i], self._expect(i, "STRING", "an event label")
+            i = self._expect(i, "LBRACE", "'{'")
+            region = [values[i]]
+            i = self._known(i, actions, "an action name", "action")
+            while kinds[i] == "COMMA":
+                region.append(values[i + 1])
+                i = self._known(i + 1, actions, "an action name", "action")
+            i = self._expect(i, "RBRACE", "'}'")
+            events[event_id] = define_event(model, event_id, label, region)
+        return events, self._expect(i, "RBRACE", "'}'")
 
-    def _parse_chronology_block(self, events: dict[str, Event]) -> ChronologyGraph:
+    def _parse_chronology_block(
+        self, i: int, events: dict[str, Event]
+    ) -> tuple[ChronologyGraph, int]:
         """Edges are checked as they are read; the graph is built at the
         block's ``}``."""
-        self._advance()
-        self._expect("LBRACE", "'{'")
+        kinds, values = self._kinds, self._values
+        i = self._expect(i, "LBRACE", "'{'")
         edges: dict[tuple[str, str], ChronEdge] = {}
         bounds = {}
-        while self._peek().type not in ("RBRACE", "EOF"):
-            src = self._known(events, "an event id", "event")
-            self._expect("ARROW", "'->'")
-            dst = self._known(events, "an event id", "event")
-            pair = (src.value, dst.value)
+        while kinds[i] != "RBRACE" and kinds[i] != "EOF":
+            src, arrow = i, self._known(i, events, "an event id", "event")
+            dst = self._expect(arrow, "ARROW", "'->'")
+            i = self._known(dst, events, "an event id", "event")
+            pair = (values[src], values[dst])
             if pair in edges:
-                self._error(dst, f"a single edge {src.value} -> {dst.value}")
+                self._error(dst, f"a single edge {pair[0]} -> {pair[1]}")
             guard = None
-            if self._at_keyword("if"):
-                self._advance()
-                guard = self._expect("STRING", "a guard string").value
-            if self._at_keyword("max"):
-                self._advance()
-                token = self._expect("INT", "an iteration bound")
+            if self._at_keyword(i, "if"):
+                i = self._expect(i + 1, "STRING", "a guard string")
+                guard = values[i - 1]
+            if self._at_keyword(i, "max"):
+                bound = i + 1
+                i = self._expect(bound, "INT", "an iteration bound")
                 try:
-                    bounds[pair] = int(token.value)
+                    bounds[pair] = int(values[bound])
                 except ValueError:  # more digits than Python will convert
-                    digits = f"{len(token.value)} digits"
-                    raise ParseError(token.span, "a shorter bound", digits) from None
+                    digits = f"{len(values[bound])} digits"
+                    span = self._span(bound)
+                    raise ParseError(span, "a shorter bound", digits) from None
                 if bounds[pair] < 1:
-                    self._error(token, "a bound of at least 1")
-            edges[pair] = ChronEdge(src.value, dst.value, guard)
-        self._expect("RBRACE", "'}'")
-        return build_chronology(events.values(), edges.values(), bounds)
-
-    def _known(self, names: Container[str], what: str, kind: str) -> _Token:
-        """A NAME token (else an error expecting ``what``) among ``names``
-        (else an error expecting a declared ``kind``)."""
-        token = self._expect("NAME", what)
-        if token.value not in names:
-            self._error(token, f"a declared {kind}")
-        return token
+                    self._error(bound, "a bound of at least 1")
+            edges[pair] = ChronEdge(*pair, guard)
+        i = self._expect(i, "RBRACE", "'}'")
+        return build_chronology(events.values(), edges.values(), bounds), i
 
 
 def parse(text: str) -> Document:
@@ -428,7 +428,7 @@ def parse(text: str) -> Document:
     only one for duplicates.  Of several faults, the first in reading order
     is reported.
     """
-    return _Parser(_tokenize(text)).parse_document()
+    return _Parser(text).parse_document()
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +451,11 @@ def _quoted(text: str) -> str:
 
 def _bare(word: str, what: str) -> str:
     """``word`` written bare as a ``what``, if the lexer reads it back as
-    one token that the parser takes there.  An anchor is a NAME or an INT;
+    one unpadded token that the parser takes there.  An anchor is a NAME or an INT;
     a reference is a NAME and no keyword; any other bare word declares
     something, so, as the parser asks, it is also unqualified (no ``/``)."""
     match = _TOKEN_RE.fullmatch(word)
-    kind = match.lastgroup if match else None
+    kind = match.lastgroup if match and match.start(match.lastgroup) == 0 else None
     if what == "anchor":
         readable = kind in ("NAME", "INT")
     elif what == "reference":

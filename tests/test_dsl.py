@@ -2,7 +2,7 @@
 import json
 import re
 from random import Random
-from typing import Container, NoReturn, Optional
+from typing import Container, NamedTuple, NoReturn, Optional
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +21,7 @@ from tmkit import (
     TmkitError,
     build_chronology,
     define_event,
+    dsl,
     format_document,
     from_json,
     parse,
@@ -31,18 +32,20 @@ from tmkit.dsl import (
     ACTION_KINDS,
     KEYWORDS,
     SourceSpan,
-    _TOKEN_RE,
-    _Token,
+    _INT,
+    _NAME,
+    _Parser,
     _bare,
-    _describe,
     _resolve,
-    _tokenize,
+    escape,
 )
 from tmkit.dynamics import (
     DisconnectedRegionError,
     DynamicsError,
     NoInitialEventError,
     UnboundedCycleError,
+    _ESCAPE_RE,
+    _STRING,
     structurally_equal_documents,
 )
 
@@ -241,6 +244,14 @@ def test_unterminated_string():
     assert "closing" in str(err)
 
 
+@pytest.mark.parametrize(
+    "text, found",
+    [('model "a\\\\" {}', 'string "a\\\\"'), ('model "x\\"y" {}', 'string "x\\"y"')],
+)
+def test_an_error_quotes_a_string_as_the_source_spells_it(text, found):
+    assert str(error_for(text)) == f"line 1, col 7: expected model name, found {found}"
+
+
 def test_unknown_reference():
     err = error_for("model m { thimac t { create a a -> ghost } }")
     assert "a declared action or storage" in str(err)
@@ -335,7 +346,82 @@ def test_parse_error_spans_stay_inside_the_input(text):
 
 
 # ---------------------------------------------------------------------------
-# the lexer against the character loop it replaced
+# the lexer against the master regex and the character loop it replaced
+
+
+class _Token(NamedTuple):
+    type: str  # NAME INT STRING ARROW TRIG LBRACE RBRACE AT COMMA EOF
+    value: str
+    line: int
+    col: int
+    length: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.col, self.length)
+
+
+def describe(token: _Token) -> str:
+    """What an error says it found: a string as the source spells it."""
+    if token.type == "EOF":
+        return "end of file"
+    if token.type == "STRING":
+        return f'string "{escape(token.value)}"'
+    return repr(token.value)
+
+
+def tokenize_by_offsets(text: str) -> list[tuple]:
+    """``dsl``'s lexer, each token with the span an error at it would give."""
+    parser = _Parser(text)
+    tokens = []
+    for i, (kind, value) in enumerate(zip(parser._kinds, parser._values)):
+        span = parser._span(i)
+        tokens.append((kind, value, span.line, span.col, span.length))
+    return tokens
+
+
+# One match per token, whitespace and each line break included.
+TOKEN_RE_BY_REGEX = re.compile(
+    r"(?P<NEWLINE>\n)"
+    r"|(?P<SKIP>[ \t\r]+|#[^\n]*)"
+    r"|(?P<ARROW>->)|(?P<TRIG>~>)|(?P<LBRACE>\{)|(?P<RBRACE>\})"
+    r"|(?P<AT>@)|(?P<COMMA>,)"
+    f"|(?P<STRING>{_STRING})"
+    f"|(?P<NAME>{_NAME})|(?P<INT>{_INT})"
+    r"|(?P<STRAY>.)"
+)
+
+
+def tokenize_by_regex(text: str) -> list[_Token]:
+    """The lexer as it was before it folded whitespace into each token's
+    match: a token object with a line and column for every token.  Kept as
+    the reference for ``dsl``'s lexer, token for token."""
+    tokens: list[_Token] = []
+    line, line_start = 1, 0
+    match = None
+    for match in TOKEN_RE_BY_REGEX.finditer(text):
+        kind = match.lastgroup
+        if kind == "SKIP":
+            continue
+        start, value = match.start(), match.group()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, start + 1
+            continue
+        col = start - line_start + 1
+        if kind == "STRING":
+            if match["CLOSE"] is None:
+                found = "end of file" if match.end() == len(text) else "end of line"
+                span = SourceSpan(line, col, len(value))
+                raise ParseError(span, "closing '\"'", found)
+            value = _ESCAPE_RE.sub(r"\1", value[1:-1])
+        elif kind == "STRAY":
+            raise ParseError(SourceSpan(line, col, 1), "a token", repr(value))
+        tokens.append(_Token(kind, value, line, col, match.end() - start))
+    # A comment moves no column: EOF right after one sits at its '#'.
+    end = match.start() if match and match.group()[0] == "#" else len(text)
+    tokens.append(_Token("EOF", "", line, end - line_start + 1, 1))
+    return tokens
+
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:/[A-Za-z_][A-Za-z0-9_]*)*")
 _INT_RE = re.compile(r"[0-9]+")
@@ -343,7 +429,7 @@ _INT_RE = re.compile(r"[0-9]+")
 
 def tokenize_by_chars(text: str) -> list[_Token]:
     """The lexer as first written, one character at a time.  Kept as the
-    reference for the master-regex ``_tokenize``."""
+    reference for the master-regex lexers."""
     tokens: list[_Token] = []
     line, col = 1, 1
     i, n = 0, len(text)
@@ -454,7 +540,14 @@ def lexer_inputs(draw):
 @given(lexer_inputs())
 @settings(max_examples=500, deadline=None)
 def test_the_lexer_matches_the_character_loop(text):
-    assert lexed(_tokenize, text) == lexed(tokenize_by_chars, text)
+    assert lexed(tokenize_by_offsets, text) == lexed(tokenize_by_chars, text)
+
+
+@given(lexer_inputs())
+@settings(max_examples=500, deadline=None)
+def test_the_lexer_matches_the_master_regex_token_for_token(text):
+    # kind, value, line, column and length of every token, or the error
+    assert lexed(tokenize_by_offsets, text) == lexed(tokenize_by_regex, text)
 
 
 @pytest.mark.parametrize(
@@ -468,10 +561,48 @@ def test_the_lexer_matches_the_character_loop(text):
         "a\x0bb",  # whitespace is space, tab and \r only
         "m \u0663",  # an int is ASCII digits only
         '"open\nx',
+        " #> @/",  # the whole text is one comment, with no line break
+        "model m {\n  # c",  # a comment after the last line break
+        'm "#" x',  # a '#' in a string is no comment, on the last line too
+        'm "#" x # c',
+        "a # c\rb\nc",  # \r does not end a comment
+        "model m {\r\n.x",  # \r\n line breaks, a stray at a line's start
+        "model m {\nthimac t { x",  # no final line break
+        'model m "open',  # an unclosed string at the end of the file
+        'model m "open\n}',  # and at the end of a line
     ],
 )
 def test_the_lexer_keeps_the_character_loops_edge_cases(text):
-    assert lexed(_tokenize, text) == lexed(tokenize_by_chars, text)
+    assert lexed(tokenize_by_offsets, text) == lexed(tokenize_by_chars, text)
+    assert lexed(tokenize_by_offsets, text) == lexed(tokenize_by_regex, text)
+
+
+def test_a_span_is_made_only_for_the_error(monkeypatch):
+    # the lexer keeps offsets; a line and column are worked out per error
+    made = []
+
+    class CountedSpan(SourceSpan):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(dsl, "SourceSpan", CountedSpan)
+    documents = [format_document(random_document(Random(seed))) for seed in range(200)]
+    for text in documents + FIXTURE_TEXTS:
+        parse(text)
+    assert made == []
+    for text in [
+        "model m { ? }",  # a stray character
+        'model m { thimac t { create a "open } }',
+        "model m { thimac t { create a create a } }",
+        "model m { thimac t { create a a -> ghost } }",  # resolved at the '}'
+        "model m { thimac t {",
+        FIXTURE_TEXTS[1] + "chronology { }",
+    ]:
+        made.clear()
+        with pytest.raises(ParseError):
+            parse(text)
+        assert len(made) == 1, text
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +651,7 @@ class _TwoPassParser:
         return token
 
     def _error(self, token: _Token, expected: str) -> NoReturn:
-        raise ParseError(token.span, expected, _describe(token))
+        raise ParseError(token.span, expected, describe(token))
 
     def _expect(self, type_: str, expected: str) -> _Token:
         token = self._peek()
@@ -543,7 +674,7 @@ class _TwoPassParser:
         if token.value in KEYWORDS:
             raise ParseError(token.span, what, f"keyword {token.value!r}")
         if "/" in token.value:
-            raise ParseError(token.span, f"an unqualified {what}", _describe(token))
+            raise ParseError(token.span, f"an unqualified {what}", describe(token))
         return token
 
     # -- grammar -------------------------------------------------------------
@@ -767,7 +898,7 @@ def parse_in_two_passes(text: str) -> Document:
     """The parser as it was before it resolved each block as it closed:
     it kept its own id table and parked events and chronology edges until
     the end of the file.  Kept as the reference for ``parse``."""
-    return _TwoPassParser(_tokenize(text)).parse_document()
+    return _TwoPassParser(tokenize_by_regex(text)).parse_document()
 
 
 # Words an edit may put in: every token kind, each keyword, and names the
@@ -784,7 +915,7 @@ def _edit(rng: Random, text: str) -> str:
     self-loops, duplicates and dangling references."""
     spans = [
         (m.start(), m.end(), m.lastgroup)
-        for m in _TOKEN_RE.finditer(text)
+        for m in TOKEN_RE_BY_REGEX.finditer(text)
         if m.lastgroup not in ("SKIP", "NEWLINE")
     ]
     roll = rng.random()
@@ -1031,7 +1162,7 @@ def test_a_bare_word_is_written_exactly_when_the_lexer_reads_it_back(word, what)
     # the parser takes a NAME or an INT as an anchor, a NAME but no keyword
     # as a reference, and an unqualified one as any declared name
     try:
-        tokens = [(t.type, t.value) for t in _tokenize(word) if t.type != "EOF"]
+        tokens = [token[:2] for token in tokenize_by_offsets(word) if token[0] != "EOF"]
     except ParseError:
         tokens = []
     kinds = ("NAME", "INT") if what == "anchor" else ("NAME",)
