@@ -25,10 +25,9 @@ complain about, not as exceptions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from itertools import chain, repeat
-from operator import attrgetter, itemgetter, le, lt
-from typing import Iterable, Optional, Union
+from operator import itemgetter, le, lt
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .dynamics import (
     ChronEdge,
@@ -117,23 +116,20 @@ FLOWCHART_SCHEMA = _object(
 )
 
 
-@dataclass(frozen=True)
-class FlowNode:
+class FlowNode(NamedTuple):
     id: str
     lane: str
     kind: str
     label: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class FlowEdge:
+class FlowEdge(NamedTuple):
     src: str
     dst: str
     guard: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class FlowchartDoc:
+class FlowchartDoc(NamedTuple):
     name: str
     lanes: tuple[str, ...]
     nodes: tuple[FlowNode, ...]
@@ -600,12 +596,10 @@ def _list(items: list[str], depth: int) -> str:
     return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
 
 
-#: Each section's field getter and row template, the document's template
-#: and its chronology's, and those of an event and a chronology edge.
-_ROWS = {
-    section: (attrgetter(*(field.name for field in fields(record))), _template(keys, 2))
-    for section, (record, keys) in _SECTIONS.items()
-}
+#: Each section's row template, the document's template and its
+#: chronology's, and those of an event and a chronology edge.  A record is
+#: a named tuple of its fields in key order, so it fills its row as it is.
+_ROWS = {section: _template(keys, 2) for section, (_, keys) in _SECTIONS.items()}
 _DOCUMENT = _template(MODEL_SCHEMA["properties"], 0)
 _CHRONOLOGY = _template(MODEL_SCHEMA["properties"]["chronology"]["properties"], 1)
 _EVENT_ROW = _template(_EVENT, 2)
@@ -625,9 +619,9 @@ def to_json(doc: Union[Document, StaticModel]) -> str:
         doc = Document(doc)
     model = doc.model
     sections = []
-    for section, (row, template) in _ROWS.items():
+    for section, template in _ROWS.items():
         rows = [
-            template % tuple([encode(v) if v is not None else "null" for v in row(r)])
+            template % tuple([encode(v) if v is not None else "null" for v in r])
             for r in getattr(model, section)
         ]
         sections.append(_list(rows, 1))

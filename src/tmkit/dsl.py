@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Callable, Container, Iterator, NoReturn, Optional, Union
+from typing import Callable, Container, Iterator, NamedTuple, NoReturn, Optional, Union
 
 from .dynamics import (
     _ESCAPE_RE,
@@ -76,8 +75,7 @@ KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     line: int  # 1-based
     col: int  # 1-based
     length: int

@@ -13,7 +13,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import TmkitError, decode_json
 from .model import Flow, StaticModel, grouped, structurally_equal
@@ -68,15 +69,13 @@ class NoEnabledSuccessorError(SimulationError):
     """Every guard at a branch evaluated false and there is no fallback."""
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     id: str
     label: str
     region: frozenset[str]
 
 
-@dataclass(frozen=True)
-class ChronEdge:
+class ChronEdge(NamedTuple):
     src: str
     dst: str
     guard: Optional[str] = None
@@ -135,14 +134,12 @@ class ChronologyGraph:
         return (src, dst) in self.edge_pairs
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
-    decisions: Mapping[str, tuple[bool, ...]] = field(default_factory=dict)
+    decisions: Mapping[str, tuple[bool, ...]] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     steps: tuple[tuple[str, int], ...]  # (event id, 0-based step index)
     scenario: str
 
@@ -151,8 +148,7 @@ class Trace:
         return tuple(event for event, _ in self.steps)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     step: int
     message: str
 
@@ -160,8 +156,7 @@ class Violation:
         return f"step {self.step}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ConformanceResult:
+class ConformanceResult(NamedTuple):
     ok: bool
     violation: Optional[Violation] = None
 

@@ -43,7 +43,6 @@ same tooling as everything else.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
@@ -63,8 +62,7 @@ class LogicError(TmkitError):
     pass
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     variable: str
     positive: bool = True
 
@@ -75,8 +73,7 @@ class Literal:
         return self.variable if self.positive else f"~{self.variable}"
 
 
-@dataclass(frozen=True)
-class Origin:
+class Origin(NamedTuple):
     """Where a usable implication came from: premise ``index`` (1-based),
     either as stated or flipped into its contrapositive."""
 
@@ -89,15 +86,29 @@ class Origin:
         return f"premise {self.index}"
 
 
-@dataclass(frozen=True)
-class Implication:
+class _ImplicationRow(NamedTuple):
     antecedent: Literal
     consequent: Literal
     origin: Optional[Origin] = None
 
-    def __post_init__(self) -> None:
-        if self.antecedent == self.consequent:
-            raise LogicError(f"implication {self.antecedent} -> itself is vacuous")
+
+class Implication(_ImplicationRow):
+    """``antecedent -> consequent``, refused when the two are one literal.
+    The check is in ``__new__``, and ``_make`` (so ``_replace`` too) goes
+    through it."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, antecedent: Literal, consequent: Literal, origin: Optional[Origin] = None
+    ) -> "Implication":
+        if antecedent == consequent:
+            raise LogicError(f"implication {antecedent} -> itself is vacuous")
+        return tuple.__new__(cls, (antecedent, consequent, origin))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Implication":
+        return cls(*iterable)
 
     def contrapositive(self) -> "Implication":
         """``~consequent -> ~antecedent``, from the same premise flipped;

@@ -8,6 +8,9 @@ optionally under a condition).
 Models are immutable values.  They are assembled through ``ModelBuilder``,
 which checks references as elements are added; everything after that --
 ``validate``, ``simplify`` -- is a pure function returning new values.
+The elements are named tuples, so an element equals any tuple with the
+same values: ``StaticModel`` keeps each kind in its own section, and no
+comparison here mixes two kinds.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count, groupby
 from operator import itemgetter
-from typing import Container, Iterable, Iterator, Optional, TypeVar
+from typing import Container, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 from .errors import TmkitError
 
@@ -83,51 +86,64 @@ class SimplifyError(TmkitError):
         super().__init__(f"model has validation errors: {lines}")
 
 
-@dataclass(frozen=True)
-class Thimac:
+class Thimac(NamedTuple):
     id: str
     name: str
     parent: Optional[str] = None
     note: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Action:
+class _ActionRow(NamedTuple):
     id: str
     kind: str
     owner: str
     label: Optional[str] = None
     anchor: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ACTION_KINDS:
-            raise ModelError(f"unknown action kind {self.kind!r} for {self.id!r}")
+
+class Action(_ActionRow):
+    """An action of one of the ``ACTION_KINDS``.  The kind is checked in
+    ``__new__``, and ``_make`` (so ``_replace`` too) goes through it."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: str,
+        kind: str,
+        owner: str,
+        label: Optional[str] = None,
+        anchor: Optional[str] = None,
+    ) -> "Action":
+        if kind not in ACTION_KINDS:
+            raise ModelError(f"unknown action kind {kind!r} for {id!r}")
+        return tuple.__new__(cls, (id, kind, owner, label, anchor))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Action":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Storage:
+class Storage(NamedTuple):
     id: str
     owner: str
     name: str
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(NamedTuple):
     id: str
     src: str
     dst: str
 
 
-@dataclass(frozen=True)
-class Trigger:
+class Trigger(NamedTuple):
     id: str
     src: str
     dst: str
     condition: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     rule: str  # "R1" .. "R8"
     subject: str  # id of the offending element

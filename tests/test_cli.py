@@ -1,6 +1,7 @@
 """The command-line front end: outputs, exit codes, and stream discipline."""
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -1225,3 +1226,44 @@ def test_fuzzed_inputs_never_crash_the_cli(
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         result.exception
     )
+
+
+# ---------------------------------------------------------------------------
+# records in messages
+
+#: A record's repr, as ``!r`` or ``repr()`` would put it in a message.
+RECORD_REPR = re.compile(
+    r"\b(?:Thimac|Action|Storage|Flow|Trigger|Diagnostic|Event|ChronEdge"
+    r"|Scenario|Trace|Violation|ConformanceResult|SourceSpan|FlowNode"
+    r"|FlowEdge|FlowchartDoc|Literal|Origin|Implication)\("
+)
+
+
+def test_no_output_or_message_shows_a_record_repr(tmp_path, broken_model):
+    from test_acceptance import criterion_8_commands
+
+    files = {
+        "vacuous.arg": "a -> b\n|- a -> b\n~b -> ~b\n",
+        "unprovable.arg": "a -> b\n|- b -> a\n",
+        "chart.json": '{"name": "x"}',
+        "stray.json": '{"steps": [{"event": "E99"}]}',
+        "dry.scenario": "",
+        "bad.tm": "model m { thimac t { create a a -> ghost } }",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    ordering = fixture_path("ordering.tm")
+    failing = [
+        ["check", broken_model],
+        ["check", tmp_path / "bad.tm"],
+        ["prove", tmp_path / "vacuous.arg"],
+        ["prove", tmp_path / "unprovable.arg"],
+        ["validate-arg", tmp_path / "unprovable.arg"],
+        ["import", tmp_path / "chart.json"],
+        ["conform", ordering, tmp_path / "stray.json"],
+        ["simulate", ordering, "--scenario", tmp_path / "dry.scenario"],
+    ]
+    for args in criterion_8_commands(tmp_path) + failing:
+        result = invoke(*args)
+        assert not RECORD_REPR.search(result.stdout + result.stderr), args
+        assert result.exit_code != 0 or args not in failing, args

@@ -50,7 +50,12 @@ from tmkit.errors import decode_json
 
 from conftest import ODD_LINE_BREAKS, ODD_NAMES, load_scenario, tmkit_env
 from generators import mutate, random_document, random_raw_model
-from test_model import model_changes, record_changes, structurally_equal_by_fields
+from test_model import (
+    model_changes,
+    record_changes,
+    storage_or_flow_models,
+    structurally_equal_by_fields,
+)
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -224,6 +229,20 @@ def test_chronology_rejects_unknown_edge_endpoints():
         build_chronology(events, [ChronEdge("E1", "E9")])
 
 
+def test_chronology_takes_edges_as_plain_tuples():
+    events = events_over(one_action_model(), 3)
+    graph = build_chronology(
+        events,
+        [("E1", "E2"), ("E2", "E3", "again"), ChronEdge("E3", "E2")],
+        {("E3", "E2"): 2},
+    )
+    assert graph.edges == (
+        ChronEdge("E1", "E2"), ChronEdge("E2", "E3", "again"), ChronEdge("E3", "E2")
+    )
+    assert all(type(edge) is ChronEdge for edge in graph.edges)
+    assert graph.successors["E2"][0].guard == "again"
+
+
 def test_loop_bound_must_sit_on_an_edge():
     events = events_over(one_action_model(), 2)
     with pytest.raises(UnknownEventError, match="nonexistent edge"):
@@ -363,6 +382,13 @@ def chronology(edges, bounds=None, count=None):
     events = events_over(one_action_model(), count)
     chron_edges = [ChronEdge(*e) for e in edges]
     return build_chronology(events, chron_edges, bounds or {})
+
+
+def test_a_scenario_without_decisions_has_a_read_only_empty_mapping():
+    scenario = Scenario("s")
+    with pytest.raises(TypeError):
+        scenario.decisions["g"] = (True,)
+    assert scenario.decisions == {} == Scenario("t").decisions
 
 
 def test_simulation_starts_at_the_least_initial_event():
@@ -1015,12 +1041,19 @@ def test_document_equality_agrees_with_the_field_tuples_on_one_field_changes(see
         assert structurally_equal_documents(changed, doc) == verdict
 
 
+def test_document_equality_tells_a_storage_from_a_flow_of_the_same_values():
+    as_storage, as_flow = (Document(model) for model in storage_or_flow_models())
+    assert not structurally_equal_documents(as_storage, as_flow)
+    assert not structurally_equal_documents(as_flow, as_storage)
+    assert structurally_equal_documents(as_storage, as_storage)
+
+
 def test_document_equality_sees_each_chronology_difference(ordering_doc):
     chronology = ordering_doc.chronology
     first, *rest = chronology.edges
     guarded = next(i for i, e in enumerate(chronology.edges) if e.guard is not None)
     edges = list(chronology.edges)
-    edges[guarded] = dataclasses.replace(edges[guarded], guard="otherwise")
+    edges[guarded] = edges[guarded]._replace(guard="otherwise")
     changes = {
         "no chronology": None,
         "an event fewer": dataclasses.replace(

@@ -201,6 +201,17 @@ def test_implication_to_itself_is_refused():
     imp("a", "~a")  # fine: this one actually says something
 
 
+def test_replace_checks_for_a_vacuous_implication_too():
+    rule = imp("a", "~b", 2)
+    with pytest.raises(LogicError, match="^implication a -> itself is vacuous$"):
+        rule._replace(consequent=rule.antecedent)
+    with pytest.raises(LogicError, match="vacuous"):
+        Implication._make([Literal("a"), Literal("a"), None])
+    flipped = rule._replace(consequent=Literal("b"))
+    assert type(flipped) is Implication
+    assert flipped == Implication(Literal("a"), Literal("b"), Origin(2))
+
+
 def test_contrapositive_is_an_involution():
     rule = imp("a", "~b", 4)
     flipped = rule.contrapositive()
@@ -481,11 +492,11 @@ def test_prove_builds_no_record_per_premise_or_step(monkeypatch):
     ) + "|- v0 -> v1000\n"
     built = Counter()
     for record in (Implication, Literal, Origin):
-        def counting(self, *args, _init=record.__init__, _name=record.__name__):
+        def counting(cls, *args, _new=record.__new__, _name=record.__name__):
             built[_name] += 1
-            _init(self, *args)
+            return _new(cls, *args)
 
-        monkeypatch.setattr(record, "__init__", counting)
+        monkeypatch.setattr(record, "__new__", counting)
     path = derive(parse_argument(text))
     proof = format_proof(path)
     assert proof.count("[premise") == proof.count("[contrapositive") == 500

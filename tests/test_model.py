@@ -253,6 +253,17 @@ def test_unknown_action_kind_is_refused():
         Action("a/x", "teleport", "a")
 
 
+def test_replace_checks_the_action_kind_too():
+    action = Action("a/x", "create", "a", label="start")
+    with pytest.raises(ModelError, match="^unknown action kind 'teleport' for 'a/x'$"):
+        action._replace(kind="teleport")
+    with pytest.raises(ModelError, match="unknown action kind"):
+        Action._make(["a/x", "teleport", "a", None, None])
+    moved = action._replace(kind="process")
+    assert type(moved) is Action
+    assert moved == Action("a/x", "process", "a", "start", None)
+
+
 def test_node_kind_and_owner():
     builder = two_thimac_builder()
     act = builder.add_action("create", "a")
@@ -923,6 +934,28 @@ def test_structural_equality_sees_condition_changes():
     assert not structurally_equal(one, two)
 
 
+def storage_or_flow_models() -> tuple[StaticModel, StaticModel]:
+    """Two models that differ only in whether the element ``("x", "a/p",
+    "a/q")`` is a storage or a flow; the records themselves are equal
+    tuples."""
+    thimacs = (Thimac("a", "a"), Thimac("a/p", "p"), Thimac("a/q", "q"))
+    actions = (Action("a/p", "process", "a"), Action("a/q", "process", "a"))
+    storage, flow = Storage("x", "a/p", "a/q"), Flow("x", "a/p", "a/q")
+    assert storage == flow == ("x", "a/p", "a/q")
+    return (
+        StaticModel("m", thimacs, actions, storages=(storage,)),
+        StaticModel("m", thimacs, actions, flows=(flow,)),
+    )
+
+
+def test_structural_equality_tells_a_storage_from_a_flow_of_the_same_values():
+    as_storage, as_flow = storage_or_flow_models()
+    assert as_storage != as_flow
+    assert not structurally_equal(as_storage, as_flow)
+    assert not structurally_equal(as_flow, as_storage)
+    assert not structurally_equal_by_fields(as_storage, as_flow)
+
+
 def structurally_equal_by_fields(a: StaticModel, b: StaticModel) -> bool:
     """``structurally_equal`` as it was before node records were compared by
     their own ``==``: each record spelled out as a tuple of its fields.
@@ -957,15 +990,15 @@ MODEL_SECTIONS = (*NODE_SECTIONS, "flows", "triggers")
 def one_field_changes(record):
     """``(field name, copy of record)`` for each field, with that field
     changed to a value no generated record holds."""
-    for field in dataclasses.fields(record):
-        value = getattr(record, field.name)
-        if field.name == "kind":
+    for name in record._fields:
+        value = getattr(record, name)
+        if name == "kind":
             value = next(kind for kind in ACTION_KINDS if kind != value)
-        elif field.name == "region":
+        elif name == "region":
             value = value | {"elsewhere"}
         else:
             value = "changed" if value is None else value + "~"
-        yield field.name, dataclasses.replace(record, **{field.name: value})
+        yield name, record._replace(**{name: value})
 
 
 def record_changes(records: tuple, rng: Random):

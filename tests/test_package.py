@@ -1,4 +1,7 @@
-"""The package surface: its public names, its version, the README example."""
+"""The package surface: its public names, its records, its version, the
+README example."""
+import ast
+import dataclasses
 import importlib
 import re
 import subprocess
@@ -104,6 +107,79 @@ def test_an_unknown_name_is_the_usual_attribute_error():
     with pytest.raises(AttributeError) as raised:
         tmkit.no_such_name
     assert str(raised.value) == "module 'tmkit' has no attribute 'no_such_name'"
+
+
+#: The modules that define tmkit's types (``__main__`` runs the CLI).
+MODULES = ("model", "dynamics", "dsl", "logic", "convert", "cli", "errors")
+
+#: One of each record type; every one is a named tuple.
+RECORDS = [
+    tmkit.Thimac("a", "a"),
+    tmkit.Action("a/x", "create", "a", "start"),
+    tmkit.Storage("a/s", "a", "s"),
+    tmkit.Flow("f", "a/x", "a/s"),
+    tmkit.Trigger("t", "a/x", "a/y", "ok"),
+    tmkit.model.Diagnostic("error", "R1", "f", "message"),
+    tmkit.Event("E1", "first", frozenset({"a/x"})),
+    tmkit.ChronEdge("E1", "E2", "yes"),
+    tmkit.Scenario("s"),
+    tmkit.Trace((("E1", 0),), "s"),
+    tmkit.Violation(0, "message"),
+    tmkit.ConformanceResult(True),
+    tmkit.SourceSpan(1, 2, 3),
+    tmkit.FlowNode("n", "lane", "start"),
+    tmkit.FlowEdge("n", "m"),
+    tmkit.FlowchartDoc("chart", ("lane",), (), ()),
+    tmkit.Literal("a"),
+    tmkit.Origin(1),
+    tmkit.Implication(tmkit.Literal("a"), tmkit.Literal("b"), tmkit.Origin(1)),
+]
+
+
+def test_the_only_dataclasses_are_those_with_cached_indexes():
+    found = set()
+    for module in MODULES:
+        for name, value in vars(importlib.import_module(f"tmkit.{module}")).items():
+            if isinstance(value, type) and dataclasses.is_dataclass(value):
+                found.add(name)
+    assert found == {"StaticModel", "ChronologyGraph", "Document"}
+
+
+def test_each_record_is_a_named_tuple_that_reprs_under_its_own_name():
+    assert len({type(record) for record in RECORDS}) == len(RECORDS) == 19
+    for record in RECORDS:
+        kind = type(record)
+        assert isinstance(record, tuple) and kind._fields, kind
+        assert tuple(record) == tuple(getattr(record, f) for f in kind._fields)
+        fields = ", ".join(f"{f}={getattr(record, f)!r}" for f in kind._fields)
+        assert repr(record) == f"{kind.__name__}({fields})"
+    assert repr(RECORDS[1]) == (
+        "Action(id='a/x', kind='create', owner='a', label='start', anchor=None)"
+    )
+
+
+def tuple_new_calls(node: ast.AST, where: tuple = (None, None)):
+    """``(class, function)`` around each ``tuple.__new__`` call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inside = where
+        if isinstance(child, ast.ClassDef):
+            inside = (child.name, None)
+        elif isinstance(child, ast.FunctionDef):
+            inside = (where[0], child.name)
+        elif isinstance(child, ast.Call) and ast.unparse(child.func) == "tuple.__new__":
+            yield where
+        yield from tuple_new_calls(child, inside)
+
+
+def test_only_the_checked_records_own_new_skips_their_check():
+    # ``tuple.__new__`` on ``Action`` or ``Implication`` skips the check in
+    # their ``__new__``, so only that ``__new__`` may call it.
+    calls = [
+        where
+        for path in sorted((ROOT / "src" / "tmkit").glob("*.py"))
+        for where in tuple_new_calls(ast.parse(path.read_text()))
+    ]
+    assert sorted(calls) == [("Action", "__new__"), ("Implication", "__new__")]
 
 
 def test_the_version_is_stated_once():
