@@ -39,7 +39,7 @@ from .dynamics import (
     simulate,
 )
 from .dsl import _WORD, containment_walk, escape
-from .errors import TmkitError, decode_json
+from .errors import TmkitError, _list, _template, decode_json
 from .model import (
     ACTION_KINDS,
     LEGAL_FLOW_PAIRS,
@@ -137,14 +137,15 @@ class FlowchartDoc(NamedTuple):
     description: Optional[str] = None
 
 
-_TYPES = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "null": lambda v: v is None,
-    # a bool is not an integer; a float with no fraction is
-    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
-    or (isinstance(v, float) and v.is_integer()),
+#: The Python types of the JSON values each schema type admits.  JSON
+#: values come as exact types, so the checks test ``type(v) in``, and a
+#: bool, whose type is ``bool``, is no integer.
+_PYTHON_TYPES = {
+    "object": {dict},
+    "array": {list},
+    "string": {str},
+    "null": {type(None)},
+    "integer": {int, float},  # a float only with no fraction
 }
 
 
@@ -158,7 +159,10 @@ def _violation(value: object, schema: dict, path: str = "$") -> Optional[str]:
     for keyword, rule in schema.items():
         if keyword == "type":
             names = rule if isinstance(rule, list) else [rule]
-            if not any(_TYPES[name](value) for name in names):
+            kind = type(value)
+            if not any(kind in _PYTHON_TYPES[name] for name in names) or (
+                kind is float and not value.is_integer()
+            ):
                 listed = ", ".join(map(repr, names))
                 return f"{path}: {value!r} is not of type {listed}"
         elif keyword == "enum":
@@ -168,8 +172,7 @@ def _violation(value: object, schema: dict, path: str = "$") -> Optional[str]:
             if isinstance(value, str) and not re.fullmatch(rule, value):
                 return f"{path}: {value!r} does not match {rule!r}"
         elif keyword == "minimum":
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if number and value < rule:
+            if type(value) in (int, float) and value < rule:
                 return f"{path}: {value!r} is less than the minimum of {rule!r}"
         elif isinstance(value, list):
             if keyword == "minItems" and len(value) < rule:
@@ -202,18 +205,6 @@ def _violation(value: object, schema: dict, path: str = "$") -> Optional[str]:
                         if found:
                             return found
     return None
-
-
-#: The Python types of the JSON values each schema type admits.  JSON
-#: values come as exact types, so ``type(v) in`` is ``_TYPES``' isinstance,
-#: and a bool, whose type is ``bool``, is no integer.
-_PYTHON_TYPES = {
-    "object": {dict},
-    "array": {list},
-    "string": {str},
-    "null": {type(None)},
-    "integer": {int, float},  # a float only with no fraction
-}
 
 
 def _conforms(values: list, schema: dict) -> bool:
@@ -577,23 +568,6 @@ MODEL_SCHEMA = _object(
         ),
     }
 )
-
-
-def _template(keys: Iterable[str], depth: int) -> str:
-    """The ``%``-template ``json.dumps(indent=2)`` writes for an object
-    with ``keys``, its braces at nesting ``depth``: a ``%s`` per value."""
-    pad = "  " * depth
-    body = f",\n{pad}  ".join(f'"{key}": %s' for key in keys)
-    return f"{{\n{pad}  {body}\n{pad}}}"
-
-
-def _list(items: list[str], depth: int) -> str:
-    """A JSON list of items already written, its brackets at nesting
-    ``depth`` and its items one deeper."""
-    if not items:
-        return "[]"
-    pad = "  " * depth
-    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
 
 
 #: Each section's row template, the document's template and its

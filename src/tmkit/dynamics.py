@@ -13,10 +13,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import starmap
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .errors import TmkitError, decode_json
+from .errors import TmkitError, _list, _template, decode_json
 from .model import Flow, StaticModel, grouped, structurally_equal
 
 
@@ -271,9 +272,7 @@ def build_chronology(
         raise DynamicsError(f"duplicate event id {dupe!r}")
     known = set(counts)
 
-    edge_tuple = tuple(
-        e if isinstance(e, ChronEdge) else ChronEdge(*e) for e in edges
-    )
+    edge_tuple = tuple(starmap(ChronEdge, edges))
     for edge in edge_tuple:
         for ref in (edge.src, edge.dst):
             if ref not in known:
@@ -405,7 +404,8 @@ def simulate(chronology: ChronologyGraph, scenario: Scenario) -> Trace:
 
 
 def conformance(trace: Trace, chronology: ChronologyGraph) -> ConformanceResult:
-    """Does the trace follow chronology edges and respect loop bounds?
+    """Does the trace start at an initial event, follow chronology edges
+    and respect loop bounds?
 
     Never raises; the first violation is returned as data.
     """
@@ -422,7 +422,10 @@ def conformance(trace: Trace, chronology: ChronologyGraph) -> ConformanceResult:
             return fail(position, f"step index {index} out of sequence")
         if event_id not in known:
             return fail(position, f"unknown event {event_id!r}")
-        if previous is not None:
+        if previous is None:
+            if event_id not in chronology.initial_events:
+                return fail(position, f"{event_id} is not an initial event")
+        else:
             pair = (previous, event_id)
             if pair not in pairs:
                 return fail(position, f"no edge {previous} -> {event_id}")
@@ -500,21 +503,21 @@ def _quoted_guard(line: str, lineno: int) -> tuple[str, str]:
     return _ESCAPE_RE.sub(r"\1", match.group()[1:-1]), rest[1:]
 
 
-_TRACE_STEP = '    {\n      "index": %d,\n      "event": %s\n    }'
+_TRACE = _template(("scenario", "steps"), 0)
+#: ``%d`` for the index, so a bool or integral float in a hand-built
+#: trace still writes a JSON integer.
+_TRACE_STEP = _template(("index", "event"), 2) % ("%d", "%s")
 
 
 def trace_to_json(trace: Trace) -> str:
     """The bytes ``json.dumps(payload, indent=2) + "\\n"`` writes for
     ``{"scenario": ..., "steps": [{"index": ..., "event": ...}, ...]}``,
-    from a template; names go through the encoder ``json.dumps`` uses."""
+    from templates; names go through the encoder ``json.dumps`` uses."""
     # here, so that commands that write no JSON never load it
     from json.encoder import encode_basestring_ascii as encode
 
-    steps = ",\n".join(
-        [_TRACE_STEP % (index, encode(event)) for event, index in trace.steps]
-    )
-    body = f"[\n{steps}\n  ]" if steps else "[]"
-    return f'{{\n  "scenario": {encode(trace.scenario)},\n  "steps": {body}\n}}\n'
+    steps = [_TRACE_STEP % (index, encode(event)) for event, index in trace.steps]
+    return _TRACE % (encode(trace.scenario), _list(steps, 1)) + "\n"
 
 
 def trace_from_json(text: str) -> Trace:
@@ -566,8 +569,6 @@ def structurally_equal_documents(a: Document, b: Document) -> bool:
         return True
     if {e.id for e in ca.events} != {e.id for e in cb.events}:
         return False
-    if sorted((e.src, e.dst, e.guard or "") for e in ca.edges) != sorted(
-        (e.src, e.dst, e.guard or "") for e in cb.edges
-    ):
+    if Counter(ca.edges) != Counter(cb.edges):
         return False
     return dict(ca.loop_bounds) == dict(cb.loop_bounds)

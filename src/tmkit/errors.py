@@ -1,5 +1,7 @@
-"""Shared exception base class, and the one JSON reader the loaders use."""
+"""Shared exception base class, the one JSON reader the loaders use, and
+the layout helpers the JSON writers fill."""
 import sys
+from typing import Iterable
 
 
 class TmkitError(Exception):
@@ -19,3 +21,20 @@ def decode_json(text: str, what: str, error: type[TmkitError]) -> object:
         raise error(
             f"{what} holds an integer too long to read (over {limit} digits)"
         ) from exc
+
+
+def _template(keys: Iterable[str], depth: int) -> str:
+    """The ``%``-template ``json.dumps(indent=2)`` writes for an object
+    with ``keys``, its braces at nesting ``depth``: a ``%s`` per value."""
+    pad = "  " * depth
+    body = f",\n{pad}  ".join(f'"{key}": %s' for key in keys)
+    return f"{{\n{pad}  {body}\n{pad}}}"
+
+
+def _list(items: list[str], depth: int) -> str:
+    """A JSON list of items already written, its brackets at nesting
+    ``depth`` and its items one deeper."""
+    if not items:
+        return "[]"
+    pad = "  " * depth
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"

@@ -14,7 +14,7 @@ comparison here mixes two kinds.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count, groupby
@@ -661,17 +661,18 @@ def structurally_equal(a: StaticModel, b: StaticModel) -> bool:
     """Equality up to edge identifiers and declaration order.
 
     Nodes (thimacs, actions, storages) must agree id-for-id; flows and
-    triggers are compared as multisets of endpoints (and condition),
-    since their ids are generated plumbing.
+    triggers are compared as multisets of endpoints (and condition, where
+    an absent one is not an empty one), since their ids are generated
+    plumbing.
     """
     if (a.name, a.thimacs_by_id, a.actions_by_id, a.storages_by_id) != (
         b.name, b.thimacs_by_id, b.actions_by_id, b.storages_by_id
     ):
         return False
-    if sorted((f.src, f.dst) for f in a.flows) != sorted(
+    if Counter((f.src, f.dst) for f in a.flows) != Counter(
         (f.src, f.dst) for f in b.flows
     ):
         return False
-    return sorted((t.src, t.dst, t.condition or "") for t in a.triggers) == sorted(
-        (t.src, t.dst, t.condition or "") for t in b.triggers
+    return Counter((t.src, t.dst, t.condition) for t in a.triggers) == Counter(
+        (t.src, t.dst, t.condition) for t in b.triggers
     )

@@ -406,6 +406,41 @@ def test_conform_still_reads_string_indexes(tmp_path):
     assert result.stdout == "ok\n"
 
 
+def test_conform_refuses_a_trace_that_starts_past_an_initial_event(tmp_path):
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text('{"steps": [{"event": "E9"}]}')
+    result = invoke("conform", model_arg(), trace_file)
+    assert result.exit_code == 1
+    assert result.stdout == "violation at step 0: E9 is not an initial event\n"
+
+
+def event_chain(count, back_edge=""):
+    """``.tm`` text whose chronology is the chain E1 -> ... -> E``count``,
+    every event over the one action, plus ``back_edge`` if given."""
+    events = "".join(f'  event E{k} "e" {{ t/a }}\n' for k in range(1, count + 1))
+    edges = "".join(f"  E{k} -> E{k + 1}\n" for k in range(1, count))
+    return (
+        "model m {\n  thimac t { create a }\n}\n"
+        f"events {{\n{events}}}\nchronology {{\n{edges}{back_edge}}}\n"
+    )
+
+
+def test_a_chronology_deeper_than_the_recursion_limit_checks(tmp_path):
+    count = 3000
+    assert count > sys.getrecursionlimit()
+    path = tmp_path / "deep.tm"
+    path.write_text(event_chain(count))
+    result = invoke("check", path)
+    assert result.exit_code == 0
+    assert result.stdout == "0 errors, 0 warnings\n"
+
+    path.write_text(event_chain(count, f"  E{count} -> E2\n"))
+    result = invoke("check", path)
+    cycle = " -> ".join(f"E{k}" for k in [*range(2, count + 1), 2])
+    assert_unusable(result, "")
+    assert result.stderr == f"error: cycle without a loop bound: {cycle}\n"
+
+
 # ---------------------------------------------------------------------------
 # prove / validate-arg
 

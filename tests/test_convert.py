@@ -849,12 +849,38 @@ def test_schemas_use_only_the_keywords_the_checker_reads(schema):
         assert set(sub) <= SCHEMA_KEYWORDS, sorted(set(sub) - SCHEMA_KEYWORDS)
         types = sub.get("type", [])
         assert set(types if isinstance(types, list) else [types]) <= set(
-            convert._TYPES
+            convert._PYTHON_TYPES
         )
         assert sub.get("additionalProperties", False) is False
         for name in sub.get("properties", {}):
             # such names print as ``$.name``; others would need brackets
             assert re.fullmatch(r"[a-zA-Z][a-zA-Z0-9_]*", name)
+
+
+#: Every JSON type, with the edges of ``integer`` and ``minimum``: bools,
+#: integral and fractional floats, and floats that are no number.
+TYPED_VALUES = [
+    True, False, 0, 7, -1, 1.0, 2.5, float("inf"), float("nan"), "", "s", None, [], {},
+]
+TYPED_SCHEMAS = [
+    *({"type": t} for t in ("object", "array", "string", "null", "integer")),
+    {"type": ["string", "null"]},
+    {"type": ["integer", "null"]},
+    {"minimum": 1},
+    {"type": ["integer", "null"], "minimum": 1},
+]
+
+
+@pytest.mark.parametrize("schema", TYPED_SCHEMAS, ids=json.dumps)
+def test_both_schema_checks_read_the_type_table_as_jsonschema_does(schema):
+    validator = jsonschema.Draft202012Validator(schema)
+    for value in TYPED_VALUES:
+        verdicts = (
+            convert._violation(value, schema) is None,
+            convert._conforms([value], schema),
+            validator.is_valid(value),
+        )
+        assert len(set(verdicts)) == 1, (value, verdicts)
 
 
 @pytest.mark.parametrize("schema", [MODEL_SCHEMA, FLOWCHART_SCHEMA])

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from collections import Counter
 from random import Random
 
 import networkx as nx
@@ -22,6 +23,7 @@ from tmkit import (
     define_event,
     parse_scenario,
     simulate,
+    structurally_equal,
     structurally_equal_documents,
     trace_from_json,
     trace_to_json,
@@ -45,7 +47,7 @@ from tmkit.dynamics import (
     _step_index,
     _weak_components,
 )
-from tmkit.dsl import escape
+from tmkit.dsl import escape, format_document, parse
 from tmkit.errors import decode_json
 
 from conftest import ODD_LINE_BREAKS, ODD_NAMES, load_scenario, tmkit_env
@@ -485,16 +487,26 @@ def test_conformance_flags_missing_edges():
     assert "no edge E1 -> E3" in result.violation.message
 
 
+def test_conformance_requires_a_start_at_an_initial_event():
+    graph = chronology([("E1", "E3"), ("E2", "E3")])
+    assert graph.initial_events == ("E1", "E2")
+    for first in graph.initial_events:
+        assert conformance(Trace(((first, 0), ("E3", 1)), "x"), graph).ok
+    result = conformance(Trace((("E3", 0),), "x"), graph)
+    assert result == (False, Violation(0, "E3 is not an initial event"))
+    assert conformance(Trace((), "x"), graph).ok
+
+
 def test_conformance_counts_loop_bounds():
     graph = chronology(
         [("E1", "E2"), ("E2", "E3"), ("E3", "E2")], bounds={("E3", "E2"): 2}
     )
-    steps = ["E2", "E3"] * 3 + ["E2"]
+    steps = ["E1"] + ["E2", "E3"] * 3 + ["E2"]
     trace = Trace(tuple((e, i) for i, e in enumerate(steps)), "x")
     result = conformance(trace, graph)
     assert not result.ok
     assert "over its loop bound" in result.violation.message
-    assert str(result.violation).startswith("step 6:")
+    assert str(result.violation).startswith("step 7:")
 
 
 def test_loop_budgets_compound_along_a_chain():
@@ -639,6 +651,13 @@ def test_trace_json_round_trip():
     assert again.scenario == "walk"
 
 
+def test_trace_json_writes_every_index_as_an_integer():
+    odd = Trace((("E1", False), ("E2", True), ("E3", 2.0)), "x")
+    assert trace_to_json(odd) == trace_to_json(
+        Trace((("E1", 0), ("E2", 1), ("E3", 2)), "x")
+    )
+
+
 def test_trace_from_json_rejects_malformed_input():
     with pytest.raises(ScenarioError, match="not valid JSON"):
         trace_from_json("{nope")
@@ -759,6 +778,8 @@ def conformance_by_scan(trace, chronology):
             return fail(position, f"step index {index} out of sequence")
         if event_id not in chronology.events_by_id:
             return fail(position, f"unknown event {event_id!r}")
+        if previous is None and event_id not in chronology.initial_events:
+            return fail(position, f"{event_id} is not an initial event")
         if previous is not None:
             successors = chronology.successors.get(previous, ())
             if not any(e.dst == event_id for e in successors):
@@ -1000,8 +1021,8 @@ def structurally_equal_documents_by_fields(a: Document, b: Document) -> bool:
         return True
     if {e.id for e in ca.events} != {e.id for e in cb.events}:
         return False
-    if sorted((e.src, e.dst, e.guard or "") for e in ca.edges) != sorted(
-        (e.src, e.dst, e.guard or "") for e in cb.edges
+    if Counter((e.src, e.dst, e.guard) for e in ca.edges) != Counter(
+        (e.src, e.dst, e.guard) for e in cb.edges
     ):
         return False
     return dict(ca.loop_bounds) == dict(cb.loop_bounds)
@@ -1046,6 +1067,36 @@ def test_document_equality_tells_a_storage_from_a_flow_of_the_same_values():
     assert not structurally_equal_documents(as_storage, as_flow)
     assert not structurally_equal_documents(as_flow, as_storage)
     assert structurally_equal_documents(as_storage, as_storage)
+
+
+def guard_document(trigger: str, edge: str) -> Document:
+    return parse(
+        f"model m {{\n  thimac t {{\n    process x\n    process y\n    {trigger}\n"
+        "  }\n}\n"
+        'events {\n  event E "e" { t/x }\n  event F "f" { t/y }\n}\n'
+        f"chronology {{\n  {edge}\n}}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "trigger, edge", [('y ~> x if ""', "E -> F"), ("y ~> x", 'E -> F if ""')],
+    ids=["condition", "guard"],
+)
+def test_document_equality_tells_an_absent_condition_or_guard_from_an_empty_one(
+    trigger, edge
+):
+    plain, empty = guard_document("y ~> x", "E -> F"), guard_document(trigger, edge)
+    assert format_document(plain) != format_document(empty)
+    assert not structurally_equal_documents(plain, empty)
+    assert not structurally_equal_documents(empty, plain)
+    assert not structurally_equal_documents_by_fields(plain, empty)
+    assert structurally_equal_documents(empty, guard_document(trigger, edge))
+    if edge == "E -> F":
+        assert not structurally_equal(plain.model, empty.model)
+    else:  # only the guarded edge reads a decision
+        assert simulate(plain.chronology, Scenario("s")).event_ids == ("E", "F")
+        with pytest.raises(ScenarioExhaustedError):
+            simulate(empty.chronology, Scenario("s"))
 
 
 def test_document_equality_sees_each_chronology_difference(ordering_doc):

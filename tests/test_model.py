@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import time
+from collections import Counter
 from random import Random
 
 import networkx as nx
@@ -978,8 +979,8 @@ def structurally_equal_by_fields(a: StaticModel, b: StaticModel) -> bool:
         (f.src, f.dst) for f in b.flows
     ):
         return False
-    return sorted((t.src, t.dst, t.condition or "") for t in a.triggers) == sorted(
-        (t.src, t.dst, t.condition or "") for t in b.triggers
+    return Counter((t.src, t.dst, t.condition) for t in a.triggers) == Counter(
+        (t.src, t.dst, t.condition) for t in b.triggers
     )
 
 
