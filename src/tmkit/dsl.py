@@ -25,22 +25,26 @@ anything else by ``/``-joined path; resolution tries the innermost
 enclosing thimac first and walks outward.  Node ids in the parsed model
 are the containment paths, so nesting is the namespace.
 
-The lexer makes one regex match per token, whitespace and comments folded
-into it; a token's line and column come from its offset, and only for an
-error.  The parser reads the tokens once, by index, and checks each block
-as it closes.  References inside the model block may point forward: its
-edges resolve at its ``}``.  So of several faults, the first in reading
-order is the one reported.
+The lexer takes the tokens' text from one ``findall`` of the token
+pattern, whitespace and comments folded into each match, and reads each
+token's kind off its first character; only strings are checked and
+unescaped.  It keeps no offsets: the first error makes them, with one
+``finditer`` of the same pattern, for its line and column.  The parser
+reads the tokens once, by index, and checks each block as it closes.
+References inside the model block may point forward: its edges resolve
+at its ``}``.  So of several faults, the first in reading order is the
+one reported.
 """
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Callable, Container, Iterator, NamedTuple, NoReturn, Optional, Union
+from typing import Container, Iterator, NamedTuple, NoReturn, Optional, Union
 
 from .dynamics import (
     _ESCAPE_RE,
-    _STRING,
+    _OPEN_STRING,
+    _STRING_RE,
     ChronEdge,
     ChronologyGraph,
     Document,
@@ -105,17 +109,23 @@ _NAME = f"{_WORD}(?:/{_WORD})*"
 _INT = "[0-9]+"  # not \d, which takes any Unicode digit
 
 # One match per token: a prefix of spaces, tabs, \r, \n and comments (not
-# \s, which also takes \x0b, \f, NBSP), then one named group per token
-# kind, tried in order.  STRAY takes any other character and EOF the end,
-# so ``finditer`` skips nothing.  A STRING reads by the string rule
-# ``dynamics`` states, which scenario files share.
+# \s, which also takes \x0b, \f, NBSP), then the token, the one group.  A
+# STRING reads by the string rule ``dynamics`` states, which scenario files
+# share, its close optional.  The empty token is EOF; a STRAY is any other
+# character, so ``findall`` skips nothing.
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]+|#[^\n]*)*"
-    f"(?:(?P<NAME>{_NAME})|(?P<ARROW>->)|(?P<TRIG>~>)"
-    r"|(?P<LBRACE>\{)|(?P<RBRACE>\})|(?P<AT>@)|(?P<COMMA>,)"
-    f"|(?P<STRING>{_STRING})|(?P<INT>{_INT})"
-    r"|(?P<EOF>\Z)|(?P<STRAY>.))"
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+    f'({_NAME}|->|~>|[{{}}@,]|{_OPEN_STRING}"?|{_INT}|\\Z|.)'
 )
+
+# A token's kind by its first character, as the alternatives above begin.
+# A character missing here starts a STRAY, and so does a lone '-' or '~'.
+_KINDS = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "NAME"),
+    **dict.fromkeys("0123456789", "INT"),
+    '"': "STRING", "-": "ARROW", "~": "TRIG", "@": "AT", ",": "COMMA",
+    "{": "LBRACE", "}": "RBRACE",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -127,53 +137,67 @@ def _resolve(name: str, owner: Optional[str], nodes: Container[str]) -> Optional
     that exists, else the same from each enclosing ``/``-prefix of
     ``owner`` outward, down to ``name`` itself; None if none exists."""
     while owner is not None:
-        if f"{owner}/{name}" in nodes:
-            return f"{owner}/{name}"
+        path = f"{owner}/{name}"
+        if path in nodes:
+            return path
         head, slash, _ = owner.rpartition("/")
         owner = head if slash else None
     return name if name in nodes else None
 
 
-# An edge as read: (owner, src, dst, is trigger, condition), ends as indices.
-_Edge = tuple[Optional[str], int, int, bool, Optional[str]]
-
-
 class _Parser:
     """Token ``i`` is ``kinds[i]`` (NAME INT STRING ARROW TRIG LBRACE RBRACE
-    AT COMMA, and EOF last), ``values[i]`` and ``starts[i]``, its offset.  A
-    reader takes the index of its first token and returns the one after."""
+    AT COMMA, and EOF last) and ``values[i]``.  Where it stands in the text
+    is worked out only for an error (``_span``).  A reader takes the index
+    of its first token and returns the one after."""
 
     def __init__(self, text: str):
         self._text = text
+        self._matches: Optional[list[re.Match]] = None  # made by the first span
         self._newlines: Optional[list[int]] = None  # made by the first span
-        self._kinds, self._values, self._starts = self._lex(text)
+        self._kinds, self._values = self._lex(text)
 
-    def _lex(self, text: str) -> tuple[list[str], list[str], list[int]]:
-        """The token lists, from one ``_TOKEN_RE`` match per token.  The
-        first unclosed string or stray character is an error."""
-        kinds, values, starts = [], [], []
-        for match in _TOKEN_RE.finditer(text):
-            kind = match.lastgroup
-            start, value = match.start(kind), match[kind]
-            if kind == "STRING":
-                if match["CLOSE"] is None:
-                    found = "end of file" if match.end() == len(text) else "end of line"
-                    span = self._span_at(start, len(value))
-                    raise ParseError(span, "closing '\"'", found)
-                value = _ESCAPE_RE.sub(r"\1", value[1:-1])
-            elif kind == "STRAY":
-                raise ParseError(self._span_at(start, 1), "a token", repr(value))
-            elif kind == "EOF":
-                # A comment moves no column: EOF right after one sits at its '#'.
-                comment = text.find("#", max(match.start(), text.rfind("\n") + 1))
-                starts.append(start if comment < 0 else comment)
+    def _lex(self, text: str) -> tuple[list[str], list[str]]:
+        """The token lists, from one ``_TOKEN_RE.findall``.  The first
+        stray character or unclosed string is an error."""
+        values = _TOKEN_RE.findall(text)
+        # The first empty token is EOF; an empty match may follow it.
+        del values[values.index("", -2):]
+        kind = _KINDS.get
+        kinds = [kind(value[0]) for value in values]
+        stray = len(values)
+        if None in kinds or "-" in values or "~" in values:
+            stray = next(
+                i for i, value in enumerate(values)
+                if kinds[i] is None or value == "-" or value == "~"
+            )
+        i = -1
+        for _ in range(kinds.count("STRING")):
+            i = kinds.index("STRING", i + 1)
+            if i > stray:
                 break
-            kinds.append(kind)
-            values.append(value)
-            starts.append(start)
+            token = values[i]
+            if "\\" in token:  # \\ and \" are escapes, the close may be one
+                closed = _STRING_RE.match(token)["CLOSE"] is not None
+                values[i] = _ESCAPE_RE.sub(r"\1", token[1:-1])
+            else:
+                closed = token.endswith('"', 1)
+                values[i] = token[1:-1]
+            if not closed:
+                at_end = self._match(i).end(1) == len(text)
+                found = "end of file" if at_end else "end of line"
+                raise ParseError(self._span(i), "closing '\"'", found)
+        if stray < len(values):
+            raise ParseError(self._span(stray), "a token", repr(values[stray]))
         kinds.append("EOF")
         values.append("")
-        return kinds, values, starts
+        return kinds, values
+
+    def _match(self, i: int) -> re.Match:
+        """Token ``i``'s match, from one ``finditer`` made on first use."""
+        if self._matches is None:
+            self._matches = list(_TOKEN_RE.finditer(self._text))
+        return self._matches[i]
 
     def _span_at(self, offset: int, length: int) -> SourceSpan:
         if self._newlines is None:
@@ -183,10 +207,14 @@ class _Parser:
         return SourceSpan(line + 1, offset - line_start + 1, length)
 
     def _span(self, i: int) -> SourceSpan:
-        start = self._starts[i]
-        if self._kinds[i] == "EOF":
-            return self._span_at(start, 1)
-        return self._span_at(start, _TOKEN_RE.match(self._text, start).end() - start)
+        match = self._match(i)
+        start, end = match.span(1)
+        if start == end:  # EOF
+            # A comment moves no column: EOF right after one sits at its '#'.
+            text = self._text
+            comment = text.find("#", max(match.start(), text.rfind("\n") + 1))
+            return self._span_at(start if comment < 0 else comment, 1)
+        return self._span_at(start, end - start)
 
     def _describe(self, i: int) -> str:
         kind, value = self._kinds[i], self._values[i]
@@ -207,7 +235,9 @@ class _Parser:
     def _at_keyword(self, i: int, word: str) -> bool:
         return self._kinds[i] == "NAME" and self._values[i] == word
 
-    def _declared_name(self, i: int, what: str) -> int:
+    def _declared_name(self, i: int, what: str) -> str:
+        """Token ``i``'s value, which must be an unqualified name and no
+        keyword."""
         value = self._values[i]
         if self._kinds[i] != "NAME":
             self._error(i, what)
@@ -215,12 +245,13 @@ class _Parser:
             raise ParseError(self._span(i), what, f"keyword {value!r}")
         if "/" in value:
             raise ParseError(self._span(i), f"an unqualified {what}", self._describe(i))
-        return i + 1
+        return value
 
     def _known(self, i: int, names: Container[str], what: str, kind: str) -> int:
         """Token ``i`` must be a NAME (else an error expecting ``what``)
         among ``names`` (else an error expecting a declared ``kind``)."""
-        self._expect(i, "NAME", what)
+        if self._kinds[i] != "NAME":
+            self._error(i, what)
         if self._values[i] not in names:
             self._error(i, f"a declared {kind}")
         return i + 1
@@ -247,110 +278,113 @@ class _Parser:
         """The model block's body and its ``}``, where the edges resolve,
         so they may name nodes declared after them.  Open thimacs are kept
         on an explicit stack of ids, so nesting depth is not bounded by
-        Python's recursion limit."""
+        Python's recursion limit.  Declarations go straight into the
+        builder, whose duplicate-id and nesting-depth checks are the only
+        ones."""
         kinds, values = self._kinds, self._values
         stack: list[Optional[str]] = [None]
-        edges: list[_Edge] = []
-        while True:
-            kind, value = kinds[i], values[i]
-            if kind == "RBRACE" or kind == "EOF":
-                i = self._expect(i, "RBRACE", "'}'")
-                if len(stack) == 1:
-                    break
-                stack.pop()
-            elif kind != "NAME":
-                self._error(i, "a declaration or '}'")
-            elif value not in KEYWORDS:
-                i = self._parse_edge(i, stack[-1], edges)
-            elif value in ACTION_KINDS:
-                i = self._parse_action(i, stack[-1])
-            elif value == "thimac":
-                i = self._open_thimac(i, stack)
-            elif value == "storage":
-                i = self._parse_storage(i, stack[-1])
-            else:
-                self._error(i, "a declaration or '}'")
-        nodes = self._builder.node_ids
-        for owner, src, dst, is_trigger, condition in edges:
+        # Each edge as read: its first token, its thimac and its condition.
+        starts: list[int] = []
+        owners: list[Optional[str]] = []
+        conditions: list[Optional[str]] = []
+        try:
+            while True:
+                kind, value = kinds[i], values[i]
+                if kind == "RBRACE" or kind == "EOF":
+                    i = self._expect(i, "RBRACE", "'}'")
+                    if len(stack) == 1:
+                        break
+                    stack.pop()
+                elif kind != "NAME":
+                    self._error(i, "a declaration or '}'")
+                elif value not in KEYWORDS:  # src -> dst | src ~> dst [if "condition"]
+                    arrow = kinds[i + 1]
+                    if arrow != "ARROW" and arrow != "TRIG":
+                        self._error(i + 1, "'->' or '~>'")
+                    if kinds[i + 2] != "NAME":
+                        self._error(i + 2, "a node name")
+                    starts.append(i)
+                    owners.append(stack[-1])
+                    i, condition = i + 3, None
+                    if arrow == "TRIG" and self._at_keyword(i, "if"):
+                        i = self._expect(i + 1, "STRING", "a condition string")
+                        condition = values[i - 1]
+                    conditions.append(condition)
+                elif value in ACTION_KINDS:
+                    i = self._parse_action(i, stack[-1])
+                elif value == "thimac":
+                    i = self._open_thimac(i, stack)
+                elif value == "storage":
+                    i = self._parse_storage(i, stack[-1])
+                else:
+                    self._error(i, "a declaration or '}'")
+        except ModelError as exc:  # the builder refused the declaration at i
+            raise self._refused(i + 1, stack[-1], exc) from None
+        builder = self._builder
+        nodes = builder.node_ids
+        for src, owner, condition in zip(starts, owners, conditions):
             src_id = _resolve(values[src], owner, nodes)
             if src_id is None:
                 self._error(src, "a declared action or storage")
+            dst = src + 2
             dst_id = _resolve(values[dst], owner, nodes)
             if dst_id is None:
                 self._error(dst, "a declared action or storage")
             if src_id == dst_id:
                 self._error(dst, "a node other than the source")
-            if is_trigger:
-                self._builder.add_trigger(src_id, dst_id, condition)
+            if kinds[src + 1] == "TRIG":
+                builder.add_trigger(src_id, dst_id, condition)
             else:
-                self._builder.add_flow(src_id, dst_id)
-        return self._builder.build(), i
+                builder.add_flow(src_id, dst_id)
+        return builder.build(), i
 
-    def _declare(self, owner: Optional[str], name: int, add: Callable, *args) -> str:
-        """Add a thimac, action or storage named by token ``name`` through
-        ``add(*args, id=path)``.  The builder's duplicate-id and
-        nesting-depth checks are the only ones."""
+    def _refused(self, name: int, owner: Optional[str], exc: ModelError) -> ParseError:
+        """The error for a declaration named by token ``name`` in thimac
+        ``owner`` that the builder refused: too deep, or its id is taken."""
         value = self._values[name]
-        path = value if owner is None else f"{owner}/{value}"
-        try:
-            return add(*args, id=path)
-        except NestingError as exc:
-            raise ParseError(
+        if isinstance(exc, NestingError):
+            return ParseError(
                 self._span(name),
                 f"at most {MAX_DEPTH} nested thimacs",
                 f"thimac {value} at depth {exc.depth}",
-            ) from None
-        except ModelError:  # the id is taken
-            raise ParseError(
-                self._span(name), "a fresh name", f"{path!r} (already declared)"
-            ) from None
+            )
+        path = value if owner is None else f"{owner}/{value}"
+        found = f"{path!r} (already declared)"
+        return ParseError(self._span(name), "a fresh name", found)
 
     def _open_thimac(self, i: int, stack: list[Optional[str]]) -> int:
         """Read ``thimac NAME ["note"] {`` and push the thimac's id."""
-        name = i + 1
-        i = self._declared_name(name, "thimac name")
-        note = None
+        name = self._declared_name(i + 1, "thimac name")
+        i, note = i + 2, None
         if self._kinds[i] == "STRING":
             note, i = self._values[i], i + 1
-        owner, add = stack[-1], self._builder.add_thimac
-        stack.append(self._declare(owner, name, add, self._values[name], owner, note))
+        owner = stack[-1]
+        path = name if owner is None else f"{owner}/{name}"
+        stack.append(self._builder.add_thimac(name, owner, note, path))
         return self._expect(i, "LBRACE", "'{'")
 
     def _parse_action(self, i: int, owner: Optional[str]) -> int:
         if owner is None:
             self._error(i, "a thimac to hold this action")
         kinds, values = self._kinds, self._values
-        kind, name = values[i], i + 1
-        i = self._declared_name(name, "action name")
-        label = anchor = None
+        kind = values[i]
+        path = f"{owner}/{self._declared_name(i + 1, 'action name')}"
+        i, label, anchor = i + 2, None, None
         if kinds[i] == "STRING":
             label, i = values[i], i + 1
         if kinds[i] == "AT":
             if kinds[i + 1] not in ("NAME", "INT"):
                 self._error(i + 1, "an anchor")
             anchor, i = values[i + 1], i + 2
-        self._declare(owner, name, self._builder.add_action, kind, owner, label, anchor)
+        self._builder.add_action(kind, owner, label, anchor, path)
         return i
 
     def _parse_storage(self, i: int, owner: Optional[str]) -> int:
         if owner is None:
             self._error(i, "a thimac to hold this storage")
-        name = i + 1
-        self._declared_name(name, "storage name")
-        self._declare(owner, name, self._builder.add_storage, owner, self._values[name])
+        name = self._declared_name(i + 1, "storage name")
+        self._builder.add_storage(owner, name, f"{owner}/{name}")
         return i + 2
-
-    def _parse_edge(self, i: int, owner: Optional[str], edges: list[_Edge]) -> int:
-        arrow = self._kinds[i + 1]
-        if arrow not in ("ARROW", "TRIG"):
-            self._error(i + 1, "'->' or '~>'")
-        end = self._expect(i + 2, "NAME", "a node name")
-        condition = None
-        if arrow == "TRIG" and self._at_keyword(end, "if"):
-            end = self._expect(end + 1, "STRING", "a condition string")
-            condition = self._values[end - 1]
-        edges.append((owner, i, i + 2, arrow == "TRIG", condition))
-        return end
 
     def _parse_events_block(
         self, i: int, model: StaticModel
@@ -364,11 +398,11 @@ class _Parser:
             if not self._at_keyword(i, "event"):
                 self._error(i, "'event'")
             name = i + 1
-            i = self._declared_name(name, "event id")
-            event_id = values[name]
+            event_id = self._declared_name(name, "event id")
             if event_id in events:
                 found = f"{event_id!r} (already declared)"
                 raise ParseError(self._span(name), "a fresh event id", found)
+            i = name + 1
             label, i = values[i], self._expect(i, "STRING", "an event label")
             i = self._expect(i, "LBRACE", "'{'")
             region = [values[i]]
@@ -453,7 +487,7 @@ def _bare(word: str, what: str) -> str:
     a reference is a NAME and no keyword; any other bare word declares
     something, so, as the parser asks, it is also unqualified (no ``/``)."""
     match = _TOKEN_RE.fullmatch(word)
-    kind = match.lastgroup if match and match.start(match.lastgroup) == 0 else None
+    kind = _KINDS.get(word[:1]) if match and match.start(1) == 0 else None
     if what == "anchor":
         readable = kind in ("NAME", "INT")
     elif what == "reference":

@@ -202,46 +202,61 @@ def define_event(
 def _require_actions(model: StaticModel, event_id: str, region: frozenset[str]) -> None:
     """Raise ``UnknownActionError`` naming the least region member that is
     not an action, so the message does not depend on set order."""
-    unknown = [node for node in region if node not in model.actions_by_id]
-    if unknown:
+    actions = model.actions_by_id
+    if not actions.keys() >= region:
+        unknown = min(node for node in region if node not in actions)
         raise UnknownActionError(
-            f"event {event_id} references {min(unknown)!r}, which is not an action"
+            f"event {event_id} references {unknown!r}, which is not an action"
         )
 
 
 def _weak_components(model: StaticModel, members: frozenset[str]) -> list[list[str]]:
     """Weak components of the region, as sorted member lists ordered by
     their least vertex.  Storages on a flow with a member endpoint join the
-    graph as vertices, so only edges incident to the region are visited."""
-    bridge_storages = {
-        node
-        for member in members
-        for edge in model.edges_at.get(member, ())
-        if isinstance(edge, Flow)
-        for node in (edge.src, edge.dst)
-        if node in model.storages_by_id
-    }
-    vertices = members | bridge_storages
-    components: list[list[str]] = []
-    unvisited = set(vertices)
+    graph as vertices, so only edges incident to the region are visited.
+    A search from any member that reaches every member settles a connected
+    region; only a disconnected one is searched again in order."""
+    edges_at, storages = model.edges_at, model.storages_by_id
+    vertices = set(members)
+    for member in members:
+        for edge in edges_at.get(member, ()):
+            if isinstance(edge, Flow):
+                if edge.src in storages:
+                    vertices.add(edge.src)
+                if edge.dst in storages:
+                    vertices.add(edge.dst)
+    first = next(iter(members))
+    if len(_reach(edges_at, first, set(vertices), members)) == len(members):
+        return [sorted(members)]
+    components = []
     for start in sorted(vertices):
-        if start not in unvisited:
-            continue
-        stack = [start]
-        unvisited.discard(start)
-        component = []
-        while stack:
-            node = stack.pop()
-            if node in members:
-                component.append(node)
-            for edge in model.edges_at.get(node, ()):
-                for nxt in (edge.src, edge.dst):
-                    if nxt in unvisited:
-                        unvisited.discard(nxt)
-                        stack.append(nxt)
-        if component:
-            components.append(sorted(component))
+        if start in vertices:
+            component = _reach(edges_at, start, vertices, members)
+            if component:
+                components.append(sorted(component))
     return components
+
+
+def _reach(
+    edges_at: Mapping[str, list],
+    start: str,
+    unvisited: set[str],
+    members: frozenset[str],
+) -> list[str]:
+    """The members that ``start`` reaches through ``unvisited``, which
+    loses every vertex the search takes.  The search stops once it has
+    reached every member."""
+    unvisited.discard(start)
+    stack, reached = [start], [start] if start in members else []
+    while stack and len(reached) < len(members):
+        for edge in edges_at.get(stack.pop(), ()):
+            for node in (edge.src, edge.dst):
+                if node in unvisited:
+                    unvisited.discard(node)
+                    stack.append(node)
+                    if node in members:
+                        reached.append(node)
+    return reached
 
 
 def check_coverage(model: StaticModel, events: Iterable[Event]) -> tuple[str, ...]:
@@ -450,7 +465,8 @@ def conformance(trace: Trace, chronology: ChronologyGraph) -> ConformanceResult:
 #: other backslash is text; a string ends on its own line.  The close is
 #: optional, so the greedy first try matches and never backtracks to read a
 #: final \" as text: a reader checks the ``CLOSE`` group.
-_STRING = r'"[^"\\\n]*(?:\\[\\"]?[^"\\\n]*)*(?P<CLOSE>")?'
+_OPEN_STRING = r'"[^"\\\n]*(?:\\[\\"]?[^"\\\n]*)*'  # all but the close
+_STRING = f'{_OPEN_STRING}(?P<CLOSE>")?'
 _STRING_RE = re.compile(_STRING)
 _ESCAPE_RE = re.compile(r'\\([\\"])')
 

@@ -214,14 +214,17 @@ class StaticModel:
         return grouped((f.dst, f) for f in self.flows)
 
     @cached_property
-    def edges_at(self) -> dict[str, tuple[Flow | Trigger, ...]]:
+    def edges_at(self) -> dict[str, list[Flow | Trigger]]:
         """Node id -> the flows, then the triggers, that have it as an
-        endpoint (whether or not the other endpoint exists)."""
-        return grouped(
-            (node, edge)
-            for edge in (*self.flows, *self.triggers)
-            for node in (edge.src, edge.dst)
-        )
+        endpoint (whether or not the other endpoint exists).  ``parse``
+        builds this index for its region checks, so its groups are the
+        lists it was built in, not tuple copies: read them, never change
+        them."""
+        out: dict[str, list[Flow | Trigger]] = {}
+        for edge in (*self.flows, *self.triggers):
+            out.setdefault(edge.src, []).append(edge)
+            out.setdefault(edge.dst, []).append(edge)
+        return out
 
     @cached_property
     def children_by_parent(self) -> dict[Optional[str], tuple[Thimac, ...]]:
@@ -296,7 +299,10 @@ def check_depth(model: StaticModel) -> None:
 def fresh_ids(prefix: str, taken: Container[str]) -> Iterator[str]:
     """``prefix1``, ``prefix2``, ..., skipping each id in ``taken`` as it
     stands when that id is drawn."""
-    return (i for i in (f"{prefix}{n}" for n in count(1)) if i not in taken)
+    for n in count(1):
+        id = f"{prefix}{n}"
+        if id not in taken:
+            yield id
 
 
 class ModelBuilder:
@@ -321,13 +327,15 @@ class ModelBuilder:
 
     def _claim(self, id: Optional[str], prefix: str) -> str:
         """``id``, or if it is None the next of ``prefix``'s auto ids."""
+        ids = self._ids
         if id is None:
-            if prefix not in self._fresh:
-                self._fresh[prefix] = fresh_ids(prefix, self._ids)
-            id = next(self._fresh[prefix])
-        elif id in self._ids:
+            fresh = self._fresh.get(prefix)
+            if fresh is None:
+                fresh = self._fresh[prefix] = fresh_ids(prefix, ids)
+            id = next(fresh)
+        elif id in ids:
             raise ModelError(f"duplicate id {id!r}")
-        self._ids.add(id)
+        ids.add(id)
         return id
 
     def _require_thimac(self, thimac_id: str, what: str) -> None:
@@ -378,7 +386,7 @@ class ModelBuilder:
         return sid
 
     def add_flow(self, src: str, dst: str, id: Optional[str] = None) -> str:
-        return self._add_edge(self._flows, Flow, src, dst, id)
+        return self._add_edge(self._flows, Flow, "flow", src, dst, id)
 
     def add_trigger(
         self,
@@ -387,16 +395,26 @@ class ModelBuilder:
         condition: Optional[str] = None,
         id: Optional[str] = None,
     ) -> str:
-        return self._add_edge(self._triggers, Trigger, src, dst, id, condition)
+        return self._add_edge(
+            self._triggers, Trigger, "trigger", src, dst, id, condition
+        )
 
     def _add_edge(
-        self, edges: list, record: type, src: str, dst: str, id: Optional[str], *extra
+        self,
+        edges: list,
+        record: type,
+        what: str,
+        src: str,
+        dst: str,
+        id: Optional[str],
+        *extra,
     ) -> str:
-        """Check a ``Flow`` or ``Trigger`` and append it to ``edges``."""
-        what = record.__name__.lower()  # in messages, and its auto ids' prefix
-        for end in (src, dst):
-            if end not in self.node_ids:
-                raise ModelError(f"{what} references unknown node {end!r}")
+        """Check a ``Flow`` or ``Trigger`` and append it to ``edges``.
+        ``what`` names it in messages and prefixes its auto ids."""
+        nodes = self.node_ids
+        if src not in nodes or dst not in nodes:
+            end = dst if src in nodes else src
+            raise ModelError(f"{what} references unknown node {end!r}")
         if src == dst:
             raise ModelError(f"{what} may not loop on {src!r}")
         eid = self._claim(id, what)

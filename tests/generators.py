@@ -1,6 +1,6 @@
 """Seeded random builders for property and acceptance tests.
 
-Five families:
+Six families:
 
 * ``random_document`` -- arbitrary well-formed documents (path ids, unique
   local names) for round-trip checks.  Shapes are unconstrained, so the
@@ -13,6 +13,8 @@ Five families:
 * ``random_argument`` -- implicational arguments for the soundness sweep.
 * ``random_chart`` -- swimlane flowcharts for the importer's differential
   test; many break the importer's rules on purpose.
+* ``ring_document`` -- a ring of ``n`` thimacs with its events and a chain
+  chronology, for tests that measure how work grows with model size.
 
 ``mutate`` makes one random edit in a decoded JSON value, for the schema
 checker's differential test and the command-line fuzz test.
@@ -139,6 +141,43 @@ def random_document(rng: Random) -> Document:
         chronology = build_chronology(events, edges, bounds)
 
     return Document(model, tuple(events), chronology)
+
+
+def ring_document(n: int, rng: Random) -> Document:
+    """``n`` thimacs in a ring, each the same seven nodes in a seeded order:
+    a create, a process, a release, two transfers, a receive and a storage,
+    with eight flows and a guarded trigger.  Each thimac's out-transfer feeds
+    the next one's in-transfer.  Event ``Ei`` is thimac ``i``'s create and
+    process, and the chronology chains the events in ring order."""
+    builder = ModelBuilder(f"ring_{n}")
+    names = [f"t{i:05d}" for i in range(n)]
+    nodes = [
+        ("create", "make"), ("process", "work"), ("release", "send"),
+        ("transfer", "out"), ("transfer", "in_"), ("receive", "take"),
+        (None, "shelf"),
+    ]
+    for name in names:
+        builder.add_thimac(name, id=name)
+        for kind, local in rng.sample(nodes, len(nodes)):
+            if kind is None:
+                builder.add_storage(name, local, id=f"{name}/{local}")
+            else:
+                label = _label(rng) if rng.random() < 0.5 else None
+                builder.add_action(kind, name, label, id=f"{name}/{local}")
+    for i, name in enumerate(names):
+        flows = [("make", "work"), ("work", "send"), ("send", "out"),
+                 ("in_", "take"), ("take", "work"), ("work", "shelf")]
+        for src, dst in rng.sample(flows, len(flows)):
+            builder.add_flow(f"{name}/{src}", f"{name}/{dst}")
+        builder.add_flow(f"{name}/out", f"{names[(i + 1) % n]}/in_")
+        builder.add_trigger(f"{name}/work", f"{name}/make", _label(rng))
+    model = builder.build()
+    events = [
+        define_event(model, f"E{i}", _label(rng), {f"{name}/make", f"{name}/work"})
+        for i, name in enumerate(names)
+    ]
+    edges = [ChronEdge(a.id, b.id) for a, b in zip(events, events[1:])]
+    return Document(model, tuple(events), build_chronology(events, edges))
 
 
 def random_legal_model(rng: Random) -> StaticModel:

@@ -505,6 +505,66 @@ def tokenize_by_chars(text: str) -> list[_Token]:
     return tokens
 
 
+# One match per token after a prefix of blanks and comments, one named
+# group per token kind, tried in order.
+TOKEN_RE_BY_GROUPS = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    f"(?:(?P<NAME>{_NAME})|(?P<ARROW>->)|(?P<TRIG>~>)"
+    r"|(?P<LBRACE>\{)|(?P<RBRACE>\})|(?P<AT>@)|(?P<COMMA>,)"
+    f"|(?P<STRING>{_STRING})|(?P<INT>{_INT})"
+    r"|(?P<EOF>\Z)|(?P<STRAY>.))"
+)
+
+
+def lex_by_groups(text: str) -> tuple[list[str], list[str], list[int]]:
+    """The lexer as it was before it took the tokens from one ``findall``:
+    a match per token, its kind the match's named group, every string
+    unescaped and every offset kept.  Returns the kinds, the values and
+    the offsets, EOF last."""
+    kinds, values, starts = [], [], []
+    for match in TOKEN_RE_BY_GROUPS.finditer(text):
+        kind = match.lastgroup
+        start, value = match.start(kind), match[kind]
+        if kind == "STRING":
+            if match["CLOSE"] is None:
+                found = "end of file" if match.end() == len(text) else "end of line"
+                span = span_at(text, start, len(value))
+                raise ParseError(span, "closing '\"'", found)
+            value = _ESCAPE_RE.sub(r"\1", value[1:-1])
+        elif kind == "STRAY":
+            raise ParseError(span_at(text, start, 1), "a token", repr(value))
+        elif kind == "EOF":
+            # A comment moves no column: EOF right after one sits at its '#'.
+            comment = text.find("#", max(match.start(), text.rfind("\n") + 1))
+            starts.append(start if comment < 0 else comment)
+            break
+        kinds.append(kind)
+        values.append(value)
+        starts.append(start)
+    kinds.append("EOF")
+    values.append("")
+    return kinds, values, starts
+
+
+def span_at(text: str, offset: int, length: int) -> SourceSpan:
+    line = text.count("\n", 0, offset)
+    return SourceSpan(line + 1, offset - text.rfind("\n", 0, offset), length)
+
+
+def tokenize_by_groups(text: str) -> list[_Token]:
+    """``lex_by_groups``' tokens, each with the span an error at it gave:
+    a token's length is that of its match from its offset.  Kept as the
+    reference for ``dsl``'s lexer, token for token."""
+    tokens = []
+    for kind, value, start in zip(*lex_by_groups(text)):
+        if kind == "EOF":
+            end = start + 1
+        else:
+            end = TOKEN_RE_BY_GROUPS.match(text, start).end()
+        tokens.append(_Token(kind, value, *span_at(text, start, end - start)))
+    return tokens
+
+
 def lexed(tokenize, text):
     """The token tuples, or the error's message and span."""
     try:
@@ -550,6 +610,12 @@ def test_the_lexer_matches_the_master_regex_token_for_token(text):
     assert lexed(tokenize_by_offsets, text) == lexed(tokenize_by_regex, text)
 
 
+@given(lexer_inputs())
+@settings(max_examples=500, deadline=None)
+def test_the_lexer_matches_the_named_group_lexer_token_for_token(text):
+    assert lexed(tokenize_by_offsets, text) == lexed(tokenize_by_groups, text)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -575,6 +641,7 @@ def test_the_lexer_matches_the_master_regex_token_for_token(text):
 def test_the_lexer_keeps_the_character_loops_edge_cases(text):
     assert lexed(tokenize_by_offsets, text) == lexed(tokenize_by_chars, text)
     assert lexed(tokenize_by_offsets, text) == lexed(tokenize_by_regex, text)
+    assert lexed(tokenize_by_offsets, text) == lexed(tokenize_by_groups, text)
 
 
 def test_a_span_is_made_only_for_the_error(monkeypatch):
@@ -1215,6 +1282,26 @@ def test_builder_ids_differ_from_path_ids_but_still_format():
     reparsed = parse(text).model
     assert {x.kind for x in reparsed.actions} == {"create", "process"}
     assert len(reparsed.flows) == 1
+
+
+def test_auto_edge_ids_skip_thimacs_named_like_them():
+    # edges resolve at the model block's '}', after every declaration, so
+    # the thimac ids flow1, flow2 and trigger1 are taken before any edge id
+    doc = parse(
+        "model m {\n"
+        "  thimac flow1 { create a process b a -> b }\n"
+        "  thimac flow2 { create a process b a -> b b ~> a }\n"
+        "  thimac trigger1 { create a process b b ~> a }\n"
+        "}\n"
+    )
+    assert [(f.id, f.src) for f in doc.model.flows] == [
+        ("flow3", "flow1/a"),
+        ("flow4", "flow2/a"),
+    ]
+    assert [(t.id, t.src) for t in doc.model.triggers] == [
+        ("trigger2", "flow2/b"),
+        ("trigger3", "trigger1/b"),
+    ]
 
 
 def test_fixture_round_trip_and_canonicality():

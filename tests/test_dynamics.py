@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from tmkit import (
     ChronEdge,
+    Flow,
     ModelBuilder,
     Scenario,
     Trace,
@@ -51,7 +52,7 @@ from tmkit.dsl import escape, format_document, parse
 from tmkit.errors import decode_json
 
 from conftest import ODD_LINE_BREAKS, ODD_NAMES, load_scenario, tmkit_env
-from generators import mutate, random_document, random_raw_model
+from generators import mutate, random_document, random_legal_model, random_raw_model
 from test_model import (
     model_changes,
     record_changes,
@@ -122,14 +123,45 @@ def test_triggers_connect_regions_too():
     assert event.region == frozenset({"t/a", "t/b"})
 
 
-@given(seeds)
-@settings(max_examples=80, deadline=None)
-def test_region_components_match_networkx(seed):
-    rng = Random(seed)
-    model = random_raw_model(rng)
-    members = frozenset(
-        rng.sample(sorted(model.actions_by_id), rng.randint(1, len(model.actions)))
-    )
+def weak_components_by_full_search(model, members):
+    """The region check as it was before its first search could stop
+    early: every weak component, each search started from the least
+    unvisited vertex, so components come ordered by their least vertex."""
+    bridge_storages = {
+        node
+        for member in members
+        for edge in model.edges_at.get(member, ())
+        if isinstance(edge, Flow)
+        for node in (edge.src, edge.dst)
+        if node in model.storages_by_id
+    }
+    vertices = members | bridge_storages
+    components = []
+    unvisited = set(vertices)
+    for start in sorted(vertices):
+        if start not in unvisited:
+            continue
+        stack = [start]
+        unvisited.discard(start)
+        component = []
+        while stack:
+            node = stack.pop()
+            if node in members:
+                component.append(node)
+            for edge in model.edges_at.get(node, ()):
+                for nxt in (edge.src, edge.dst):
+                    if nxt in unvisited:
+                        unvisited.discard(nxt)
+                        stack.append(nxt)
+        if component:
+            components.append(sorted(component))
+    return components
+
+
+def region_components_by_networkx(model, members):
+    """The region's weak components by networkx, over the region and the
+    storages on a flow with a member endpoint: each component's members
+    sorted, the components ordered by their least vertex."""
     bridges = {
         node
         for f in model.flows
@@ -144,12 +176,67 @@ def test_region_components_match_networkx(seed):
         for e in (*model.flows, *model.triggers)
         if e.src in graph and e.dst in graph
     )
-    expected = [
+    return [
         sorted(component & members)
         for component in sorted(nx.weakly_connected_components(graph), key=min)
         if component & members
     ]
+
+
+@given(seeds)
+@settings(max_examples=80, deadline=None)
+def test_region_components_match_networkx(seed):
+    rng = Random(seed)
+    model = random_raw_model(rng)
+    members = frozenset(
+        rng.sample(sorted(model.actions_by_id), rng.randint(1, len(model.actions)))
+    )
+    expected = region_components_by_networkx(model, members)
     assert _weak_components(model, members) == expected
+    assert weak_components_by_full_search(model, members) == expected
+
+
+def random_region(rng, model):
+    """A random set of the model's actions, or one grown along its edges,
+    which is more often connected."""
+    actions = sorted(model.actions_by_id)
+    if rng.random() < 0.5:
+        return rng.sample(actions, rng.randint(1, min(4, len(actions))))
+    region = [rng.choice(actions)]
+    edges = (*model.flows, *model.triggers)
+    for _ in range(rng.randint(0, 6)):
+        ends = [
+            end
+            for e in edges
+            if e.src in region or e.dst in region
+            for end in (e.src, e.dst)
+            if end in model.actions_by_id and end not in region
+        ]
+        if ends:
+            region.append(rng.choice(ends))
+    return region
+
+
+@given(seeds)
+@settings(max_examples=300, deadline=None)
+def test_define_event_accepts_a_region_exactly_when_networkx_finds_one_component(seed):
+    rng = Random(seed)
+    if rng.random() < 0.5:
+        model = random_legal_model(rng)
+    else:
+        model = random_document(rng).model
+    region = random_region(rng, model)
+    members = frozenset(region)
+    expected = region_components_by_networkx(model, members)
+    assert weak_components_by_full_search(model, members) == expected
+    try:
+        event = define_event(model, "E1", "x", region)
+    except DisconnectedRegionError as exc:
+        assert len(expected) > 1
+        assert exc.components == expected
+    else:
+        assert expected == [sorted(members)]
+        assert event.region == members
 
 
 def test_check_coverage_lists_the_uncovered():

@@ -1,0 +1,123 @@
+"""Work per model size: the text-to-model layers do linear work.
+
+Each layer runs on rings of 250, 1,000 and 4,000 thimacs, and the Python
+and C calls it makes are counted.  The count is a fixed part plus a part
+per thimac, so the count at 4,000 must lie on the line through the other
+two.  A count does not see a scan inside one C call, such as a regex over
+the whole text or ``x in some_list``, so ``parse`` is also timed over an
+8x span.
+"""
+import gc
+import math
+import sys
+import time
+from functools import lru_cache
+from random import Random
+
+import pytest
+
+from tmkit import ModelBuilder, define_event, format_document, from_json, parse, to_json
+from tmkit.model import StaticModel
+
+from generators import ring_document
+
+SIZES = (250, 1000, 4000)
+
+
+@lru_cache(maxsize=None)
+def ring(n: int):
+    """The ring document of ``n`` thimacs and its text."""
+    doc = ring_document(n, Random(n))
+    return doc, format_document(doc)
+
+
+def count_calls(run) -> int:
+    """The Python and C functions ``run()`` calls, each call counted."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def parse_ring(n: int):
+    text = ring(n)[1]
+    return lambda: parse(text)
+
+
+def define_ring_events(n: int):
+    doc = ring(n)[0]
+    model = doc.model
+
+    def run():
+        fresh = StaticModel(*(getattr(model, f) for f in model.__dataclass_fields__))
+        for event in doc.events:  # on a copy, so the indexes are built again
+            define_event(fresh, event.id, event.label, event.region)
+
+    return run
+
+
+def replay_ring_model(n: int):
+    model = ring(n)[0].model
+
+    def run():
+        builder = ModelBuilder(model.name)
+        for t in model.thimacs:
+            builder.add_thimac(t.name, t.parent, t.note, t.id)
+        for a in model.actions:
+            builder.add_action(a.kind, a.owner, a.label, a.anchor, a.id)
+        for s in model.storages:
+            builder.add_storage(s.owner, s.name, s.id)
+        for f in model.flows:
+            builder.add_flow(f.src, f.dst)
+        for t in model.triggers:
+            builder.add_trigger(t.src, t.dst, t.condition)
+        builder.build()
+
+    return run
+
+
+def read_ring_json(n: int):
+    text = to_json(ring(n)[0])
+    return lambda: from_json(text)
+
+
+@pytest.mark.parametrize(
+    "layer", [parse_ring, define_ring_events, replay_ring_model, read_ring_json]
+)
+def test_calls_grow_linearly_with_the_ring(layer):
+    counts = [count_calls(layer(n)) for n in SIZES]
+    (n1, n2, n3), (c1, c2, c3) = SIZES, counts
+    line = c1 + (c2 - c1) * (n3 - n1) / (n2 - n1)
+    assert abs(c3 - line) <= 0.005 * line, counts
+
+
+def best_time(run, repeats: int = 3) -> float:
+    """The least wall time of ``run()``, with the collector paused, so its
+    passes over the rest of the test session's heap are not counted."""
+    best = math.inf
+    for _ in range(repeats):
+        gc.collect()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            run()
+            best = min(best, time.perf_counter() - start)
+        finally:
+            gc.enable()
+    return best
+
+
+def test_parse_time_grows_linearly_with_the_ring():
+    # 8x the thimacs: about 8x the time when linear, 64x when quadratic
+    small, large = (best_time(parse_ring(n)) for n in (500, 4000))
+    slope = math.log(large / small) / math.log(4000 / 500)
+    assert slope < 1.6, (small, large)

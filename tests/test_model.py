@@ -67,6 +67,24 @@ def test_builder_autogenerates_distinct_ids():
     assert model.flows[0].id == f
 
 
+def test_builder_auto_edge_ids_skip_ids_taken_when_drawn():
+    builder = ModelBuilder("m")
+    for name in ("flow1", "flow2", "trigger1"):
+        builder.add_thimac(name, id=name)
+    a = builder.add_action("create", "flow1", id="a")
+    b = builder.add_action("process", "flow1", id="b")
+    assert [builder.add_flow(a, b), builder.add_flow(b, a)] == ["flow3", "flow4"]
+    assert [builder.add_trigger(a, b), builder.add_trigger(b, a)] == [
+        "trigger2",
+        "trigger3",
+    ]
+    builder.add_action("receive", "flow1", id="flow5")  # taken before it is drawn
+    assert builder.add_flow(a, b, id="flow7") == "flow7"
+    assert [builder.add_flow(a, b), builder.add_flow(a, b)] == ["flow6", "flow8"]
+    assert builder.add_storage("trigger1", "s", id="trigger4") == "trigger4"
+    assert builder.add_trigger(a, b) == "trigger5"
+
+
 def test_builder_rejects_duplicate_id():
     builder = ModelBuilder("m")
     builder.add_thimac("one", id="t")
