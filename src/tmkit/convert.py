@@ -30,7 +30,6 @@ from operator import itemgetter, le, lt
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .dynamics import (
-    ChronEdge,
     ChronologyGraph,
     Document,
     Scenario,
@@ -661,7 +660,7 @@ def from_json(text: str) -> Document:
         bounds = {}
         entries = data["chronology"]["edges"]
         for src, dst, guard, bound in map(itemgetter(*_CHRON_EDGE), entries):
-            edges.append(ChronEdge(src, dst, guard))
+            edges.append((src, dst, guard))
             if bound is not None:
                 bounds[(src, dst)] = int(bound)
         chronology = build_chronology(events.values(), edges, bounds)

@@ -45,7 +45,6 @@ from .dynamics import (
     _ESCAPE_RE,
     _OPEN_STRING,
     _STRING_RE,
-    ChronEdge,
     ChronologyGraph,
     Document,
     Event,
@@ -421,7 +420,7 @@ class _Parser:
         block's ``}``."""
         kinds, values = self._kinds, self._values
         i = self._expect(i, "LBRACE", "'{'")
-        edges: dict[tuple[str, str], ChronEdge] = {}
+        edges: dict[tuple[str, str], tuple[str, str, Optional[str]]] = {}
         bounds = {}
         while kinds[i] != "RBRACE" and kinds[i] != "EOF":
             src, arrow = i, self._known(i, events, "an event id", "event")
@@ -445,7 +444,7 @@ class _Parser:
                     raise ParseError(span, "a shorter bound", digits) from None
                 if bounds[pair] < 1:
                     self._error(bound, "a bound of at least 1")
-            edges[pair] = ChronEdge(*pair, guard)
+            edges[pair] = (*pair, guard)
         i = self._expect(i, "RBRACE", "'}'")
         return build_chronology(events.values(), edges.values(), bounds), i
 

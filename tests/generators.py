@@ -1,6 +1,6 @@
 """Seeded random builders for property and acceptance tests.
 
-Six families:
+Seven families:
 
 * ``random_document`` -- arbitrary well-formed documents (path ids, unique
   local names) for round-trip checks.  Shapes are unconstrained, so the
@@ -15,6 +15,9 @@ Six families:
   test; many break the importer's rules on purpose.
 * ``ring_document`` -- a ring of ``n`` thimacs with its events and a chain
   chronology, for tests that measure how work grows with model size.
+* ``loop_document`` -- a chain chronology whose guarded back-edges have
+  budget ``n``, and the scenario that runs every loop to its budget, for
+  tests that measure how the dynamics layer's work grows with the walk.
 
 ``mutate`` makes one random edit in a decoded JSON value, for the schema
 checker's differential test and the command-line fuzz test.
@@ -178,6 +181,37 @@ def ring_document(n: int, rng: Random) -> Document:
     ]
     edges = [ChronEdge(a.id, b.id) for a, b in zip(events, events[1:])]
     return Document(model, tuple(events), build_chronology(events, edges))
+
+
+def loop_document(
+    n: int, rng: Random, events: int = 20, loops: int = 9
+) -> tuple[Document, str]:
+    """A chain ``E0 -> E1 -> ...`` of ``events`` events over four thimacs
+    (a create and a process each) and ``loops`` guarded back-edges
+    ``E(2k+2) -> E(2k+1)`` with ``max n``, and the text of a scenario that
+    answers T to every guard ``n + 1`` times.  The walk runs each loop to
+    its budget: ``events + 2 * n * loops`` steps."""
+    assert 2 * loops + 2 <= events
+    builder = ModelBuilder(f"loops_{n}")
+    for name in ("t0", "t1", "t2", "t3"):
+        builder.add_thimac(name, id=name)
+        builder.add_action("create", name, _label(rng), id=f"{name}/make")
+        builder.add_action("process", name, id=f"{name}/work")
+        builder.add_flow(f"{name}/make", f"{name}/work")
+    model = builder.build()
+    chain = [
+        define_event(model, f"E{k}", _label(rng), {f"t{k % 4}/make", f"t{k % 4}/work"})
+        for k in range(events)
+    ]
+    edges = [(a.id, b.id, None) for a, b in zip(chain, chain[1:])]
+    guards = [f"{rng.choice(_WORDS)} {k}" for k in range(loops)]
+    back = [(chain[2 * k + 2].id, chain[2 * k + 1].id) for k in range(loops)]
+    edges += [(*pair, guard) for pair, guard in zip(back, guards)]
+    rng.shuffle(edges)
+    chronology = build_chronology(chain, edges, dict.fromkeys(back, n))
+    answers = ",".join(["T"] * (n + 1))
+    scenario = "".join(f"{guard} = {answers}\n" for guard in guards)
+    return Document(model, tuple(chain), chronology), scenario
 
 
 def random_legal_model(rng: Random) -> StaticModel:

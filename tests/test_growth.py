@@ -1,11 +1,12 @@
-"""Work per model size: the text-to-model layers do linear work.
+"""Work per model size: the text-to-model and dynamics layers do linear work.
 
-Each layer runs on rings of 250, 1,000 and 4,000 thimacs, and the Python
-and C calls it makes are counted.  The count is a fixed part plus a part
-per thimac, so the count at 4,000 must lie on the line through the other
-two.  A count does not see a scan inside one C call, such as a regex over
-the whole text or ``x in some_list``, so ``parse`` is also timed over an
-8x span.
+Each text-to-model layer runs on rings of 250, 1,000 and 4,000 thimacs,
+and the Python and C calls it makes are counted.  The count is a fixed
+part plus a part per thimac, so the count at 4,000 must lie on the line
+through the other two.  The dynamics layer is counted the same way per
+step of a walk, over loop budgets of 25, 100 and 400.  A count does not
+see a scan inside one C call, such as a regex over the whole text or
+``x in some_list``, so ``parse`` is also timed over an 8x span.
 """
 import gc
 import math
@@ -16,10 +17,23 @@ from random import Random
 
 import pytest
 
-from tmkit import ModelBuilder, define_event, format_document, from_json, parse, to_json
+from tmkit import (
+    ChronEdge,
+    ModelBuilder,
+    conformance,
+    define_event,
+    format_document,
+    from_json,
+    parse,
+    parse_scenario,
+    simulate,
+    to_json,
+    trace_from_json,
+    trace_to_json,
+)
 from tmkit.model import StaticModel
 
-from generators import ring_document
+from generators import loop_document, ring_document
 
 SIZES = (250, 1000, 4000)
 
@@ -31,13 +45,16 @@ def ring(n: int):
     return doc, format_document(doc)
 
 
-def count_calls(run) -> int:
-    """The Python and C functions ``run()`` calls, each call counted."""
+def count_calls(run, code=None) -> int:
+    """The Python and C functions ``run()`` calls, each call counted; or,
+    given ``code``, the calls of the Python function with that code."""
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event == "call" or event == "c_call":
+        if code is None:
+            calls += event == "call" or event == "c_call"
+        elif event == "call" and frame.f_code is code:
             calls += 1
 
     sys.setprofile(profile)
@@ -46,6 +63,14 @@ def count_calls(run) -> int:
     finally:
         sys.setprofile(None)
     return calls
+
+
+def fits_a_line(xs, counts) -> bool:
+    """Whether the third count lies within 0.5% of the line through the
+    first two."""
+    (x1, x2, x3), (c1, c2, c3) = xs, counts
+    line = c1 + (c2 - c1) * (x3 - x1) / (x2 - x1)
+    return abs(c3 - line) <= 0.005 * line
 
 
 def parse_ring(n: int):
@@ -95,9 +120,56 @@ def read_ring_json(n: int):
 )
 def test_calls_grow_linearly_with_the_ring(layer):
     counts = [count_calls(layer(n)) for n in SIZES]
-    (n1, n2, n3), (c1, c2, c3) = SIZES, counts
-    line = c1 + (c2 - c1) * (n3 - n1) / (n2 - n1)
-    assert abs(c3 - line) <= 0.005 * line, counts
+    assert fits_a_line(SIZES, counts), counts
+
+
+@pytest.mark.parametrize("read", [parse_ring, read_ring_json])
+def test_a_read_makes_one_chron_edge_per_edge(read):
+    doc = ring(250)[0]
+    made = count_calls(read(250), ChronEdge.__new__.__code__)
+    assert made == len(doc.chronology.edges) == 249
+
+
+BUDGETS = (25, 100, 400)
+
+
+def loops(n: int):
+    """The chronology, scenario and walk of a loop document of budget
+    ``n``, made afresh; making the walk builds the chronology's indexes,
+    so no count includes them."""
+    doc, text = loop_document(n, Random(n))
+    scenario = parse_scenario(text)
+    return doc.chronology, scenario, simulate(doc.chronology, scenario)
+
+
+def simulate_loops(n: int):
+    chronology, scenario, _ = loops(n)
+    return lambda: simulate(chronology, scenario)
+
+
+def check_loops(n: int):
+    chronology, _, trace = loops(n)
+    return lambda: conformance(trace, chronology)
+
+
+def write_loops(n: int):
+    trace = loops(n)[2]
+    return lambda: trace_to_json(trace)
+
+
+def read_loops(n: int):
+    text = trace_to_json(loops(n)[2])
+    return lambda: trace_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "layer", [simulate_loops, check_loops, write_loops, read_loops]
+)
+def test_calls_grow_linearly_with_the_walk(layer):
+    steps = [len(loops(n)[2].steps) for n in BUDGETS]
+    assert steps == [20 + 18 * n for n in BUDGETS]
+    counts = [count_calls(layer(n)) for n in BUDGETS]
+    assert fits_a_line(steps, counts), counts
 
 
 def best_time(run, repeats: int = 3) -> float:
