@@ -58,7 +58,8 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "trace_from_json",
         "structurally_equal_documents",
     ),
-    "dsl": ("ParseError", "FormatError", "SourceSpan", "parse", "format_document"),
+    "dsl": ("ParseError", "FormatError", "SourceSpan", "parse"),
+    "writer": ("format_document",),
     "logic": (
         "Literal",
         "Origin",
@@ -85,11 +86,10 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "load_flowchart",
         "import_flowchart",
         "to_dot",
-        "chronology_to_dot",
         "to_json",
         "from_json",
-        "generate_report",
     ),
+    "report": ("chronology_to_dot", "generate_report"),
     "errors": ("TmkitError",),
 }
 

@@ -159,9 +159,9 @@ def check(model_file: str) -> None:
 @click.option("-o", "--output", type=click.Path(dir_okay=False))
 def simplify(model_file: str, output: Optional[str]) -> None:
     """Collapse transport actions and print the reduced model."""
-    from .dsl import format_document
     from .dynamics import Document
     from .model import SimplifyError, simplify as simplify_model
+    from .writer import format_document
 
     doc = _load_document(model_file)
     try:
@@ -282,8 +282,8 @@ def validate_arg(argument_file: str) -> None:
 def import_chart(chart_file: str, output: Optional[str]) -> None:
     """Turn a swimlane flowchart (JSON) into model text."""
     from .convert import import_flowchart, load_flowchart
-    from .dsl import format_document
     from .dynamics import Document
+    from .writer import format_document
 
     model, notes = import_flowchart(load_flowchart(_read(chart_file)))
     for note in notes:
@@ -301,19 +301,22 @@ def import_chart(chart_file: str, output: Optional[str]) -> None:
 @click.option("-o", "--output", type=click.Path(dir_okay=False))
 def export(model_file: str, fmt: str, part: str, output: Optional[str]) -> None:
     """Write a document as canonical JSON or Graphviz text."""
-    from .convert import chronology_to_dot, to_dot, to_json
-
     doc = _load_document(model_file)
     if fmt == "json":
         if part != "model":
             raise TmkitError("--part applies to dot output only")
+        from .convert import to_json
+
         _write(output, to_json(doc))
-        return
-    if part == "chronology":
+    elif part == "chronology":
         if doc.chronology is None:
             raise TmkitError("model has no chronology to draw")
+        from .report import chronology_to_dot
+
         _write(output, chronology_to_dot(doc.chronology))
     else:
+        from .convert import to_dot
+
         _write(output, to_dot(doc))
 
 
@@ -325,8 +328,8 @@ def export(model_file: str, fmt: str, part: str, output: Optional[str]) -> None:
 )
 def report(model_file: str, scenario_files: tuple[str, ...]) -> None:
     """Summarize a document: thimacs, findings, events, walks."""
-    from .convert import generate_report
     from .dynamics import SimulationError
+    from .report import generate_report
 
     doc = _load_document(model_file)
     scenarios = [_load_scenario(f) for f in scenario_files]

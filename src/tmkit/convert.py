@@ -1,4 +1,4 @@
-"""Interchange: flowchart import, DOT and JSON output, plain-text reports.
+"""Interchange: flowchart import, DOT and JSON output.
 
 The flowchart side accepts a swimlane chart (JSON) and rebuilds it as a
 model: lanes become thimacs, and each node becomes the actions that
@@ -21,23 +21,20 @@ source of each message, its path, and which fault is reported first.
 Loading is deliberately more permissive than the builder -- dangling
 references and self-loops come back as models that ``validate`` can
 complain about, not as exceptions.
+
+The report and the chronology's DOT are in ``report``, which needs none
+of this module.
 """
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from itertools import chain, repeat
 from operator import itemgetter, le, lt
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Optional, Union
 
-from .dynamics import (
-    ChronologyGraph,
-    Document,
-    Scenario,
-    build_chronology,
-    define_event,
-    simulate,
-)
-from .dsl import _WORD, containment_walk, escape
+from .dynamics import Document, build_chronology, define_event
+from .dsl import _WORD, escape
 from .errors import TmkitError, _list, _template, decode_json
 from .model import (
     ACTION_KINDS,
@@ -50,8 +47,6 @@ from .model import (
     Thimac,
     Trigger,
     check_depth,
-    tally,
-    validate,
 )
 
 
@@ -115,25 +110,18 @@ FLOWCHART_SCHEMA = _object(
 )
 
 
-class FlowNode(NamedTuple):
-    id: str
-    lane: str
-    kind: str
-    label: Optional[str] = None
+class FlowNode(namedtuple("FlowNode", "id lane kind label", defaults=(None,))):
+    __slots__ = ()
 
 
-class FlowEdge(NamedTuple):
-    src: str
-    dst: str
-    guard: Optional[str] = None
+class FlowEdge(namedtuple("FlowEdge", "src dst guard", defaults=(None,))):
+    __slots__ = ()
 
 
-class FlowchartDoc(NamedTuple):
-    name: str
-    lanes: tuple[str, ...]
-    nodes: tuple[FlowNode, ...]
-    edges: tuple[FlowEdge, ...]
-    description: Optional[str] = None
+class FlowchartDoc(
+    namedtuple("FlowchartDoc", "name lanes nodes edges description", defaults=(None,))
+):
+    __slots__ = ()
 
 
 #: The Python types of the JSON values each schema type admits.  JSON
@@ -460,6 +448,9 @@ def _bridge(edge: FlowEdge, src: FlowNode, dst: FlowNode) -> list[tuple[str, str
 def to_dot(doc: Union[Document, StaticModel]) -> str:
     """Graphviz text: one cluster per thimac, boxes for actions,
     cylinders for storages, dashed edges for triggers."""
+    # here, so that commands that write no model DOT never load the writer
+    from .writer import containment_walk
+
     model = doc.model if isinstance(doc, Document) else doc
     lines = [f'digraph "{escape(model.name)}" {{', "  rankdir=LR;"]
     for opening, thimac, depth in containment_walk(model):
@@ -490,24 +481,6 @@ def to_dot(doc: Union[Document, StaticModel]) -> str:
             f'  "{escape(trigger.src)}" -> "{escape(trigger.dst)}" '
             f"[{attrs}];"
         )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def chronology_to_dot(chronology: ChronologyGraph) -> str:
-    lines = ['digraph "chronology" {', "  rankdir=LR;"]
-    for event in chronology.events:
-        label = f"{escape(event.id)}\\n{escape(event.label)}"
-        lines.append(f'  "{escape(event.id)}" [shape=box, label="{label}"];')
-    for edge in chronology.edges:
-        parts = []
-        if edge.guard is not None:
-            parts.append(escape(edge.guard))
-        bound = chronology.loop_bounds.get((edge.src, edge.dst))
-        if bound is not None:
-            parts.append(f"max {bound}")
-        attrs = f' [label="{"; ".join(parts)}"]' if parts else ""
-        lines.append(f'  "{escape(edge.src)}" -> "{escape(edge.dst)}"{attrs};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -666,52 +639,3 @@ def from_json(text: str) -> Document:
         chronology = build_chronology(events.values(), edges, bounds)
 
     return Document(model, tuple(events.values()), chronology)
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-def generate_report(doc: Document, scenarios: Iterable[Scenario] = ()) -> str:
-    """Plain-text summary: thimac inventory, validation findings, event
-    catalog, and a walk per requested scenario."""
-    model = doc.model
-    title = f"report on {model.name}"
-    lines = [title, "=" * len(title), ""]
-
-    lines += ["thimacs", "-------"]
-    if not model.thimacs:
-        lines.append("(none)")
-    for thimac in model.thimacs:
-        lines.append(
-            f"- {thimac.id}: {len(model.actions_of(thimac.id))} actions, "
-            f"{len(model.storages_of(thimac.id))} storages"
-        )
-    lines.append("")
-
-    diagnostics = validate(model)
-    lines += ["validation", "----------", tally(diagnostics)]
-    for diagnostic in diagnostics:
-        lines.append(f"- {diagnostic}")
-    lines.append("")
-
-    if doc.events:
-        lines += ["events", "------"]
-        for event in doc.events:
-            lines.append(
-                f"- {event.id}: {event.label} (region: {len(event.region)} actions)"
-            )
-        lines.append("")
-
-    for scenario in scenarios:
-        if doc.chronology is None:
-            raise ConvertError("document has no chronology to walk")
-        trace = simulate(doc.chronology, scenario)
-        heading = f"walk: {scenario.name}"
-        lines += [heading, "-" * len(heading)]
-        for event_id, index in trace.steps:
-            label = doc.events_by_id[event_id].label
-            lines.append(f"{index + 1}. {event_id}: {label}")
-        lines.append("")
-
-    return "\n".join(lines).rstrip("\n") + "\n"

@@ -10,15 +10,14 @@ a chronology without raising.
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import starmap
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import TmkitError, _list, _template, decode_json
-from .model import Flow, StaticModel, grouped, structurally_equal
+from .model import Flow, Frozen, StaticModel, grouped, structurally_equal
 
 
 class DynamicsError(TmkitError):
@@ -70,16 +69,14 @@ class NoEnabledSuccessorError(SimulationError):
     """Every guard at a branch evaluated false and there is no fallback."""
 
 
-class Event(NamedTuple):
-    id: str
-    label: str
-    region: frozenset[str]
+class Event(namedtuple("Event", "id label region")):
+    """``region`` is a frozenset of action ids."""
+
+    __slots__ = ()
 
 
-class ChronEdge(NamedTuple):
-    src: str
-    dst: str
-    guard: Optional[str] = None
+class ChronEdge(namedtuple("ChronEdge", "src dst guard", defaults=(None,))):
+    __slots__ = ()
 
 
 _Pair = tuple[str, str]
@@ -87,11 +84,19 @@ _Pair = tuple[str, str]
 _Step = tuple[tuple[tuple[str, _Pair], ...], tuple[_Pair, ...], Optional[_Pair]]
 
 
-@dataclass(frozen=True)
-class ChronologyGraph:
-    events: tuple[Event, ...]
-    edges: tuple[ChronEdge, ...]
-    loop_bounds: Mapping[tuple[str, str], int] = field(default_factory=dict)
+class ChronologyGraph(Frozen):
+    """Events, the edges between them, and each bounded edge's budget as
+    ``{(src, dst): bound}`` (a fresh empty dict by default)."""
+
+    _fields = ("events", "edges", "loop_bounds")
+
+    def __init__(
+        self,
+        events: tuple[Event, ...],
+        edges: tuple[ChronEdge, ...],
+        loop_bounds: Optional[Mapping[tuple[str, str], int]] = None,
+    ) -> None:
+        self._set(events, edges, {} if loop_bounds is None else loop_bounds)
 
     @cached_property
     def events_by_id(self) -> dict[str, Event]:
@@ -135,40 +140,49 @@ class ChronologyGraph:
         return (src, dst) in self.edge_pairs
 
 
-class Scenario(NamedTuple):
-    name: str
-    decisions: Mapping[str, tuple[bool, ...]] = MappingProxyType({})
+class Scenario(
+    namedtuple("Scenario", "name decisions", defaults=(MappingProxyType({}),))
+):
+    """``decisions`` maps each guard to its recorded choices, in order."""
+
+    __slots__ = ()
 
 
-class Trace(NamedTuple):
-    steps: tuple[tuple[str, int], ...]  # (event id, 0-based step index)
-    scenario: str
+class Trace(namedtuple("Trace", "steps scenario")):
+    """``steps`` holds ``(event id, 0-based step index)`` pairs."""
+
+    __slots__ = ()
 
     @property
     def event_ids(self) -> tuple[str, ...]:
         return tuple(event for event, _ in self.steps)
 
 
-class Violation(NamedTuple):
-    step: int
-    message: str
+class Violation(namedtuple("Violation", "step message")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"step {self.step}: {self.message}"
 
 
-class ConformanceResult(NamedTuple):
-    ok: bool
-    violation: Optional[Violation] = None
+class ConformanceResult(
+    namedtuple("ConformanceResult", "ok violation", defaults=(None,))
+):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Frozen):
     """A static model bundled with its dynamic layer."""
 
-    model: StaticModel
-    events: tuple[Event, ...] = ()
-    chronology: Optional[ChronologyGraph] = None
+    _fields = ("model", "events", "chronology")
+
+    def __init__(
+        self,
+        model: StaticModel,
+        events: tuple[Event, ...] = (),
+        chronology: Optional[ChronologyGraph] = None,
+    ) -> None:
+        self._set(model, events, chronology)
 
     @cached_property
     def events_by_id(self) -> dict[str, Event]:
@@ -422,8 +436,43 @@ def conformance(trace: Trace, chronology: ChronologyGraph) -> ConformanceResult:
     """Does the trace start at an initial event, follow chronology edges
     and respect loop bounds?
 
-    Never raises; the first violation is returned as data.
+    Never raises; the first violation is returned as data.  The trace is
+    checked a column at a time first (``_conforms``); only one that fails
+    is walked step by step (``_first_violation``), which words the
+    violation, so the walk stays the one source of each message.
     """
+    if _conforms(trace.steps, chronology):
+        return ConformanceResult(True, None)
+    return _first_violation(trace, chronology)
+
+
+def _conforms(steps: tuple[tuple[str, int], ...], chronology: ChronologyGraph) -> bool:
+    """Whether ``_first_violation`` finds none in ``steps``, decided over
+    whole columns with C-level builtins: the indices are ``range(n)``,
+    every event is known, the first is initial, every pair of consecutive
+    steps is an edge, and no bounded edge is taken more often than its
+    bound.  A step that is no pair, or an event that cannot be hashed,
+    is left to the walk."""
+    if not steps:
+        return True
+    try:
+        events, indices = zip(*steps, strict=True)
+        if not chronology.events_by_id.keys() >= set(events):
+            return False
+    except (TypeError, ValueError):
+        return False
+    if indices != tuple(range(len(indices))):
+        return False
+    if events[0] not in chronology.initial_events:
+        return False
+    taken = Counter(zip(events, events[1:]))
+    return taken.keys() <= chronology.edge_pairs and all(
+        taken[pair] <= bound for pair, bound in chronology.loop_bounds.items()
+    )
+
+
+def _first_violation(trace: Trace, chronology: ChronologyGraph) -> ConformanceResult:
+    """The walk: the first step that breaks the chronology, as data."""
     def fail(step: int, message: str) -> ConformanceResult:
         return ConformanceResult(False, Violation(step, message))
 
@@ -519,21 +568,30 @@ def _quoted_guard(line: str, lineno: int) -> tuple[str, str]:
     return _ESCAPE_RE.sub(r"\1", match.group()[1:-1]), rest[1:]
 
 
-_TRACE = _template(("scenario", "steps"), 0)
-#: ``%d`` for the index, so a bool or integral float in a hand-built
-#: trace still writes a JSON integer.
-_TRACE_STEP = _template(("index", "event"), 2) % ("%d", "%s")
+_TRACE = _template(("scenario", "steps"), 0) + "\n"
+_TRACE_STEP = _template(("index", "event"), 2)
 
 
 def trace_to_json(trace: Trace) -> str:
     """The bytes ``json.dumps(payload, indent=2) + "\\n"`` writes for
     ``{"scenario": ..., "steps": [{"index": ..., "event": ...}, ...]}``,
-    from templates; names go through the encoder ``json.dumps`` uses."""
+    from templates; names go through the encoder ``json.dumps`` uses.
+    Each distinct event is encoded once, into a step template that keeps
+    ``%d`` for the index, so a bool or integral float in a hand-built
+    trace still writes a JSON integer.  The steps' templates make one
+    template for the whole trace, and one ``%`` fills in every index."""
     # here, so that commands that write no JSON never load it
     from json.encoder import encode_basestring_ascii as encode
 
-    steps = [_TRACE_STEP % (index, encode(event)) for event, index in trace.steps]
-    return _TRACE % (encode(trace.scenario), _list(steps, 1)) + "\n"
+    def literal(name: str) -> str:  # ``name`` encoded, as template text
+        return encode(name).replace("%", "%%")
+
+    if not trace.steps:
+        return _TRACE % (encode(trace.scenario), "[]")
+    events, indices = zip(*trace.steps, strict=True)  # every step a pair
+    templates = {event: _TRACE_STEP % ("%d", literal(event)) for event in set(events)}
+    steps = _list(list(map(templates.__getitem__, events)), 1)
+    return _TRACE % (literal(trace.scenario), steps) % indices
 
 
 def trace_from_json(text: str) -> Trace:

@@ -43,9 +43,10 @@ same tooling as everything else.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import TmkitError
 
@@ -62,9 +63,8 @@ class LogicError(TmkitError):
     pass
 
 
-class Literal(NamedTuple):
-    variable: str
-    positive: bool = True
+class Literal(namedtuple("Literal", "variable positive", defaults=(True,))):
+    __slots__ = ()
 
     def negated(self) -> "Literal":
         return Literal(self.variable, not self.positive)
@@ -73,12 +73,11 @@ class Literal(NamedTuple):
         return self.variable if self.positive else f"~{self.variable}"
 
 
-class Origin(NamedTuple):
+class Origin(namedtuple("Origin", "index contrapositive", defaults=(False,))):
     """Where a usable implication came from: premise ``index`` (1-based),
     either as stated or flipped into its contrapositive."""
 
-    index: int
-    contrapositive: bool = False
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.contrapositive:
@@ -86,13 +85,9 @@ class Origin(NamedTuple):
         return f"premise {self.index}"
 
 
-class _ImplicationRow(NamedTuple):
-    antecedent: Literal
-    consequent: Literal
-    origin: Optional[Origin] = None
-
-
-class Implication(_ImplicationRow):
+class Implication(
+    namedtuple("Implication", "antecedent consequent origin", defaults=(None,))
+):
     """``antecedent -> consequent``, refused when the two are one literal.
     The check is in ``__new__``, and ``_make`` (so ``_replace`` too) goes
     through it."""
@@ -216,10 +211,10 @@ def _rule_ends(ends: tuple[int, ...]) -> tuple[list[int], list[int]]:
     )
 
 
-class _Graph(NamedTuple):
-    heads: list[int]  # rule -> the literal it implies
-    order: list[int]  # every rule, sorted by tail, in rule order within one
-    start: list[int]  # literal -> where its rules start in ``order``
+#: ``heads`` maps each rule to the literal it implies; ``order`` holds
+#: every rule, sorted by tail, in rule order within one; ``start`` maps
+#: each literal to where its rules start in ``order``.
+_Graph = namedtuple("_Graph", "heads order start")
 
 
 def _implication_graph(argument: Argument) -> _Graph:

@@ -14,12 +14,11 @@ comparison here mixes two kinds.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass, replace
+from collections import Counter, deque, namedtuple
 from functools import cached_property
 from itertools import count, groupby
 from operator import itemgetter
-from typing import Container, Iterable, Iterator, NamedTuple, Optional, TypeVar
+from typing import Container, Iterable, Iterator, Optional, TypeVar
 
 from .errors import TmkitError
 
@@ -86,22 +85,13 @@ class SimplifyError(TmkitError):
         super().__init__(f"model has validation errors: {lines}")
 
 
-class Thimac(NamedTuple):
-    id: str
-    name: str
-    parent: Optional[str] = None
-    note: Optional[str] = None
+class Thimac(namedtuple("Thimac", "id name parent note", defaults=(None, None))):
+    __slots__ = ()
 
 
-class _ActionRow(NamedTuple):
-    id: str
-    kind: str
-    owner: str
-    label: Optional[str] = None
-    anchor: Optional[str] = None
-
-
-class Action(_ActionRow):
+class Action(
+    namedtuple("Action", "id kind owner label anchor", defaults=(None, None))
+):
     """An action of one of the ``ACTION_KINDS``.  The kind is checked in
     ``__new__``, and ``_make`` (so ``_replace`` too) goes through it."""
 
@@ -124,30 +114,23 @@ class Action(_ActionRow):
         return cls(*iterable)
 
 
-class Storage(NamedTuple):
-    id: str
-    owner: str
-    name: str
+class Storage(namedtuple("Storage", "id owner name")):
+    __slots__ = ()
 
 
-class Flow(NamedTuple):
-    id: str
-    src: str
-    dst: str
+class Flow(namedtuple("Flow", "id src dst")):
+    __slots__ = ()
 
 
-class Trigger(NamedTuple):
-    id: str
-    src: str
-    dst: str
-    condition: Optional[str] = None
+class Trigger(namedtuple("Trigger", "id src dst condition", defaults=(None,))):
+    __slots__ = ()
 
 
-class Diagnostic(NamedTuple):
-    severity: str  # "error" | "warning"
-    rule: str  # "R1" .. "R8"
-    subject: str  # id of the offending element
-    message: str
+class Diagnostic(namedtuple("Diagnostic", "severity rule subject message")):
+    """``severity`` is "error" or "warning", ``rule`` one of "R1" to "R8",
+    and ``subject`` the id of the offending element."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.severity} {self.rule} {self.subject}: {self.message}"
@@ -159,8 +142,48 @@ def tally(diagnostics: tuple[Diagnostic, ...]) -> str:
     return f"{errors} errors, {len(diagnostics) - errors} warnings"
 
 
-@dataclass(frozen=True)
-class StaticModel:
+class Frozen:
+    """Base of the immutable classes that cache indexes on first use
+    (``functools.cached_property``, which writes to ``__dict__``).  A
+    subclass lists its fields in ``_fields`` and sets them once, in
+    ``__init__``, through ``_set``.  Instances compare and hash by their
+    fields, as frozen dataclasses do, refuse assignment with an
+    ``AttributeError``, and change with ``_replace``, as named tuples do."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values: object) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def _replace(self, **changes: object):
+        """A copy with the fields in ``changes`` set to new values."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values())
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+
+class StaticModel(Frozen):
     """An immutable model.
 
     The lookups below read indexes that are built on first use and cached,
@@ -170,12 +193,18 @@ class StaticModel:
     is ``"storage"``); the validator and the formatter resolve endpoints there.
     """
 
-    name: str
-    thimacs: tuple[Thimac, ...] = ()
-    actions: tuple[Action, ...] = ()
-    storages: tuple[Storage, ...] = ()
-    flows: tuple[Flow, ...] = ()
-    triggers: tuple[Trigger, ...] = ()
+    _fields = ("name", "thimacs", "actions", "storages", "flows", "triggers")
+
+    def __init__(
+        self,
+        name: str,
+        thimacs: tuple[Thimac, ...] = (),
+        actions: tuple[Action, ...] = (),
+        storages: tuple[Storage, ...] = (),
+        flows: tuple[Flow, ...] = (),
+        triggers: tuple[Trigger, ...] = (),
+    ) -> None:
+        self._set(name, thimacs, actions, storages, flows, triggers)
 
     # -- lookups -----------------------------------------------------------
 
@@ -633,8 +662,8 @@ def simplify(model: StaticModel) -> StaticModel:
             flows.append(Flow(next(new_ids), start, end))
             present.add((start, end))
 
-    return replace(
-        model, actions=kept_actions, flows=tuple(flows), triggers=tuple(triggers)
+    return model._replace(
+        actions=kept_actions, flows=tuple(flows), triggers=tuple(triggers)
     )
 
 

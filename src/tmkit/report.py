@@ -1,0 +1,79 @@
+"""Views of a document's dynamic layer: the plain-text report and the
+chronology drawn in Graphviz.
+
+They need only the model and dynamic layers (and ``dsl``'s string
+escape), so ``tmkit report`` and ``tmkit export --part chronology`` load
+none of the JSON, DOT or flowchart code in ``convert``.
+"""
+from __future__ import annotations
+
+from typing import Iterable
+
+from .dsl import escape
+from .dynamics import ChronologyGraph, Document, DynamicsError, Scenario, simulate
+from .model import tally, validate
+
+
+def chronology_to_dot(chronology: ChronologyGraph) -> str:
+    """Graphviz text: a box per event, an edge per chronology edge,
+    labelled with its guard and its loop bound."""
+    lines = ['digraph "chronology" {', "  rankdir=LR;"]
+    for event in chronology.events:
+        label = f"{escape(event.id)}\\n{escape(event.label)}"
+        lines.append(f'  "{escape(event.id)}" [shape=box, label="{label}"];')
+    for edge in chronology.edges:
+        parts = []
+        if edge.guard is not None:
+            parts.append(escape(edge.guard))
+        bound = chronology.loop_bounds.get((edge.src, edge.dst))
+        if bound is not None:
+            parts.append(f"max {bound}")
+        attrs = f' [label="{"; ".join(parts)}"]' if parts else ""
+        lines.append(f'  "{escape(edge.src)}" -> "{escape(edge.dst)}"{attrs};')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def generate_report(doc: Document, scenarios: Iterable[Scenario] = ()) -> str:
+    """Plain-text summary: thimac inventory, validation findings, event
+    catalog, and a walk per requested scenario."""
+    model = doc.model
+    title = f"report on {model.name}"
+    lines = [title, "=" * len(title), ""]
+
+    lines += ["thimacs", "-------"]
+    if not model.thimacs:
+        lines.append("(none)")
+    for thimac in model.thimacs:
+        lines.append(
+            f"- {thimac.id}: {len(model.actions_of(thimac.id))} actions, "
+            f"{len(model.storages_of(thimac.id))} storages"
+        )
+    lines.append("")
+
+    diagnostics = validate(model)
+    lines += ["validation", "----------", tally(diagnostics)]
+    for diagnostic in diagnostics:
+        lines.append(f"- {diagnostic}")
+    lines.append("")
+
+    if doc.events:
+        lines += ["events", "------"]
+        for event in doc.events:
+            lines.append(
+                f"- {event.id}: {event.label} (region: {len(event.region)} actions)"
+            )
+        lines.append("")
+
+    for scenario in scenarios:
+        if doc.chronology is None:
+            raise DynamicsError("document has no chronology to walk")
+        trace = simulate(doc.chronology, scenario)
+        heading = f"walk: {scenario.name}"
+        lines += [heading, "-" * len(heading)]
+        for event_id, index in trace.steps:
+            label = doc.events_by_id[event_id].label
+            lines.append(f"{index + 1}. {event_id}: {label}")
+        lines.append("")
+
+    return "\n".join(lines).rstrip("\n") + "\n"

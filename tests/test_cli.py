@@ -1106,14 +1106,18 @@ def test_import_writes_no_keyword_as_a_name(tmp_path, edit, complaint):
 # start-up: each command loads only the layers it runs
 
 #: Runs the CLI on its arguments, then prints to stderr, as its last line,
-#: the tmkit modules the run loaded, and ``json`` if it was loaded.
+#: the tmkit modules the run loaded, and ``json`` and ``dataclasses`` if it
+#: loaded them.
 LOADED_PROBE = """\
 import sys
 from tmkit.cli import main
 try:
     main(sys.argv[1:])
 finally:
-    loaded = (m for m in sys.modules if m.startswith("tmkit") or m == "json")
+    loaded = (
+        m for m in sys.modules
+        if m.startswith("tmkit") or m in ("json", "dataclasses")
+    )
     print(*sorted(loaded), file=sys.stderr)
 """
 
@@ -1130,24 +1134,47 @@ def modules_loaded_by(*args):
     return result.stderr.splitlines()[-1].split()
 
 
+# No command loads ``dataclasses``.  Reading a ``.tm`` file loads no
+# writer; the report and the chronology's DOT load no ``convert``.
 @pytest.mark.parametrize(
     "args, layers",
     [
         (["--version"], []),
         (["prove", fixture_path("carroll.arg")], ["tmkit.logic"]),
         (["validate-arg", fixture_path("carroll.arg")], ["tmkit.logic"]),
-        (["check", fixture_path("atm.tm")], ["tmkit.dsl", "tmkit.dynamics", "tmkit.model"]),
+        (["check", fixture_path("atm.tm")], TM_LAYERS),
         (["events", fixture_path("atm.tm")], TM_LAYERS),
-        (["simplify", fixture_path("atm.tm")], TM_LAYERS),
-        (["report", fixture_path("atm.tm")], TM_LAYERS + ["tmkit.convert"]),
-        (["export", "--format", "dot", fixture_path("atm.tm")], TM_LAYERS + ["tmkit.convert"]),
+        (["simplify", fixture_path("atm.tm")], TM_LAYERS + ["tmkit.writer"]),
+        (["report", fixture_path("atm.tm")], TM_LAYERS + ["tmkit.report"]),
+        (
+            ["report", fixture_path("atm.tm"), "--scenario", scenario_arg("atm_happy")],
+            TM_LAYERS + ["tmkit.report"],
+        ),
+        (
+            ["export", "--format", "dot", fixture_path("atm.tm")],
+            TM_LAYERS + ["tmkit.convert", "tmkit.writer"],
+        ),
+        (
+            ["export", "--format", "dot", "--part", "chronology", fixture_path("ordering.tm")],
+            TM_LAYERS + ["tmkit.report"],
+        ),
         (
             ["simulate", fixture_path("atm.tm"), "--scenario", scenario_arg("atm_happy")],
             TM_LAYERS + ["json"],
         ),
+        (["conform", fixture_path("atm.tm"), "{trace}"], TM_LAYERS + ["json"]),
+        (
+            ["import", fixture_path("ordering_chart.json")],
+            TM_LAYERS + ["tmkit.convert", "tmkit.writer", "json"],
+        ),
     ],
 )
-def test_a_command_loads_only_the_layers_it_runs(args, layers):
+def test_a_command_loads_only_the_layers_it_runs(args, layers, tmp_path):
+    if "{trace}" in args:
+        trace = tmp_path / "trace.json"
+        scenario = scenario_arg("atm_happy")
+        trace.write_text(invoke("simulate", args[1], "--scenario", scenario).stdout)
+        args = [trace if arg == "{trace}" else arg for arg in args]
     assert modules_loaded_by(*args) == sorted(STARTUP + layers)
 
 

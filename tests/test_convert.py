@@ -19,6 +19,7 @@ from tmkit import (
     ChronEdge,
     ConvertError,
     Document,
+    DynamicsError,
     ModelBuilder,
     Scenario,
     TmkitError,
@@ -1266,5 +1267,5 @@ def test_report_lists_validation_findings():
 
 def test_report_needs_a_chronology_to_walk():
     doc = Document(report_doc().model)
-    with pytest.raises(ConvertError, match="no chronology to walk"):
+    with pytest.raises(DynamicsError, match="no chronology to walk"):
         generate_report(doc, [Scenario("go")])

@@ -35,7 +35,6 @@ from tmkit.dsl import (
     _INT,
     _NAME,
     _Parser,
-    _bare,
     _resolve,
     escape,
 )
@@ -48,6 +47,7 @@ from tmkit.dynamics import (
     _STRING,
     structurally_equal_documents,
 )
+from tmkit.writer import _bare
 
 from conftest import read_fixture
 from generators import random_document

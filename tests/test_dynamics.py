@@ -1,5 +1,4 @@
 """Events, chronologies, simulation, conformance, and the file formats."""
-import dataclasses
 import json
 import subprocess
 import sys
@@ -48,8 +47,9 @@ from tmkit.dynamics import (
     _step_index,
     _weak_components,
 )
-from tmkit.dsl import escape, format_document, parse
-from tmkit.errors import decode_json
+from tmkit.dsl import escape, parse
+from tmkit.errors import _list, _template, decode_json
+from tmkit.writer import format_document
 
 from conftest import ODD_LINE_BREAKS, ODD_NAMES, load_scenario, tmkit_env
 from generators import mutate, random_document, random_legal_model, random_raw_model
@@ -738,6 +738,16 @@ def test_trace_json_round_trip():
     assert again.scenario == "walk"
 
 
+@pytest.mark.parametrize(
+    "steps",
+    [(("E1", 0, "x"), ("E2", 1)), (("E1", 0), ("E2", 1, "x")), (("E1", 0), ("E2",))],
+    ids=["long-first", "long-last", "short"],
+)
+def test_trace_to_json_refuses_a_step_that_is_no_pair(steps):
+    with pytest.raises(ValueError):
+        trace_to_json(Trace(steps, "x"))
+
+
 def test_trace_json_writes_every_index_as_an_integer():
     odd = Trace((("E1", False), ("E2", True), ("E3", 2.0)), "x")
     assert trace_to_json(odd) == trace_to_json(
@@ -895,6 +905,52 @@ def trace_to_json_by_dumps(trace):
     return json.dumps(payload, indent=2) + "\n"
 
 
+def trace_to_json_by_step_template(trace):
+    """The writer that encodes each step's event and fills one template
+    per step."""
+    from json.encoder import encode_basestring_ascii as encode
+
+    step = _template(("index", "event"), 2) % ("%d", "%s")
+    steps = [step % (index, encode(event)) for event, index in trace.steps]
+    head = _template(("scenario", "steps"), 0)
+    return head % (encode(trace.scenario), _list(steps, 1)) + "\n"
+
+
+def conformance_by_walk(trace, chronology):
+    """The check that walks every step, with the chronology's pair set and
+    a count per bounded edge."""
+    def fail(step, message):
+        return ConformanceResult(False, Violation(step, message))
+
+    known = chronology.events_by_id
+    pairs = chronology.edge_pairs
+    bounds = chronology.loop_bounds
+    counts = {}
+    previous = None
+    for position, (event_id, index) in enumerate(trace.steps):
+        if index != position:
+            return fail(position, f"step index {index} out of sequence")
+        if event_id not in known:
+            return fail(position, f"unknown event {event_id!r}")
+        if previous is None:
+            if event_id not in chronology.initial_events:
+                return fail(position, f"{event_id} is not an initial event")
+        else:
+            pair = (previous, event_id)
+            if pair not in pairs:
+                return fail(position, f"no edge {previous} -> {event_id}")
+            if pair in bounds:
+                counts[pair] = taken = counts.get(pair, 0) + 1
+                if taken > bounds[pair]:
+                    return fail(
+                        position,
+                        f"edge {previous} -> {event_id} taken "
+                        f"{taken} times, over its loop bound {bounds[pair]}",
+                    )
+        previous = event_id
+    return ConformanceResult(True, None)
+
+
 def trace_from_json_by_checks(text):
     """The reader that sends every index and name through the checks."""
     payload = decode_json(text, "trace", ScenarioError)
@@ -1003,6 +1059,67 @@ def test_simulate_and_conformance_match_the_scans(seed):
             assert chronology.has_edge(src.id, dst.id) == any(
                 e.dst == dst.id for e in chronology.successors.get(src.id, ())
             )
+
+
+def fuzzed_trace(rng, chronology, walked):
+    """A ``random_trace`` whose indices are sometimes written as an equal
+    float or bool, or off by a half, and which sometimes holds an event
+    that cannot be hashed, or a step that is no pair."""
+    steps = list(random_trace(rng, chronology, walked).steps)
+    for position, (event, index) in enumerate(steps):
+        roll = rng.random()
+        if roll < 0.1:
+            steps[position] = (event, float(index))
+        elif roll < 0.2 and index in (0, 1):
+            steps[position] = (event, bool(index))
+        elif roll < 0.22:
+            steps[position] = (event, index + 0.5)
+    if rng.random() < 0.1:
+        at = rng.randrange(len(steps) + 1)
+        steps.insert(at, (["E1"], at))
+    if rng.random() < 0.1:
+        at = rng.randrange(len(steps))
+        steps[at] = rng.choice([(*steps[at], "x"), steps[at][:1]])
+    return Trace(tuple(steps), "fuzz")
+
+
+def verdict(function, *args):
+    """The result, or the type and text of any error raised."""
+    try:
+        return function(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(seeds)
+@settings(max_examples=500, deadline=None)
+def test_conformance_matches_the_walk_on_fuzzed_traces(seed):
+    rng = Random(seed)
+    chronology = random_chronology(rng)
+    walked = outcome(simulate, chronology, random_scenario(rng))
+    walked = walked if isinstance(walked, Trace) else None
+    for _ in range(4):
+        trace = fuzzed_trace(rng, chronology, walked)
+        assert verdict(conformance, trace, chronology) == verdict(
+            conformance_by_walk, trace, chronology
+        )
+
+
+#: Names that hold ``%``, which a template must not read as a directive.
+PERCENT_NAMES = ["%", "%d", "100%s", "%%", "a%(x)s b"]
+
+
+@given(seeds)
+@settings(max_examples=300, deadline=None)
+def test_trace_to_json_matches_the_step_template_writer(seed):
+    rng = Random(seed)
+    names = ODD_NAMES + PERCENT_NAMES
+    steps = tuple(
+        (rng.choice(names), rng.choice((i, -i, float(i), i + 0.5, i % 2 == 1, 10**20 + i)))
+        for i in range(rng.randint(0, 30))
+    )
+    trace = Trace(steps, rng.choice(names))
+    assert trace_to_json(trace) == trace_to_json_by_step_template(trace)
 
 
 def test_the_scans_agree_on_the_fixture_walks(atm_doc, ordering_doc):
@@ -1121,7 +1238,7 @@ def test_document_equality_agrees_with_the_field_tuples_on_pairs(seed, other):
     one = random_document(Random(seed))
     again = random_document(Random(seed))
     two = random_document(Random(other))
-    same_model = dataclasses.replace(two, model=one.model)
+    same_model = two._replace(model=one.model)
     assert structurally_equal_documents(one, again)
     assert structurally_equal_documents_by_fields(one, again)
     for a, b in [(one, two), (one, same_model), (same_model, one)]:
@@ -1136,11 +1253,11 @@ def test_document_equality_agrees_with_the_field_tuples_on_one_field_changes(see
     rng = Random(seed)
     doc = random_document(rng)
     changes = [
-        dataclasses.replace(doc, model=model)
+        doc._replace(model=model)
         for *_, model in model_changes(doc.model, rng)
     ]
     for name, form, events in record_changes(doc.events, rng):
-        changes.append(dataclasses.replace(doc, events=events))
+        changes.append(doc._replace(events=events))
         if form == "replaced":
             assert not structurally_equal_documents(doc, changes[-1]), name
     for changed in changes:
@@ -1194,17 +1311,15 @@ def test_document_equality_sees_each_chronology_difference(ordering_doc):
     edges[guarded] = edges[guarded]._replace(guard="otherwise")
     changes = {
         "no chronology": None,
-        "an event fewer": dataclasses.replace(
-            chronology, events=chronology.events[:-1]
+        "an event fewer": chronology._replace(events=chronology.events[:-1]),
+        "an edge fewer": chronology._replace(edges=tuple(rest)),
+        "an edge reversed": chronology._replace(
+            edges=(ChronEdge(first.dst, first.src), *rest)
         ),
-        "an edge fewer": dataclasses.replace(chronology, edges=tuple(rest)),
-        "an edge reversed": dataclasses.replace(
-            chronology, edges=(ChronEdge(first.dst, first.src), *rest)
-        ),
-        "a guard changed": dataclasses.replace(chronology, edges=tuple(edges)),
+        "a guard changed": chronology._replace(edges=tuple(edges)),
     }
     for name, changed in changes.items():
-        other = dataclasses.replace(ordering_doc, chronology=changed)
+        other = ordering_doc._replace(chronology=changed)
         assert structurally_equal_documents(other, other), name
         assert not structurally_equal_documents(ordering_doc, other), name
         assert not structurally_equal_documents(other, ordering_doc), name

@@ -83,7 +83,7 @@ def define_ring_events(n: int):
     model = doc.model
 
     def run():
-        fresh = StaticModel(*(getattr(model, f) for f in model.__dataclass_fields__))
+        fresh = StaticModel(*(getattr(model, f) for f in model._fields))
         for event in doc.events:  # on a copy, so the indexes are built again
             define_event(fresh, event.id, event.label, event.region)
 

@@ -1,5 +1,4 @@
 """Model assembly, validation rules, and the simplification pass."""
-import dataclasses
 import json
 import time
 from collections import Counter
@@ -876,7 +875,7 @@ def test_reanchored_triggers_match_networkx(seed):
         Trigger(f"extra{n}", *rng.sample(ids, 2), None)
         for n in range(rng.randint(1, 6))
     )
-    model = dataclasses.replace(model, triggers=model.triggers + extra)
+    model = model._replace(triggers=model.triggers + extra)
     assert [(t.id, t.src, t.dst) for t in simplify(model).triggers] == (
         reanchored_triggers_by_networkx(model)
     )
@@ -1036,10 +1035,10 @@ def record_changes(records: tuple, rng: Random):
 def model_changes(model: StaticModel, rng: Random):
     """``(section, field name, form, copy of model)`` for one record of each
     section, every field and every form of ``record_changes``."""
-    yield "model", "name", "replaced", dataclasses.replace(model, name=model.name + "~")
+    yield "model", "name", "replaced", model._replace(name=model.name + "~")
     for section in MODEL_SECTIONS:
         for name, form, records in record_changes(getattr(model, section), rng):
-            yield section, name, form, dataclasses.replace(model, **{section: records})
+            yield section, name, form, model._replace(**{section: records})
 
 
 @settings(max_examples=150, deadline=None)
@@ -1048,7 +1047,7 @@ def test_structural_equality_agrees_with_the_field_tuples_on_pairs(seed, other):
     one = random_document(Random(seed)).model
     again = random_document(Random(seed)).model
     two = random_document(Random(other)).model
-    renamed = dataclasses.replace(two, name=one.name)
+    renamed = two._replace(name=one.name)
     assert structurally_equal(one, again) and structurally_equal_by_fields(one, again)
     for a, b in [(one, two), (one, renamed), (renamed, one)]:
         assert structurally_equal(a, b) == structurally_equal_by_fields(a, b)

@@ -1,7 +1,6 @@
 """The package surface: its public names, its records, its version, the
 README example."""
 import ast
-import dataclasses
 import importlib
 import re
 import subprocess
@@ -31,15 +30,19 @@ PUBLIC_NAMES = [
     "conformance", "parse_scenario", "trace_to_json", "trace_from_json",
     "structurally_equal_documents",
     # dsl
-    "ParseError", "FormatError", "SourceSpan", "parse", "format_document",
+    "ParseError", "FormatError", "SourceSpan", "parse",
+    # writer
+    "format_document",
     # logic
     "Literal", "Origin", "Implication", "Argument", "ProofPath", "LogicError",
     "MAX_VARIABLES", "close_contrapositive", "derive", "format_proof",
     "truth_table_validate", "parse_argument", "format_argument", "encode_as_tm",
     # convert
     "ConvertError", "FlowNode", "FlowEdge", "FlowchartDoc", "FLOWCHART_SCHEMA",
-    "MODEL_SCHEMA", "load_flowchart", "import_flowchart", "to_dot",
-    "chronology_to_dot", "to_json", "from_json", "generate_report",
+    "MODEL_SCHEMA", "load_flowchart", "import_flowchart", "to_dot", "to_json",
+    "from_json",
+    # report
+    "chronology_to_dot", "generate_report",
     # errors
     "TmkitError",
 ]
@@ -110,7 +113,9 @@ def test_an_unknown_name_is_the_usual_attribute_error():
 
 
 #: The modules that define tmkit's types (``__main__`` runs the CLI).
-MODULES = ("model", "dynamics", "dsl", "logic", "convert", "cli", "errors")
+MODULES = (
+    "model", "dynamics", "dsl", "writer", "logic", "convert", "report", "cli", "errors",
+)
 
 #: One of each record type; every one is a named tuple.
 RECORDS = [
@@ -136,13 +141,99 @@ RECORDS = [
 ]
 
 
-def test_the_only_dataclasses_are_those_with_cached_indexes():
-    found = set()
-    for module in MODULES:
-        for name, value in vars(importlib.import_module(f"tmkit.{module}")).items():
-            if isinstance(value, type) and dataclasses.is_dataclass(value):
-                found.add(name)
-    assert found == {"StaticModel", "ChronologyGraph", "Document"}
+def frozen_values():
+    """One of each immutable class that caches indexes, with its fields
+    and the values it was built from, defaults left out."""
+    model = tmkit.StaticModel("m", (tmkit.Thimac("a", "a"),))
+    chronology = tmkit.ChronologyGraph((tmkit.Event("E1", "one", frozenset({"a/x"})),), ())
+    return [
+        (model, {"name": "m", "thimacs": model.thimacs, "actions": (),
+                 "storages": (), "flows": (), "triggers": ()}),
+        (chronology, {"events": chronology.events, "edges": (), "loop_bounds": {}}),
+        (tmkit.Document(model), {"model": model, "events": (), "chronology": None}),
+    ]
+
+
+def test_the_cached_index_classes_are_frozen_values():
+    for value, fields in frozen_values():
+        kind = type(value)
+        assert kind._fields == tuple(fields)
+        assert {f: getattr(value, f) for f in kind._fields} == fields
+        listed = ", ".join(f"{f}={v!r}" for f, v in fields.items())
+        assert repr(value) == f"{kind.__name__}({listed})"
+        twin = kind(**fields)
+        assert twin == value and not twin != value
+        assert value != tuple(fields.values()) and value != object()
+        for name in kind._fields:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+        first = kind._fields[0]
+        changed = value._replace(**{first: twin})
+        assert getattr(changed, first) is twin and getattr(value, first) is not twin
+        assert changed._replace(**{first: getattr(value, first)}) == value
+        assert changed != value
+        with pytest.raises(TypeError):
+            value._replace(no_such_field=1)
+
+
+def test_equal_frozen_values_hash_alike_unless_a_field_is_unhashable():
+    model, chronology, doc = (value for value, _ in frozen_values())
+    assert hash(model) == hash(tmkit.StaticModel("m", model.thimacs))
+    assert hash(doc) == hash(tmkit.Document(tmkit.StaticModel("m", model.thimacs)))
+    with pytest.raises(TypeError):  # ``loop_bounds`` is a dict
+        hash(chronology)
+
+
+def test_each_instance_gets_its_own_empty_loop_bounds():
+    one, two = tmkit.ChronologyGraph((), ()), tmkit.ChronologyGraph((), ())
+    assert one.loop_bounds == {} and one.loop_bounds is not two.loop_bounds
+
+
+def test_an_index_is_built_once_per_value_and_not_copied_by_replace():
+    model = tmkit.StaticModel("m", (tmkit.Thimac("a", "a"),))
+    index = model.thimacs_by_id
+    assert model.thimacs_by_id is index
+    renamed = model._replace(name="n")
+    assert renamed.thimacs_by_id == index and renamed.thimacs_by_id is not index
+
+
+#: Counts the code that importing the model layers compiles from strings
+#: (named tuples' ``__new__``, ``typing``'s forward references), with
+#: ``click`` already loaded, as the CLI has it; then the record classes.
+COMPILE_PROBE = """\
+import sys
+import click
+
+compiled = 0
+
+def hook(event, args):
+    global compiled
+    if event == "compile" and args[1] == "<string>":
+        compiled += 1
+
+sys.addaudithook(hook)
+import tmkit.cli, tmkit.model, tmkit.dynamics, tmkit.dsl
+records = {
+    value
+    for name in ("model", "dynamics", "dsl")
+    for value in vars(sys.modules["tmkit." + name]).values()
+    if isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields")
+}
+print(compiled, len(records), "dataclasses" in sys.modules)
+"""
+
+
+def test_importing_the_model_layers_compiles_at_most_one_new_per_record():
+    result = subprocess.run(
+        [sys.executable, "-c", COMPILE_PROBE],
+        capture_output=True, text=True, env=tmkit_env(), check=True,
+    )
+    compiled, records, dataclasses_loaded = result.stdout.split()
+    assert int(records) == 13
+    assert int(compiled) <= int(records)
+    assert dataclasses_loaded == "False"
 
 
 def test_each_record_is_a_named_tuple_that_reprs_under_its_own_name():
