@@ -29,34 +29,34 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "StaticModel",
         "ModelBuilder",
         "ModelError",
-        "SimplifyError",
-        "validate",
-        "simplify",
         "structurally_equal",
     ),
+    "rules": ("SimplifyError", "validate", "simplify"),
     "dynamics": (
         "Event",
         "ChronEdge",
         "ChronologyGraph",
+        "Document",
+        "DynamicsError",
+        "define_event",
+        "check_coverage",
+        "build_chronology",
+        "structurally_equal_documents",
+    ),
+    "walk": (
         "Scenario",
         "Trace",
         "Violation",
         "ConformanceResult",
-        "Document",
-        "DynamicsError",
         "SimulationError",
         "ScenarioExhaustedError",
         "NoEnabledSuccessorError",
         "ScenarioError",
-        "define_event",
-        "check_coverage",
-        "build_chronology",
         "simulate",
         "conformance",
         "parse_scenario",
         "trace_to_json",
         "trace_from_json",
-        "structurally_equal_documents",
     ),
     "dsl": ("ParseError", "FormatError", "SourceSpan", "parse"),
     "writer": ("format_document",),

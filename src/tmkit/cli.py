@@ -36,7 +36,8 @@ from . import __version__
 from .errors import TmkitError
 
 if TYPE_CHECKING:
-    from .dynamics import Document, Scenario
+    from .dynamics import Document
+    from .walk import Scenario
 
 _MODEL_FILE = click.Path(exists=True, dir_okay=False)
 
@@ -108,7 +109,7 @@ def _load_document(path: str) -> Document:
 
 
 def _load_scenario(path: str) -> Scenario:
-    from .dynamics import parse_scenario
+    from .walk import parse_scenario
 
     return parse_scenario(_read(path), name=pathlib.Path(path).stem)
 
@@ -145,7 +146,7 @@ def main() -> None:
 @click.argument("model_file", type=_MODEL_FILE)
 def check(model_file: str) -> None:
     """Validate a model and print what the rules find."""
-    from .model import tally, validate
+    from .rules import tally, validate
 
     doc = _load_document(model_file)
     diagnostics = validate(doc.model)
@@ -160,7 +161,7 @@ def check(model_file: str) -> None:
 def simplify(model_file: str, output: Optional[str]) -> None:
     """Collapse transport actions and print the reduced model."""
     from .dynamics import Document
-    from .model import SimplifyError, simplify as simplify_model
+    from .rules import SimplifyError, simplify as simplify_model
     from .writer import format_document
 
     doc = _load_document(model_file)
@@ -214,17 +215,17 @@ def events(model_file: str, coverage: bool) -> None:
 @click.option("-o", "--output", type=click.Path(dir_okay=False))
 def simulate(model_file: str, scenario_file: str, output: Optional[str]) -> None:
     """Walk the chronology under a scenario; print the trace as JSON."""
-    from .dynamics import SimulationError, simulate as simulate_chronology, trace_to_json
+    from .walk import SimulationError, simulate_to_json
 
     doc = _load_document(model_file)
     if doc.chronology is None:
         raise TmkitError("model has no chronology to simulate")
     scenario = _load_scenario(scenario_file)
     try:
-        trace = simulate_chronology(doc.chronology, scenario)
+        text = simulate_to_json(doc.chronology, scenario)
     except SimulationError as exc:
         _fail(str(exc), 1)
-    _write(output, trace_to_json(trace))
+    _write(output, text)
 
 
 @main.command()
@@ -232,12 +233,12 @@ def simulate(model_file: str, scenario_file: str, output: Optional[str]) -> None
 @click.argument("trace_file", type=_MODEL_FILE)
 def conform(model_file: str, trace_file: str) -> None:
     """Check a recorded trace against the chronology."""
-    from .dynamics import conformance, trace_from_json
+    from .walk import conform_json
 
     doc = _load_document(model_file)
     if doc.chronology is None:
         raise TmkitError("model has no chronology to conform against")
-    result = conformance(trace_from_json(_read(trace_file)), doc.chronology)
+    result = conform_json(_read(trace_file), doc.chronology)
     if result.ok:
         _write(None, "ok\n")
     else:
@@ -328,8 +329,8 @@ def export(model_file: str, fmt: str, part: str, output: Optional[str]) -> None:
 )
 def report(model_file: str, scenario_files: tuple[str, ...]) -> None:
     """Summarize a document: thimacs, findings, events, walks."""
-    from .dynamics import SimulationError
     from .report import generate_report
+    from .walk import SimulationError
 
     doc = _load_document(model_file)
     scenarios = [_load_scenario(f) for f in scenario_files]

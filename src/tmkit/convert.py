@@ -33,8 +33,7 @@ from itertools import chain, repeat
 from operator import itemgetter, le, lt
 from typing import Optional, Union
 
-from .dynamics import Document, build_chronology, define_event
-from .dsl import _WORD, escape
+from .dynamics import _WORD, Document, build_chronology, define_event, escape
 from .errors import TmkitError, _list, _template, decode_json
 from .model import (
     ACTION_KINDS,

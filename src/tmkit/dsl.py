@@ -50,11 +50,13 @@ from .dynamics import (
     _ESCAPE_RE,
     _OPEN_STRING,
     _STRING_RE,
+    _WORD,
     ChronologyGraph,
     Document,
     Event,
     build_chronology,
     define_event,
+    escape,
 )
 from .errors import TmkitError
 from .model import (
@@ -106,7 +108,6 @@ class FormatError(TmkitError):
 # lexer
 
 # A NAME is words joined by '/'.
-_WORD = "[A-Za-z_][A-Za-z0-9_]*"
 _NAME = f"{_WORD}(?:/{_WORD})*"
 _INT = "[0-9]+"  # not \d, which takes any Unicode digit
 
@@ -464,9 +465,3 @@ def parse(text: str) -> Document:
     """
     return _Parser(text).parse_document()
 
-
-def escape(text: str) -> str:
-    """Backslash-escape ``\\`` and ``"`` for a double-quoted string, as
-    the parser spells a string in its messages and ``writer`` writes one.
-    DOT quotes its strings the same way, so ``convert`` uses this too."""
-    return text.replace("\\", "\\\\").replace('"', '\\"')

@@ -1,17 +1,19 @@
 """Views of a document's dynamic layer: the plain-text report and the
 chronology drawn in Graphviz.
 
-They need only the model and dynamic layers (and ``dsl``'s string
-escape), so ``tmkit report`` and ``tmkit export --part chronology`` load
-none of the JSON, DOT or flowchart code in ``convert``.
+They need only the model and dynamic layers, so ``tmkit report`` and
+``tmkit export --part chronology`` load none of the JSON, DOT or
+flowchart code in ``convert``.  The report imports the rules and the
+walk as it runs, so the chronology's drawing loads neither.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .dsl import escape
-from .dynamics import ChronologyGraph, Document, DynamicsError, Scenario, simulate
-from .model import tally, validate
+from .dynamics import ChronologyGraph, Document, DynamicsError, escape
+
+if TYPE_CHECKING:
+    from .walk import Scenario
 
 
 def chronology_to_dot(chronology: ChronologyGraph) -> str:
@@ -37,6 +39,8 @@ def chronology_to_dot(chronology: ChronologyGraph) -> str:
 def generate_report(doc: Document, scenarios: Iterable[Scenario] = ()) -> str:
     """Plain-text summary: thimac inventory, validation findings, event
     catalog, and a walk per requested scenario."""
+    from .rules import tally, validate
+
     model = doc.model
     title = f"report on {model.name}"
     lines = [title, "=" * len(title), ""]
@@ -68,12 +72,23 @@ def generate_report(doc: Document, scenarios: Iterable[Scenario] = ()) -> str:
     for scenario in scenarios:
         if doc.chronology is None:
             raise DynamicsError("document has no chronology to walk")
-        trace = simulate(doc.chronology, scenario)
         heading = f"walk: {scenario.name}"
-        lines += [heading, "-" * len(heading)]
-        for event_id, index in trace.steps:
-            label = doc.events_by_id[event_id].label
-            lines.append(f"{index + 1}. {event_id}: {label}")
-        lines.append("")
+        lines += [heading, "-" * len(heading), _walk_lines(doc, scenario), ""]
 
     return "\n".join(lines).rstrip("\n") + "\n"
+
+
+def _walk_lines(doc: Document, scenario: Scenario) -> str:
+    """The numbered steps of the chronology's walk under ``scenario``,
+    each ``index. id: label``, filled in from one template per visited
+    event."""
+    from .walk import _laid_out, _walk
+
+    walk = _walk(doc.chronology, scenario)
+    ids, events = doc.chronology.step_plan.ids, doc.events_by_id
+
+    def line(number: int) -> str:
+        event_id = ids[number]
+        return "%d. " + f"{event_id}: {events[event_id].label}".replace("%", "%%")
+
+    return "\n".join(_laid_out(walk, line)) % tuple(range(1, len(walk) + 1))

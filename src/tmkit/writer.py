@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Union
 
-from .dsl import _KINDS, _TOKEN_RE, KEYWORDS, FormatError, _resolve, escape
-from .dynamics import Document
+from .dsl import _KINDS, _TOKEN_RE, KEYWORDS, FormatError, _resolve
+from .dynamics import Document, escape
 from .model import StaticModel, Thimac, grouped
 
 

@@ -1123,6 +1123,7 @@ finally:
 
 STARTUP = ["tmkit", "tmkit.cli", "tmkit.errors"]
 TM_LAYERS = ["tmkit.dsl", "tmkit.dynamics", "tmkit.model"]
+JSON_LAYERS = ["json", "tmkit.convert", "tmkit.dynamics", "tmkit.model"]
 
 
 def modules_loaded_by(*args):
@@ -1135,34 +1136,46 @@ def modules_loaded_by(*args):
 
 
 # No command loads ``dataclasses``.  Reading a ``.tm`` file loads no
-# writer; the report and the chronology's DOT load no ``convert``.
+# writer; the report and the chronology's DOT load no ``convert``.  Only
+# ``simulate``, ``conform`` and ``report`` load ``walk``; only
+# ``check``, ``report`` and ``simplify`` load ``rules``; reading a
+# ``.json`` file loads no ``dsl``.
 @pytest.mark.parametrize(
     "args, layers",
     [
         (["--version"], []),
         (["prove", fixture_path("carroll.arg")], ["tmkit.logic"]),
         (["validate-arg", fixture_path("carroll.arg")], ["tmkit.logic"]),
-        (["check", fixture_path("atm.tm")], TM_LAYERS),
+        (["check", fixture_path("atm.tm")], TM_LAYERS + ["tmkit.rules"]),
+        (["check", "{json}"], JSON_LAYERS + ["tmkit.rules"]),
         (["events", fixture_path("atm.tm")], TM_LAYERS),
-        (["simplify", fixture_path("atm.tm")], TM_LAYERS + ["tmkit.writer"]),
-        (["report", fixture_path("atm.tm")], TM_LAYERS + ["tmkit.report"]),
+        (["events", "{json}", "--coverage"], JSON_LAYERS),
+        (
+            ["simplify", fixture_path("atm.tm")],
+            TM_LAYERS + ["tmkit.rules", "tmkit.writer"],
+        ),
+        (
+            ["report", fixture_path("atm.tm")],
+            TM_LAYERS + ["tmkit.report", "tmkit.rules", "tmkit.walk"],
+        ),
         (
             ["report", fixture_path("atm.tm"), "--scenario", scenario_arg("atm_happy")],
-            TM_LAYERS + ["tmkit.report"],
+            TM_LAYERS + ["tmkit.report", "tmkit.rules", "tmkit.walk"],
         ),
         (
             ["export", "--format", "dot", fixture_path("atm.tm")],
             TM_LAYERS + ["tmkit.convert", "tmkit.writer"],
         ),
+        (["export", "--format", "json", "{json}"], JSON_LAYERS),
         (
             ["export", "--format", "dot", "--part", "chronology", fixture_path("ordering.tm")],
             TM_LAYERS + ["tmkit.report"],
         ),
         (
             ["simulate", fixture_path("atm.tm"), "--scenario", scenario_arg("atm_happy")],
-            TM_LAYERS + ["json"],
+            TM_LAYERS + ["json", "tmkit.walk"],
         ),
-        (["conform", fixture_path("atm.tm"), "{trace}"], TM_LAYERS + ["json"]),
+        (["conform", fixture_path("atm.tm"), "{trace}"], TM_LAYERS + ["json", "tmkit.walk"]),
         (
             ["import", fixture_path("ordering_chart.json")],
             TM_LAYERS + ["tmkit.convert", "tmkit.writer", "json"],
@@ -1175,6 +1188,10 @@ def test_a_command_loads_only_the_layers_it_runs(args, layers, tmp_path):
         scenario = scenario_arg("atm_happy")
         trace.write_text(invoke("simulate", args[1], "--scenario", scenario).stdout)
         args = [trace if arg == "{trace}" else arg for arg in args]
+    if "{json}" in args:
+        model = tmp_path / "atm.json"
+        model.write_text(invoke("export", fixture_path("atm.tm"), "--format", "json").stdout)
+        args = [model if arg == "{json}" else arg for arg in args]
     assert modules_loaded_by(*args) == sorted(STARTUP + layers)
 
 

@@ -28,27 +28,30 @@ from tmkit import (
     trace_from_json,
     trace_to_json,
 )
+from tmkit.dsl import parse
 from tmkit.dynamics import (
-    ConformanceResult,
     DisconnectedRegionError,
     Document,
     DynamicsError,
     Event,
-    NoEnabledSuccessorError,
     NoInitialEventError,
-    ScenarioError,
-    ScenarioExhaustedError,
     UnboundedCycleError,
     UnknownActionError,
     UnknownEventError,
-    Violation,
     _find_cycle,
+    _weak_components,
+    escape,
+)
+from tmkit.errors import _list, _template, decode_json
+from tmkit.walk import (
+    ConformanceResult,
+    NoEnabledSuccessorError,
+    ScenarioError,
+    ScenarioExhaustedError,
+    Violation,
     _name,
     _step_index,
-    _weak_components,
 )
-from tmkit.dsl import escape, parse
-from tmkit.errors import _list, _template, decode_json
 from tmkit.writer import format_document
 
 from conftest import ODD_LINE_BREAKS, ODD_NAMES, load_scenario, tmkit_env

@@ -47,7 +47,9 @@ def ring(n: int):
 
 def count_calls(run, code=None) -> int:
     """The Python and C functions ``run()`` calls, each call counted; or,
-    given ``code``, the calls of the Python function with that code."""
+    given ``code``, the calls of the Python function with that code.  The
+    collector is paused, so the finalizers a pass would run on the rest of
+    the test session's heap are not counted."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -57,11 +59,14 @@ def count_calls(run, code=None) -> int:
         elif event == "call" and frame.f_code is code:
             calls += 1
 
+    gc.collect()
+    gc.disable()
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return calls
 
 
@@ -168,7 +173,10 @@ def read_loops(n: int):
 def test_calls_grow_linearly_with_the_walk(layer):
     steps = [len(loops(n)[2].steps) for n in BUDGETS]
     assert steps == [20 + 18 * n for n in BUDGETS]
-    counts = [count_calls(layer(n)) for n in BUDGETS]
+    runs = [layer(n) for n in BUDGETS]
+    for run in runs:  # fills the caches ``isinstance`` keeps, as ``Counter`` reads
+        run()
+    counts = [count_calls(run) for run in runs]
     assert fits_a_line(steps, counts), counts
 
 

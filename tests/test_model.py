@@ -29,13 +29,8 @@ from tmkit import (
     validate,
 )
 from tmkit import model as model_module
-from tmkit.model import (
-    MAX_DEPTH,
-    Diagnostic,
-    NestingError,
-    _check_containment,
-    check_depth,
-)
+from tmkit.model import MAX_DEPTH, Diagnostic, NestingError, check_depth
+from tmkit.rules import _check_containment
 
 from generators import random_document, random_legal_model, random_raw_model
 

@@ -21,14 +21,18 @@ PUBLIC_NAMES = [
     # model
     "ACTION_KINDS", "TRANSPORT_KINDS", "LEGAL_FLOW_PAIRS", "Thimac", "Action",
     "Storage", "Flow", "Trigger", "Diagnostic", "StaticModel", "ModelBuilder",
-    "ModelError", "SimplifyError", "validate", "simplify", "structurally_equal",
+    "ModelError", "structurally_equal",
+    # rules
+    "SimplifyError", "validate", "simplify",
     # dynamics
-    "Event", "ChronEdge", "ChronologyGraph", "Scenario", "Trace", "Violation",
-    "ConformanceResult", "Document", "DynamicsError", "SimulationError",
-    "ScenarioExhaustedError", "NoEnabledSuccessorError", "ScenarioError",
-    "define_event", "check_coverage", "build_chronology", "simulate",
-    "conformance", "parse_scenario", "trace_to_json", "trace_from_json",
+    "Event", "ChronEdge", "ChronologyGraph", "Document", "DynamicsError",
+    "define_event", "check_coverage", "build_chronology",
     "structurally_equal_documents",
+    # walk
+    "Scenario", "Trace", "Violation", "ConformanceResult", "SimulationError",
+    "ScenarioExhaustedError", "NoEnabledSuccessorError", "ScenarioError",
+    "simulate", "conformance", "parse_scenario", "trace_to_json",
+    "trace_from_json",
     # dsl
     "ParseError", "FormatError", "SourceSpan", "parse",
     # writer
@@ -114,7 +118,8 @@ def test_an_unknown_name_is_the_usual_attribute_error():
 
 #: The modules that define tmkit's types (``__main__`` runs the CLI).
 MODULES = (
-    "model", "dynamics", "dsl", "writer", "logic", "convert", "report", "cli", "errors",
+    "model", "rules", "dynamics", "walk", "dsl", "writer", "logic", "convert", "report",
+    "cli", "errors",
 )
 
 #: One of each record type; every one is a named tuple.
@@ -214,10 +219,10 @@ def hook(event, args):
         compiled += 1
 
 sys.addaudithook(hook)
-import tmkit.cli, tmkit.model, tmkit.dynamics, tmkit.dsl
+import tmkit.cli, tmkit.model, tmkit.rules, tmkit.dynamics, tmkit.walk, tmkit.dsl
 records = {
     value
-    for name in ("model", "dynamics", "dsl")
+    for name in ("model", "dynamics", "walk", "dsl")
     for value in vars(sys.modules["tmkit." + name]).values()
     if isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields")
 }
