@@ -330,9 +330,13 @@ def export(model_file: str, fmt: str, part: str, output: Optional[str]) -> None:
 def report(model_file: str, scenario_files: tuple[str, ...]) -> None:
     """Summarize a document: thimacs, findings, events, walks."""
     from .report import generate_report
-    from .walk import SimulationError
 
     doc = _load_document(model_file)
+    if not scenario_files:  # no walk: the walk's code is not loaded
+        _write(None, generate_report(doc))
+        return
+    from .walk import SimulationError
+
     scenarios = [_load_scenario(f) for f in scenario_files]
     try:
         text = generate_report(doc, scenarios)

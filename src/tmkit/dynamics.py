@@ -16,13 +16,10 @@ import re
 from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import starmap
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import TmkitError
 from .model import Flow, Frozen, StaticModel, grouped, structurally_equal
-
-if TYPE_CHECKING:
-    from .walk import _Plan
 
 
 class DynamicsError(TmkitError):
@@ -100,13 +97,6 @@ class ChronologyGraph(Frozen):
         """Every edge as ``(src, dst)``; ``build_chronology`` refuses a
         repeated pair, so a pair names exactly one edge."""
         return frozenset((e.src, e.dst) for e in self.edges)
-
-    @cached_property
-    def step_plan(self) -> _Plan:
-        """The chronology indexed by event number, as ``walk`` reads it."""
-        from .walk import _Plan
-
-        return _Plan(self)
 
     def has_edge(self, src: str, dst: str) -> bool:
         return (src, dst) in self.edge_pairs

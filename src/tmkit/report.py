@@ -72,23 +72,10 @@ def generate_report(doc: Document, scenarios: Iterable[Scenario] = ()) -> str:
     for scenario in scenarios:
         if doc.chronology is None:
             raise DynamicsError("document has no chronology to walk")
+        from .walk import walk_lines
+
         heading = f"walk: {scenario.name}"
-        lines += [heading, "-" * len(heading), _walk_lines(doc, scenario), ""]
+        walk = walk_lines(doc.chronology, doc.events_by_id, scenario)
+        lines += [heading, "-" * len(heading), walk, ""]
 
     return "\n".join(lines).rstrip("\n") + "\n"
-
-
-def _walk_lines(doc: Document, scenario: Scenario) -> str:
-    """The numbered steps of the chronology's walk under ``scenario``,
-    each ``index. id: label``, filled in from one template per visited
-    event."""
-    from .walk import _laid_out, _walk
-
-    walk = _walk(doc.chronology, scenario)
-    ids, events = doc.chronology.step_plan.ids, doc.events_by_id
-
-    def line(number: int) -> str:
-        event_id = ids[number]
-        return "%d. " + f"{event_id}: {events[event_id].label}".replace("%", "%%")
-
-    return "\n".join(_laid_out(walk, line)) % tuple(range(1, len(walk) + 1))

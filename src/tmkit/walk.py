@@ -20,13 +20,14 @@ from collections import Counter, namedtuple
 from itertools import count
 from operator import add, itemgetter
 from types import MappingProxyType
-from typing import Optional
+from typing import Iterator, Mapping, Optional
 
 from .dynamics import (
     _ESCAPE_RE,
     _STRING_RE,
     ChronologyGraph,
     DynamicsError,
+    Event,
     NoInitialEventError,
 )
 from .errors import _list, _template, decode_json
@@ -85,7 +86,7 @@ class ConformanceResult(
 
 class _Plan:
     """A chronology indexed by event number, built once per chronology
-    (``ChronologyGraph.step_plan``).
+    (``_plan``).
 
     ``ids`` holds each number's event id: the events in order, then any
     edge endpoint that is no event (only a hand-built graph has one);
@@ -148,24 +149,50 @@ class _Plan:
         self.guards = tuple(guards)
 
 
+def _plan(chronology: ChronologyGraph) -> _Plan:
+    """The chronology's plan, built on its first walk and kept in its
+    ``__dict__``, where the chronology caches its own indexes."""
+    plan = chronology.__dict__.get("_plan")
+    if plan is None:
+        plan = chronology.__dict__["_plan"] = _Plan(chronology)
+    return plan
+
+
 # ---------------------------------------------------------------------------
 # simulation
 
 _END = object()  # a guard's recorded choices have run out
 
 
+def _in_order(recorded: object) -> Iterator:
+    """A guard's recorded choices, one per consultation: None records
+    none, and any value but a tuple or list is read as a sequence, its
+    length and its items asked for only as the walk takes them."""
+    if type(recorded) in (tuple, list):
+        return iter(recorded)
+    return _by_index(recorded)
+
+
+def _by_index(recorded: object) -> Iterator:
+    """``recorded[0]``, ``recorded[1]``, ... while the cursor is below
+    ``len(recorded)``, both asked for at each consultation."""
+    if recorded is None:
+        return
+    cursor = 0
+    while cursor < len(recorded):
+        yield recorded[cursor]
+        cursor += 1
+
+
 def _walk(chronology: ChronologyGraph, scenario: Scenario) -> list[int]:
     """The numbers of the events ``simulate`` walks through, in order."""
     if not chronology.initial_events:
         raise NoInitialEventError("chronology has no initial event")
-    plan = chronology.step_plan
+    plan = _plan(chronology)
     forward, moves = plan.forward, plan.moves
     budgets = list(plan.budgets)
     decisions = scenario.decisions
-    choices = []
-    for guard in plan.guards:
-        recorded = decisions.get(guard)
-        choices.append(iter(() if recorded is None else recorded))
+    choices: list = [None] * len(plan.guards)  # each guard's, on first use
     current = plan.number[chronology.initial_events[0]]
     walk = [current]
     append = walk.append
@@ -178,7 +205,10 @@ def _walk(chronology: ChronologyGraph, scenario: Scenario) -> list[int]:
                 break
             guarded, looping, fallback = move
             for guard, target, slot in guarded:
-                choice = next(choices[guard], _END)
+                left = choices[guard]
+                if left is None:
+                    left = choices[guard] = _in_order(decisions.get(plan.guards[guard]))
+                choice = next(left, _END)
                 if choice is _END:
                     raise ScenarioExhaustedError(
                         f"scenario {scenario.name!r} has no decision left for "
@@ -220,8 +250,24 @@ def simulate(chronology: ChronologyGraph, scenario: Scenario) -> Trace:
     a branch whose guards all evaluate false with no fallback is an error.
     """
     walk = _walk(chronology, scenario)
-    ids = chronology.step_plan.ids
+    ids = _plan(chronology).ids
     return Trace(tuple(zip(map(ids.__getitem__, walk), count())), scenario.name)
+
+
+def walk_lines(
+    chronology: ChronologyGraph, events_by_id: Mapping[str, Event], scenario: Scenario
+) -> str:
+    """The numbered steps of the walk under ``scenario``, one line each,
+    ``index. id: label`` with the label from ``events_by_id``, counted
+    from 1: filled in from one template per visited event."""
+    walk = _walk(chronology, scenario)
+    ids = _plan(chronology).ids
+
+    def line(number: int) -> str:
+        event_id = ids[number]
+        return "%d. " + f"{event_id}: {events_by_id[event_id].label}".replace("%", "%%")
+
+    return "\n".join(_laid_out(walk, line)) % tuple(range(1, len(walk) + 1))
 
 
 def _laid_out(keys, template) -> list[str]:
@@ -263,7 +309,7 @@ def _conforms(events, chronology: ChronologyGraph) -> bool:
     pair of steps is an edge, and no bounded edge is taken more often
     than its bound.  Decided on event numbers and pair codes with
     C-level builtins."""
-    plan = chronology.step_plan
+    plan = _plan(chronology)
     try:
         numbers = list(map(plan.number.__getitem__, events))
     except (KeyError, TypeError):  # an unknown or unhashable event
@@ -415,7 +461,7 @@ def simulate_to_json(chronology: ChronologyGraph, scenario: Scenario) -> str:
     walk's event numbers, with one step template per event and no trace
     made in between."""
     walk = _walk(chronology, scenario)
-    ids = chronology.step_plan.ids
+    ids = _plan(chronology).ids
     steps = _list(_laid_out(walk, lambda number: _step(ids[number])), 1)
     return _trace_text(scenario.name, steps) % tuple(range(len(walk)))
 
@@ -424,11 +470,11 @@ def trace_from_json(text: str) -> Trace:
     return _trace(decode_json(text, "trace", ScenarioError))
 
 
-def _columns(payload: object) -> Optional[tuple[list, list, str]]:
-    """A decoded trace's events, indices and scenario name, read a column
-    at a time, when every step is an object with an event and an int
-    index, and the name is a string; None otherwise.  The events' type is
-    left to the caller."""
+def _columns(payload: object) -> Optional[tuple[list, list]]:
+    """A decoded trace's events and indices, read a column at a time,
+    when every step is an object with an event and an int index, and the
+    scenario name is a string; None otherwise.  The events' type is left
+    to the caller."""
     if type(payload) is not dict or type(payload.get("steps")) is not list:
         return None
     steps, scenario = payload["steps"], payload.get("scenario", "trace")
@@ -439,16 +485,12 @@ def _columns(payload: object) -> Optional[tuple[list, list, str]]:
         return None
     if type(scenario) is not str or not set(map(type, indices)) <= {int}:
         return None
-    return events, indices, scenario
+    return events, indices
 
 
 def _trace(payload: object) -> Trace:
-    """The trace a decoded trace file holds: read a column at a time, or
-    step by step when that read fails, which names the fault."""
-    columns = _columns(payload)
-    if columns is not None and set(map(type, columns[0])) <= {str}:
-        events, indices, scenario = columns
-        return Trace(tuple(zip(events, indices)), scenario)
+    """The trace a decoded trace file holds, read step by step, which
+    names the first fault."""
     if not isinstance(payload, dict) or not isinstance(payload.get("steps"), list):
         raise ScenarioError("trace must be an object with a 'steps' list")
     steps = []
@@ -473,7 +515,7 @@ def conform_json(text: str, chronology: ChronologyGraph) -> ConformanceResult:
     payload = decode_json(text, "trace", ScenarioError)
     columns = _columns(payload)
     if columns is not None:
-        events, indices, _ = columns
+        events, indices = columns
         if not events or (
             indices == list(range(len(indices))) and _conforms(events, chronology)
         ):

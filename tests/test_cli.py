@@ -1137,7 +1137,7 @@ def modules_loaded_by(*args):
 
 # No command loads ``dataclasses``.  Reading a ``.tm`` file loads no
 # writer; the report and the chronology's DOT load no ``convert``.  Only
-# ``simulate``, ``conform`` and ``report`` load ``walk``; only
+# ``simulate``, ``conform`` and a ``report`` with a walk load ``walk``; only
 # ``check``, ``report`` and ``simplify`` load ``rules``; reading a
 # ``.json`` file loads no ``dsl``.
 @pytest.mark.parametrize(
@@ -1154,10 +1154,7 @@ def modules_loaded_by(*args):
             ["simplify", fixture_path("atm.tm")],
             TM_LAYERS + ["tmkit.rules", "tmkit.writer"],
         ),
-        (
-            ["report", fixture_path("atm.tm")],
-            TM_LAYERS + ["tmkit.report", "tmkit.rules", "tmkit.walk"],
-        ),
+        (["report", fixture_path("atm.tm")], TM_LAYERS + ["tmkit.report", "tmkit.rules"]),
         (
             ["report", fixture_path("atm.tm"), "--scenario", scenario_arg("atm_happy")],
             TM_LAYERS + ["tmkit.report", "tmkit.rules", "tmkit.walk"],

@@ -1,21 +1,22 @@
 """The walk on event numbers against the walk on event ids it replaced.
 
 ``tmkit.walk`` walks a chronology on event numbers, writes the trace and
-the report's walk lines from one template per event, reads a trace file
-a column at a time, decides conformance on int pair codes, and reads a
+the report's walk lines from one template per event, decides whether a
+trace file conforms from its columns and int pair codes, and reads a
 scenario line's choices through one table lookup.  The functions below
-are the ones it replaced, as they were: the walk over a plan keyed by
-event id, the trace reader that takes one step at a time, the scenario
-reader that takes one token at a time, and the report that writes one
-line per step of a simulated trace.  On random chronologies, scenarios
-and trace files, each new path must give the same value, or the same
-exception type and message.
+are the ones these paths replace or stand beside, as they were: the
+walk over a plan keyed by event id, the trace reader that takes one
+step at a time, the scenario reader that takes one token at a time, and
+the report that writes one line per step of a simulated trace.  On
+random chronologies, scenarios and trace files, each new path must give
+the same value, or the same exception type and message.
 """
 import json
 import tracemalloc
 from random import Random
 from typing import Optional
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -247,9 +248,17 @@ def renamed(chronology, rng) -> Document:
     )
 
 
+#: What a guard may record instead of its choices: values that have no
+#: length or take no index, which the walk must not read before it
+#: consults the guard.
+ODD_RECORDS = [True, 0, 1.5, {True}]
+
+
 def odd_scenario(rng) -> Scenario:
     """A ``random_scenario`` whose choices are sometimes ints or a list,
-    and whose guard is sometimes recorded as None."""
+    or a dict from each place to its choice (whose iteration gives the
+    places, not the choices), and whose guard is sometimes recorded as
+    None or as a value that is no sequence."""
     decisions = dict(random_scenario(rng).decisions)
     for guard in decisions:
         roll = rng.random()
@@ -257,6 +266,10 @@ def odd_scenario(rng) -> Scenario:
             decisions[guard] = [int(choice) for choice in decisions[guard]]
         elif roll < 0.2:
             decisions[guard] = None
+        elif roll < 0.25:
+            decisions[guard] = dict(enumerate(decisions[guard]))
+        elif roll < 0.3:
+            decisions[guard] = rng.choice(ODD_RECORDS)
     return Scenario(rng.choice(NAMES), decisions)
 
 
@@ -333,7 +346,21 @@ def test_every_way_a_walk_can_end_is_fuzzed():
         chronology = renamed(random_chronology(rng), rng).chronology
         result = verdict(simulate_by_pair_plan, chronology, odd_scenario(rng))
         ends.add(result[0] if isinstance(result[0], type) else Trace)
-    assert ends == {Trace, ScenarioExhaustedError, NoEnabledSuccessorError}
+    assert ends == {Trace, ScenarioExhaustedError, NoEnabledSuccessorError, TypeError}
+
+
+def test_a_guard_is_read_only_when_the_walk_consults_it():
+    chronology = build_chronology(
+        events_over(one_action_model(), 3),
+        [("E1", "E2", "go"), ("E2", "E3", "never")],
+        {},
+    )
+    scenario = Scenario("s", {"go": (False,), "never": True})
+    with pytest.raises(NoEnabledSuccessorError, match="all guards false at E1"):
+        simulate(chronology, scenario)
+    scenario = Scenario("s", {"go": (True,), "never": True})
+    with pytest.raises(TypeError, match="object of type 'bool' has no len"):
+        simulate(chronology, scenario)
 
 
 def test_a_report_walk_escapes_percent_in_ids_and_labels():
@@ -349,7 +376,7 @@ def test_a_report_walk_escapes_percent_in_ids_and_labels():
 
 
 # ---------------------------------------------------------------------------
-# trace files: the column read and the column check
+# trace files: the step reader and the column check
 
 
 @given(seeds)
@@ -439,10 +466,12 @@ chronology {
 """
 
 #: The most that ``simulate -o`` may hold at once, per step of the walk,
-#: as ``tracemalloc`` counts it.  The walk it replaced, which held each
-#: step as an ``(event, index)`` pair of a trace, peaked at 280 bytes per
-#: step on Python 3.11; the walk on event numbers peaks at 217, for the 55
-#: bytes per step it writes.
+#: as ``tracemalloc`` counts it, for the 55 bytes per step it writes.
+#: Measured in a fresh process, so with the walk's own import counted:
+#: the walk it replaced, which held each step as an ``(event, index)``
+#: pair of a trace, peaked at 282.5, 286.8 and 286.0 bytes per step on
+#: Python 3.10, 3.11 and 3.12; the walk on event numbers at 218.7, 223.0
+#: and 222.2.
 BYTES_PER_STEP = 250
 
 
