@@ -38,6 +38,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "ChronologyGraph",
         "Document",
         "DynamicsError",
+        "FormatError",
         "define_event",
         "check_coverage",
         "build_chronology",
@@ -58,8 +59,8 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "trace_to_json",
         "trace_from_json",
     ),
-    "dsl": ("ParseError", "FormatError", "SourceSpan", "parse"),
-    "writer": ("format_document",),
+    "dsl": ("ParseError", "SourceSpan", "parse"),
+    "writer": ("format_document", "to_dot"),
     "logic": (
         "Literal",
         "Origin",
@@ -76,18 +77,14 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "format_argument",
         "encode_as_tm",
     ),
-    "convert": (
-        "ConvertError",
+    "convert": ("ConvertError", "MODEL_SCHEMA", "to_json", "from_json"),
+    "flowchart": (
         "FlowNode",
         "FlowEdge",
         "FlowchartDoc",
         "FLOWCHART_SCHEMA",
-        "MODEL_SCHEMA",
         "load_flowchart",
         "import_flowchart",
-        "to_dot",
-        "to_json",
-        "from_json",
     ),
     "report": ("chronology_to_dot", "generate_report"),
     "errors": ("TmkitError",),

@@ -282,8 +282,8 @@ def validate_arg(argument_file: str) -> None:
 @click.option("-o", "--output", type=click.Path(dir_okay=False))
 def import_chart(chart_file: str, output: Optional[str]) -> None:
     """Turn a swimlane flowchart (JSON) into model text."""
-    from .convert import import_flowchart, load_flowchart
     from .dynamics import Document
+    from .flowchart import import_flowchart, load_flowchart
     from .writer import format_document
 
     model, notes = import_flowchart(load_flowchart(_read(chart_file)))
@@ -316,7 +316,7 @@ def export(model_file: str, fmt: str, part: str, output: Optional[str]) -> None:
 
         _write(output, chronology_to_dot(doc.chronology))
     else:
-        from .convert import to_dot
+        from .writer import to_dot
 
         _write(output, to_dot(doc))
 

@@ -1,12 +1,4 @@
-"""Interchange: flowchart import, DOT and JSON output.
-
-The flowchart side accepts a swimlane chart (JSON) and rebuilds it as a
-model: lanes become thimacs, and each node becomes the actions that
-``_NODE_ACTIONS`` lists for its kind.  Every hop that the flow rules
-forbid -- activity to activity, lane to lane -- is legalized by inserting
-the release/transfer/receive machinery that a chart leaves implicit.
-Guarded branches out of a decision become triggers, so the decision
-logic survives the trip.
+"""Model JSON: the canonical writer and reader, and the schema checker.
 
 JSON serialization is canonical: fixed key order, every key always
 present, ``null`` rather than omission.  ``_SECTIONS`` states the format
@@ -14,33 +6,32 @@ of the five model sections once, and ``_EVENT`` and ``_CHRON_EDGE`` that
 of events and chronology edges; ``MODEL_SCHEMA``, ``to_json`` and
 ``from_json`` are all built from these tables.  ``to_json`` fills
 ``%``-templates made from them, writing the bytes ``json.dumps(indent=2)``
-would.  A document or chart is checked against its schema a column at a
-time (``_conforms``), and only one it refuses is walked value by value
-(``_violation``), which words the message: the walk stays the one
-source of each message, its path, and which fault is reported first.
-Loading is deliberately more permissive than the builder -- dangling
-references and self-loops come back as models that ``validate`` can
-complain about, not as exceptions.
+would.  A document is checked against its schema a column at a time
+(``_conforms``), and only one it refuses is walked value by value
+(``_violation``), which words the message: the walk stays the one source
+of each message, its path, and which fault is reported first.  Loading is
+deliberately more permissive than the builder -- dangling references and
+self-loops come back as models that ``validate`` can complain about, not
+as exceptions.
 
-The report and the chronology's DOT are in ``report``, which needs none
-of this module.
+The swimlane chart reader, in ``flowchart``, checks charts with the same
+schema checker.  The model's DOT is in ``writer``, and the report and the
+chronology's DOT in ``report``, so a command that reads or writes model
+JSON loads none of them.
 """
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from itertools import chain, repeat
 from operator import itemgetter, le, lt
 from typing import Optional, Union
 
-from .dynamics import _WORD, Document, build_chronology, define_event, escape
+from .dynamics import Document, build_chronology, define_event
 from .errors import TmkitError, _list, _template, decode_json
 from .model import (
     ACTION_KINDS,
-    LEGAL_FLOW_PAIRS,
     Action,
     Flow,
-    ModelBuilder,
     StaticModel,
     Storage,
     Thimac,
@@ -54,22 +45,10 @@ class ConvertError(TmkitError):
 
 
 # ---------------------------------------------------------------------------
-# flowcharts
-
-_IDENT = f"^{_WORD}$"  # a chart id is one word of the DSL
-
-FLOW_NODE_KINDS = (
-    "start",
-    "end",
-    "activity",
-    "decision",
-    "message-send",
-    "message-receive",
-)
+# schemas
 
 _STRING = {"type": "string"}
 _NULLABLE = {"type": ["string", "null"]}
-_NAME = {"type": "string", "pattern": _IDENT}
 
 
 def _object(properties: dict, *optional: str) -> dict:
@@ -87,42 +66,6 @@ def _array(items: dict, **extra: object) -> dict:
     return {"type": "array", **extra, "items": items}
 
 
-#: Chart nodes and edges as ``{json key: schema}``, keys in ``FlowNode``'s
-#: and ``FlowEdge``'s field order (``from`` is ``src``, ``to`` is ``dst``).
-_CHART_NODE = {
-    "id": _NAME,
-    "lane": _STRING,
-    "kind": {"enum": list(FLOW_NODE_KINDS)},
-    "label": _STRING,
-}
-_CHART_EDGE = {"from": _STRING, "to": _STRING, "guard": _STRING}
-
-FLOWCHART_SCHEMA = _object(
-    {
-        "name": _NAME,
-        "description": _STRING,
-        "lanes": _array(_NAME, minItems=1),
-        "nodes": _array(_object(_CHART_NODE, "label")),
-        "edges": _array(_object(_CHART_EDGE, "guard")),
-    },
-    "description",
-)
-
-
-class FlowNode(namedtuple("FlowNode", "id lane kind label", defaults=(None,))):
-    __slots__ = ()
-
-
-class FlowEdge(namedtuple("FlowEdge", "src dst guard", defaults=(None,))):
-    __slots__ = ()
-
-
-class FlowchartDoc(
-    namedtuple("FlowchartDoc", "name lanes nodes edges description", defaults=(None,))
-):
-    __slots__ = ()
-
-
 #: The Python types of the JSON values each schema type admits.  JSON
 #: values come as exact types, so the checks test ``type(v) in``, and a
 #: bool, whose type is ``bool``, is no integer.
@@ -138,7 +81,8 @@ _PYTHON_TYPES = {
 def _violation(value: object, schema: dict, path: str = "$") -> Optional[str]:
     """The first way ``value`` breaks ``schema``, as ``"path: message"``,
     or None.  Keywords are read depth first in the schema's own order, and
-    only those the two schemas here use; paths and messages keep the
+    only those the two schemas use (the model's here, the chart's in
+    ``flowchart``); paths and messages keep the
     wording of the Python JSON Schema validator this replaced.  A
     ``pattern`` must match the whole string, as JSON Schema's ``$`` does,
     so a trailing newline is no match."""
@@ -257,231 +201,6 @@ def _check_schema(data: object, schema: dict, what: str) -> None:
     if found is None:  # a fault of tmkit's, not of the input
         raise AssertionError(f"{what}: _conforms refused what _violation accepts")
     raise ConvertError(f"{what}: {found}")
-
-
-def load_flowchart(text: str) -> FlowchartDoc:
-    data = decode_json(text, "flowchart", ConvertError)
-    _check_schema(data, FLOWCHART_SCHEMA, "flowchart")
-
-    lanes = tuple(data["lanes"])
-    lane_set = set(lanes)
-    if len(lane_set) != len(lanes):
-        raise ConvertError("flowchart declares a lane twice")
-    nodes = tuple(FlowNode(*map(n.get, _CHART_NODE)) for n in data["nodes"])
-    seen: set[str] = set()
-    for node in nodes:
-        if node.id in seen:
-            raise ConvertError(f"duplicate node id {node.id!r}")
-        seen.add(node.id)
-        if node.lane not in lane_set:
-            raise ConvertError(f"node {node.id!r} sits in unknown lane {node.lane!r}")
-    edges = tuple(FlowEdge(*map(e.get, _CHART_EDGE)) for e in data["edges"])
-    pairs: set[tuple[str, str]] = set()
-    for edge in edges:
-        for ref in (edge.src, edge.dst):
-            if ref not in seen:
-                raise ConvertError(f"edge references unknown node {ref!r}")
-        if edge.src == edge.dst:
-            raise ConvertError(f"self-edge on {edge.src!r}")
-        if (edge.src, edge.dst) in pairs:
-            raise ConvertError(f"duplicate edge {edge.src} -> {edge.dst}")
-        pairs.add((edge.src, edge.dst))
-    return FlowchartDoc(data["name"], lanes, nodes, edges, data.get("description"))
-
-
-#: Each chart node kind's actions as ``(id suffix, kind)``, in flow order.
-#: The action with no suffix carries the node's label and any guard
-#: trigger; a kind with no actions (end) is dropped, since a run just stops.
-_NODE_ACTIONS: dict[str, tuple[tuple[str, str], ...]] = {
-    "start": (("", "create"),),
-    "end": (),
-    "activity": (("", "process"),),
-    "decision": (("", "process"),),
-    "message-send": (("", "release"), ("_out", "transfer")),
-    "message-receive": (("_in", "transfer"), ("", "receive")),
-}
-_SAME_LANE_BRIDGE = (("_rel", "release"), ("_tr", "transfer"), ("_rcv", "receive"))
-
-
-def import_flowchart(chart: FlowchartDoc) -> tuple[StaticModel, tuple[str, ...]]:
-    """Rebuild a flowchart as a model.
-
-    Returns the model plus notes about whatever the mapping had to drop
-    (end nodes and their edges have no counterpart: a run just stops).
-    Raises :class:`ConvertError` for charts the mapping cannot express
-    faithfully -- unguarded decision branches, guards anywhere else,
-    implicit splits, message nodes pointed the wrong way, or two nodes or
-    edges that would make the same action id.
-    """
-    nodes_by_id = {n.id: n for n in chart.nodes}
-    _reject_unmappable(chart, nodes_by_id)
-
-    notes: list[str] = []
-    builder = ModelBuilder(chart.name)
-    for lane in chart.lanes:
-        builder.add_thimac(lane, id=lane)
-    maker: dict[str, str] = {}  # action id -> the node or edge that made it
-
-    def claim(action_id: str, claimant: str) -> str:
-        if maker.setdefault(action_id, claimant) != claimant:
-            raise ConvertError(
-                f"{maker[action_id]} and {claimant} both make the action {action_id!r}"
-            )
-        return action_id
-
-    for node in chart.nodes:
-        actions = _NODE_ACTIONS[node.kind]
-        if not actions:
-            notes.append(f"end node {node.id!r} dropped; a run simply stops there")
-        path = f"{node.lane}/{node.id}"
-        ids = [
-            builder.add_action(
-                kind,
-                node.lane,
-                None if suffix else node.label,
-                id=claim(path + suffix, f"node {node.id!r}"),
-            )
-            for suffix, kind in actions
-        ]
-        for src, dst in zip(ids, ids[1:]):
-            builder.add_flow(src, dst)
-
-    for edge in chart.edges:
-        src, dst = nodes_by_id[edge.src], nodes_by_id[edge.dst]
-        if not _NODE_ACTIONS[dst.kind]:
-            suffix = f" (guard {edge.guard!r} lost)" if edge.guard else ""
-            notes.append(f"edge {edge.src} -> {edge.dst} dropped with its end node{suffix}")
-            continue
-        # the source's last action, the bridge, then the target's first
-        chain = [f"{src.lane}/{src.id}{_NODE_ACTIONS[src.kind][-1][0]}"]
-        claimant = f"edge {edge.src} -> {edge.dst}"
-        for action_id, lane, kind in _bridge(edge, src, dst):
-            chain.append(builder.add_action(kind, lane, id=claim(action_id, claimant)))
-        chain.append(f"{dst.lane}/{dst.id}{_NODE_ACTIONS[dst.kind][0][0]}")
-        for a, b in zip(chain, chain[1:]):
-            builder.add_flow(a, b)
-        if edge.guard is not None:  # at the first node the token moves to
-            builder.add_trigger(f"{src.lane}/{src.id}", chain[1], condition=edge.guard)
-
-    return builder.build(), tuple(notes)
-
-
-def _reject_unmappable(chart: FlowchartDoc, nodes_by_id: dict[str, FlowNode]) -> None:
-    outgoing: dict[str, list[FlowEdge]] = {n.id: [] for n in chart.nodes}
-    incoming: dict[str, list[FlowEdge]] = {n.id: [] for n in chart.nodes}
-    for edge in chart.edges:
-        outgoing[edge.src].append(edge)
-        incoming[edge.dst].append(edge)
-
-    for node in chart.nodes:
-        if node.kind == "start" and incoming[node.id]:
-            raise ConvertError(f"edge into start node {node.id!r}")
-        if node.kind == "end" and outgoing[node.id]:
-            raise ConvertError(f"edge out of end node {node.id!r}")
-        if node.kind == "decision":
-            for edge in outgoing[node.id]:
-                if edge.guard is None:
-                    raise ConvertError(
-                        f"decision {node.id!r} has an unguarded branch to "
-                        f"{edge.dst!r}"
-                    )
-        else:
-            for edge in outgoing[node.id]:
-                if edge.guard is not None:
-                    raise ConvertError(
-                        f"guard {edge.guard!r} on an edge out of "
-                        f"{node.kind} {node.id!r}; only decisions branch"
-                    )
-            if len(outgoing[node.id]) > 1:
-                raise ConvertError(
-                    f"{node.kind} {node.id!r} has {len(outgoing[node.id])} "
-                    f"outgoing edges; an implicit split cannot be expressed"
-                )
-        if node.kind == "message-send":
-            for edge in outgoing[node.id]:
-                if nodes_by_id[edge.dst].lane == node.lane:
-                    raise ConvertError(
-                        f"message-send {node.id!r} sends within its own lane"
-                    )
-            for edge in incoming[node.id]:
-                if nodes_by_id[edge.src].lane != node.lane:
-                    raise ConvertError(
-                        f"cross-lane edge into message-send {node.id!r}; "
-                        f"the sender is unidentifiable"
-                    )
-        if node.kind == "message-receive":
-            for edge in incoming[node.id]:
-                if nodes_by_id[edge.src].lane == node.lane:
-                    raise ConvertError(
-                        f"message-receive {node.id!r} receives from its own lane"
-                    )
-            for edge in outgoing[node.id]:
-                if nodes_by_id[edge.dst].lane != node.lane:
-                    raise ConvertError(
-                        f"cross-lane edge out of message-receive {node.id!r}; "
-                        f"the receiver is unidentifiable"
-                    )
-
-
-def _bridge(edge: FlowEdge, src: FlowNode, dst: FlowNode) -> list[tuple[str, str, str]]:
-    """The actions that bridge ``edge`` where the flow rules require, as
-    ``(id, lane, kind)`` in flow order."""
-    exit_kind = _NODE_ACTIONS[src.kind][-1][1]
-    entry_kind = _NODE_ACTIONS[dst.kind][0][1]
-    steps: list[tuple[str, str, str]] = []
-    if src.lane != dst.lane:  # each side unless it already has its transfer
-        if exit_kind != "transfer":
-            steps += [(src.lane, "_rel", "release"), (src.lane, "_out", "transfer")]
-        if entry_kind != "transfer":
-            steps += [(dst.lane, "_in", "transfer"), (dst.lane, "_rcv", "receive")]
-    elif (exit_kind, entry_kind) not in LEGAL_FLOW_PAIRS:
-        steps = [(src.lane, suffix, kind) for suffix, kind in _SAME_LANE_BRIDGE]
-    stem = f"{edge.src}_to_{edge.dst}"
-    return [(f"{lane}/{stem}{suffix}", lane, kind) for lane, suffix, kind in steps]
-
-
-# ---------------------------------------------------------------------------
-# DOT
-
-
-def to_dot(doc: Union[Document, StaticModel]) -> str:
-    """Graphviz text: one cluster per thimac, boxes for actions,
-    cylinders for storages, dashed edges for triggers."""
-    # here, so that commands that write no model DOT never load the writer
-    from .writer import containment_walk
-
-    model = doc.model if isinstance(doc, Document) else doc
-    lines = [f'digraph "{escape(model.name)}" {{', "  rankdir=LR;"]
-    for opening, thimac, depth in containment_walk(model):
-        pad = "  " * depth
-        if not opening:
-            lines.append(pad + "}")
-            continue
-        lines.append(f'{pad}subgraph "cluster_{escape(thimac.id)}" {{')
-        lines.append(f'{pad}  label="{escape(thimac.name)}";')
-        for action in model.actions_of(thimac.id):
-            local = action.id.rsplit("/", 1)[-1]
-            lines.append(
-                f'{pad}  "{escape(action.id)}" '
-                f'[shape=box, label="{escape(f"{action.kind}: {local}")}"];'
-            )
-        for storage in model.storages_of(thimac.id):
-            lines.append(
-                f'{pad}  "{escape(storage.id)}" '
-                f'[shape=cylinder, label="{escape(storage.name)}"];'
-            )
-    for flow in model.flows:
-        lines.append(f'  "{escape(flow.src)}" -> "{escape(flow.dst)}";')
-    for trigger in model.triggers:
-        attrs = "style=dashed"
-        if trigger.condition is not None:
-            attrs += f', label="{escape(trigger.condition)}"'
-        lines.append(
-            f'  "{escape(trigger.src)}" -> "{escape(trigger.dst)}" '
-            f"[{attrs}];"
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,10 @@ at its ``}``.  So of several faults, the first in reading order is the
 one reported.
 
 The canonical writer, ``format_document``, is in ``writer``, so a command
-that only reads a model never loads it; it raises this module's
-:class:`FormatError`.
+that only reads a model never loads it.  The lexical rules the two share --
+the NAME and INT patterns, the keywords, name resolution -- and the
+writer's :class:`FormatError` are in ``dynamics``, so the writer loads
+none of this module.
 """
 from __future__ import annotations
 
@@ -48,12 +50,15 @@ from typing import Container, NoReturn, Optional
 
 from .dynamics import (
     _ESCAPE_RE,
+    _INT,
+    _NAME,
     _OPEN_STRING,
     _STRING_RE,
-    _WORD,
+    KEYWORDS,
     ChronologyGraph,
     Document,
     Event,
+    _resolve,
     build_chronology,
     define_event,
     escape,
@@ -67,21 +72,6 @@ from .model import (
     NestingError,
     StaticModel,
 )
-
-KEYWORDS = frozenset(
-    {
-        "model",
-        "thimac",
-        "storage",
-        "events",
-        "event",
-        "chronology",
-        "if",
-        "max",
-        *ACTION_KINDS,
-    }
-)
-
 
 class SourceSpan(namedtuple("SourceSpan", "line col length")):
     """``line`` and ``col`` count from 1."""
@@ -100,16 +90,8 @@ class ParseError(TmkitError):
         )
 
 
-class FormatError(TmkitError):
-    """A model cannot be written back as text without changing meaning."""
-
-
 # ---------------------------------------------------------------------------
 # lexer
-
-# A NAME is words joined by '/'.
-_NAME = f"{_WORD}(?:/{_WORD})*"
-_INT = "[0-9]+"  # not \d, which takes any Unicode digit
 
 # One match per token: a prefix of spaces, tabs, \r, \n and comments (not
 # \s, which also takes \x0b, \f, NBSP), then the token, the one group.  A
@@ -133,19 +115,6 @@ _KINDS = {
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-def _resolve(name: str, owner: Optional[str], nodes: Container[str]) -> Optional[str]:
-    """The node ``name`` means inside thimac ``owner``: ``owner/name`` if
-    that exists, else the same from each enclosing ``/``-prefix of
-    ``owner`` outward, down to ``name`` itself; None if none exists."""
-    while owner is not None:
-        path = f"{owner}/{name}"
-        if path in nodes:
-            return path
-        head, slash, _ = owner.rpartition("/")
-        owner = head if slash else None
-    return name if name in nodes else None
 
 
 class _Parser:
@@ -283,7 +252,8 @@ class _Parser:
         on an explicit stack of ids, so nesting depth is not bounded by
         Python's recursion limit.  Declarations go straight into the
         builder, whose duplicate-id and nesting-depth checks are the only
-        ones."""
+        ones; the resolved edges go in at the ``}``, as one batch of flows
+        and one of triggers."""
         kinds, values = self._kinds, self._values
         stack: list[Optional[str]] = [None]
         # Each edge as read: its first token, its thimac and its condition.
@@ -325,6 +295,8 @@ class _Parser:
             raise self._refused(i + 1, stack[-1], exc) from None
         builder = self._builder
         nodes = builder.node_ids
+        flows: list[tuple[str, str]] = []
+        triggers: list[tuple[str, str, Optional[str]]] = []
         for src, owner, condition in zip(starts, owners, conditions):
             src_id = _resolve(values[src], owner, nodes)
             if src_id is None:
@@ -336,9 +308,14 @@ class _Parser:
             if src_id == dst_id:
                 self._error(dst, "a node other than the source")
             if kinds[src + 1] == "TRIG":
-                builder.add_trigger(src_id, dst_id, condition)
+                triggers.append((src_id, dst_id, condition))
             else:
-                builder.add_flow(src_id, dst_id)
+                flows.append((src_id, dst_id))
+        # Checked above, so the builder refuses neither batch.  Flows and
+        # triggers draw auto ids from prefixes of their own, so adding one
+        # kind before the other numbers each as reading order does.
+        builder.add_flows(flows)
+        builder.add_triggers(triggers)
         return builder.build(), i
 
     def _refused(self, name: int, owner: Optional[str], exc: ModelError) -> ParseError:

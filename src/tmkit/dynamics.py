@@ -6,9 +6,13 @@ guard labels, and back-edges carry an iteration budget so that every walk
 terminates.  Walking a chronology -- scenarios, ``simulate``, traces and
 ``conformance`` -- is in ``walk``, which only the commands that walk load.
 
-The lexical rules that the DSL shares with scenario files and the DOT
-writers are stated here too, since every model command loads this module:
-the string literal, a word, and ``escape``.
+The lexical rules that the DSL's reader and its writer share, with
+scenario files and the DOT writers, are stated here too, since every model
+command loads this module: the string literal, a word, a name and an
+integer, the keywords, how a name resolves inside a thimac, and
+``escape``.  So the writer (``format_document``) asks these patterns, not
+the lexer, whether a word reads back, and a command that writes model text
+without reading any (``import``, ``simplify x.json``) loads no ``dsl``.
 """
 from __future__ import annotations
 
@@ -16,10 +20,10 @@ import re
 from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import starmap
-from typing import Iterable, Mapping, Optional
+from typing import Container, Iterable, Mapping, Optional
 
 from .errors import TmkitError
-from .model import Flow, Frozen, StaticModel, grouped, structurally_equal
+from .model import ACTION_KINDS, Flow, Frozen, StaticModel, grouped, structurally_equal
 
 
 class DynamicsError(TmkitError):
@@ -319,13 +323,47 @@ _ESCAPE_RE = re.compile(r'\\([\\"])')
 
 #: A name of the DSL is words joined by '/'; a chart id is one word.
 _WORD = "[A-Za-z_][A-Za-z0-9_]*"
+_NAME = f"{_WORD}(?:/{_WORD})*"
+_INT = "[0-9]+"  # not \d, which takes any Unicode digit
+
+#: The words that open a declaration or a clause; none names a node.
+KEYWORDS = frozenset(
+    {
+        "model",
+        "thimac",
+        "storage",
+        "events",
+        "event",
+        "chronology",
+        "if",
+        "max",
+        *ACTION_KINDS,
+    }
+)
+
+
+class FormatError(TmkitError):
+    """A model cannot be written back as text without changing meaning."""
+
+
+def _resolve(name: str, owner: Optional[str], nodes: Container[str]) -> Optional[str]:
+    """The node ``name`` means inside thimac ``owner``: ``owner/name`` if
+    that exists, else the same from each enclosing ``/``-prefix of
+    ``owner`` outward, down to ``name`` itself; None if none exists."""
+    while owner is not None:
+        path = f"{owner}/{name}"
+        if path in nodes:
+            return path
+        head, slash, _ = owner.rpartition("/")
+        owner = head if slash else None
+    return name if name in nodes else None
 
 
 def escape(text: str) -> str:
     """Backslash-escape ``\\`` and ``"`` for a double-quoted string, as
     the parser spells a string in its messages and ``writer`` writes one.
-    DOT quotes its strings the same way, so ``convert`` and ``report``
-    use this too."""
+    DOT quotes its strings the same way, so the DOT writers in ``writer``
+    and ``report`` use this too."""
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 

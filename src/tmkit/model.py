@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cached_property
-from itertools import count
+from itertools import count, islice
+from operator import eq
 from typing import Container, Iterable, Iterator, Optional, TypeVar
 
 from .errors import TmkitError
@@ -323,7 +324,9 @@ class ModelBuilder:
     """Accumulates elements, rejecting dangling references and duplicate
     ids at the point of insertion, then freezes into a ``StaticModel``.
     The parser declares into one, so ``_claim`` is the only duplicate-id
-    check a ``.tm`` file meets."""
+    check a ``.tm`` file meets.  Flows and triggers also go in by the
+    batch (``add_flows``, ``add_triggers``), checked as the one-edge
+    calls check them."""
 
     def __init__(self, name: str):
         self.name = name
@@ -339,14 +342,18 @@ class ModelBuilder:
 
     # -- id management -----------------------------------------------------
 
+    def _auto_ids(self, prefix: str) -> Iterator[str]:
+        """``prefix``'s auto ids, one generator per prefix."""
+        fresh = self._fresh.get(prefix)
+        if fresh is None:
+            fresh = self._fresh[prefix] = fresh_ids(prefix, self._ids)
+        return fresh
+
     def _claim(self, id: Optional[str], prefix: str) -> str:
         """``id``, or if it is None the next of ``prefix``'s auto ids."""
         ids = self._ids
         if id is None:
-            fresh = self._fresh.get(prefix)
-            if fresh is None:
-                fresh = self._fresh[prefix] = fresh_ids(prefix, ids)
-            id = next(fresh)
+            id = next(self._auto_ids(prefix))
         elif id in ids:
             raise ModelError(f"duplicate id {id!r}")
         ids.add(id)
@@ -400,7 +407,15 @@ class ModelBuilder:
         return sid
 
     def add_flow(self, src: str, dst: str, id: Optional[str] = None) -> str:
-        return self._add_edge(self._flows, Flow, "flow", src, dst, id)
+        ids = None if id is None else [id]
+        return self._add_edges(self._flows, Flow, "flow", [(src, dst)], ids)[0]
+
+    def add_flows(self, edges: Iterable[tuple[str, str]]) -> list[str]:
+        """Add each ``(src, dst)`` as a flow with an auto id, in order, and
+        return their ids.  The batch is checked as ``add_flow`` checks one
+        flow; a refused flow raises that call's ``ModelError``, and the
+        flows before it stay added."""
+        return self._add_edges(self._flows, Flow, "flow", list(edges))
 
     def add_trigger(
         self,
@@ -409,31 +424,65 @@ class ModelBuilder:
         condition: Optional[str] = None,
         id: Optional[str] = None,
     ) -> str:
-        return self._add_edge(
-            self._triggers, Trigger, "trigger", src, dst, id, condition
-        )
+        ids = None if id is None else [id]
+        rows = [(src, dst, condition)]
+        return self._add_edges(self._triggers, Trigger, "trigger", rows, ids)[0]
 
-    def _add_edge(
+    def add_triggers(
+        self, edges: Iterable[tuple[str, str, Optional[str]]]
+    ) -> list[str]:
+        """Add each ``(src, dst, condition)`` as a trigger with an auto id,
+        in order, as ``add_flows`` adds flows."""
+        return self._add_edges(self._triggers, Trigger, "trigger", list(edges))
+
+    def _add_edges(
         self,
         edges: list,
         record: type,
         what: str,
-        src: str,
-        dst: str,
-        id: Optional[str],
-        *extra,
-    ) -> str:
-        """Check a ``Flow`` or ``Trigger`` and append it to ``edges``.
-        ``what`` names it in messages and prefixes its auto ids."""
+        rows: list[tuple],
+        ids: Optional[list[Optional[str]]] = None,
+    ) -> list[str]:
+        """Check a batch of ``Flow``s or ``Trigger``s, each row its fields
+        after the id, and append them to ``edges``.  ``what`` names them in
+        messages and prefixes their auto ids; ``ids`` holds each one's id,
+        or None for an auto id, and is None when every id is.
+
+        The endpoints and self-loops of the whole batch are checked by set
+        operations; only a batch that holds a refused edge is walked, for
+        the first one.  A refused edge raises the ``ModelError`` that adding
+        the rows one by one would raise, and the edges before it stay
+        added."""
+        if not rows:
+            return []
+        srcs, dsts, *extra = zip(*rows)
         nodes = self.node_ids
-        if src not in nodes or dst not in nodes:
-            end = dst if src in nodes else src
-            raise ModelError(f"{what} references unknown node {end!r}")
-        if src == dst:
-            raise ModelError(f"{what} may not loop on {src!r}")
-        eid = self._claim(id, what)
-        edges.append(record(eid, src, dst, *extra))
-        return eid
+        refused, refusal = len(rows), None
+        if not (nodes.issuperset(srcs) and nodes.issuperset(dsts)) or any(
+            map(eq, srcs, dsts)
+        ):
+            for refused, (src, dst) in enumerate(zip(srcs, dsts)):
+                if src not in nodes or dst not in nodes:
+                    end = dst if src in nodes else src
+                    refusal = ModelError(f"{what} references unknown node {end!r}")
+                    break
+                if src == dst:
+                    refusal = ModelError(f"{what} may not loop on {src!r}")
+                    break
+        if ids is None:
+            claimed = list(islice(self._auto_ids(what), refused))
+            self._ids.update(claimed)
+        else:
+            claimed = []
+            try:
+                for id in ids[:refused]:
+                    claimed.append(self._claim(id, what))
+            except ModelError as exc:  # a duplicate id, before ``refused``
+                refusal = exc
+        edges.extend(map(record, claimed, srcs, dsts, *extra))  # as many as claimed
+        if refusal is not None:
+            raise refusal
+        return claimed
 
     def build(self) -> StaticModel:
         return StaticModel(

@@ -2,8 +2,9 @@
 chronology drawn in Graphviz.
 
 They need only the model and dynamic layers, so ``tmkit report`` and
-``tmkit export --part chronology`` load none of the JSON, DOT or
-flowchart code in ``convert``.  The report imports the rules and the
+``tmkit export --part chronology`` load none of the model JSON in
+``convert``, the chart code in ``flowchart`` or the model's writers in
+``writer``.  The report imports the rules and the
 walk as it runs, so the chronology's drawing loads neither.
 """
 from __future__ import annotations

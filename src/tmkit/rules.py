@@ -47,17 +47,7 @@ def validate(model: StaticModel) -> tuple[Diagnostic, ...]:
     Never raises: structurally broken models (dangling references,
     containment cycles) come back as R5/R6 errors.
     """
-    # Each flow and trigger whose endpoints both exist, with their
-    # ``(kind, owner)``; an edge with a missing endpoint is judged by R6 alone.
-    nodes = model.nodes
-    flows, triggers = (
-        [
-            (edge, nodes[edge.src], nodes[edge.dst])
-            for edge in edges
-            if edge.src in nodes and edge.dst in nodes
-        ]
-        for edges in (model.flows, model.triggers)
-    )
+    flows, triggers = _resolved(model, model.flows), _resolved(model, model.triggers)
     out: list[Diagnostic] = []
     out.extend(_check_flow_legality(flows))  # R1 + R2
     out.extend(_check_receive_inputs(model, flows))  # R3
@@ -67,6 +57,28 @@ def validate(model: StaticModel) -> tuple[Diagnostic, ...]:
     out.extend(_check_self_loops(model))  # R7
     out.extend(_check_reachability(model, flows + triggers))  # R8
     return tuple(out)
+
+
+def _errors(model: StaticModel) -> tuple[Diagnostic, ...]:
+    """``validate``'s errors, in its order, from the rules that can find
+    one; R3, R4 and R8 only warn."""
+    out: list[Diagnostic] = []
+    out.extend(_check_flow_legality(_resolved(model, model.flows)))  # R1 + R2
+    out.extend(_check_containment(model))  # R5
+    out.extend(_check_references(model))  # R6
+    out.extend(_check_self_loops(model))  # R7
+    return tuple(out)
+
+
+def _resolved(model: StaticModel, edges: tuple) -> list:
+    """Each edge whose endpoints both exist, with their ``(kind, owner)``;
+    an edge with a missing endpoint is judged by R6 alone."""
+    nodes = model.nodes
+    return [
+        (edge, nodes[edge.src], nodes[edge.dst])
+        for edge in edges
+        if edge.src in nodes and edge.dst in nodes
+    ]
 
 
 def _check_flow_legality(flows) -> Iterator[Diagnostic]:
@@ -201,7 +213,7 @@ def simplify(model: StaticModel) -> StaticModel:
     if not removed:
         return model
 
-    errors = tuple(d for d in validate(model) if d.severity == "error")
+    errors = _errors(model)
     if errors:
         raise SimplifyError(errors)
     kept_actions = tuple(a for a in model.actions if a.id not in removed)

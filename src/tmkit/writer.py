@@ -1,20 +1,38 @@
-"""The canonical writer of the model text that ``dsl`` parses.
+"""The model's writers: the canonical text that ``dsl`` parses, and
+Graphviz DOT.
 
 ``format_document`` writes a document so that ``parse`` reads it back
-structurally equal.  It asks the lexer itself (``dsl``'s token pattern,
-kinds and keywords) whether each bare word reads back as written, and
-refuses with :class:`FormatError` what would not.  ``containment_walk``
-visits the thimacs in the order every writer nests them; ``convert``'s
-DOT writer walks them the same way.  No command that only parses a model
-loads this module.
+structurally equal.  It checks each bare word against the lexical rules
+the lexer is built from (``dynamics``' NAME and INT patterns and
+keywords), and refuses with :class:`FormatError` what would not read back
+as written.  ``containment_walk`` visits the thimacs in the order both
+writers nest them.  The writers need nothing of the parser, so ``import``
+and ``simplify x.json`` load no ``dsl``, and no command that only parses
+a model loads this module.
 """
 from __future__ import annotations
 
+import re
 from typing import Iterator, Optional, Union
 
-from .dsl import _KINDS, _TOKEN_RE, KEYWORDS, FormatError, _resolve
-from .dynamics import Document, escape
+from .dynamics import (
+    _INT,
+    _NAME,
+    _WORD,
+    KEYWORDS,
+    Document,
+    FormatError,
+    _resolve,
+    escape,
+)
 from .model import StaticModel, Thimac, grouped
+
+#: What the parser takes as a bare anchor (a NAME or an INT), reference (a
+#: NAME) and declared name (an unqualified NAME, one word); a keyword is
+#: no reference and no declared name.
+_ANCHOR_RE = re.compile(f"{_NAME}|{_INT}")
+_NAME_RE = re.compile(_NAME)
+_WORD_RE = re.compile(_WORD)
 
 
 def _quoted(text: str) -> str:
@@ -27,17 +45,15 @@ def _quoted(text: str) -> str:
 
 def _bare(word: str, what: str) -> str:
     """``word`` written bare as a ``what``, if the lexer reads it back as
-    one unpadded token that the parser takes there.  An anchor is a NAME or an INT;
-    a reference is a NAME and no keyword; any other bare word declares
-    something, so, as the parser asks, it is also unqualified (no ``/``)."""
-    match = _TOKEN_RE.fullmatch(word)
-    kind = _KINDS.get(word[:1]) if match and match.start(1) == 0 else None
+    one unpadded token that the parser takes there: the whole word matches
+    the token's pattern.  An anchor is a NAME or an INT; a reference is a
+    NAME and no keyword; any other bare word declares something, so, as the
+    parser asks, it is also unqualified (one word, no ``/``)."""
     if what == "anchor":
-        readable = kind in ("NAME", "INT")
-    elif what == "reference":
-        readable = kind == "NAME" and word not in KEYWORDS
+        readable = _ANCHOR_RE.fullmatch(word)
     else:
-        readable = kind == "NAME" and word not in KEYWORDS and "/" not in word
+        pattern = _NAME_RE if what == "reference" else _WORD_RE
+        readable = pattern.fullmatch(word) and word not in KEYWORDS
     if not readable:
         raise FormatError(f"cannot write {word!r} as a bare {what}: parse refuses it")
     return word
@@ -192,4 +208,45 @@ def format_document(doc: Union[Document, StaticModel]) -> str:
             lines.append(line)
         lines.append("}")
 
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# DOT
+
+
+def to_dot(doc: Union[Document, StaticModel]) -> str:
+    """Graphviz text: one cluster per thimac, boxes for actions,
+    cylinders for storages, dashed edges for triggers."""
+    model = doc.model if isinstance(doc, Document) else doc
+    lines = [f'digraph "{escape(model.name)}" {{', "  rankdir=LR;"]
+    for opening, thimac, depth in containment_walk(model):
+        pad = "  " * depth
+        if not opening:
+            lines.append(pad + "}")
+            continue
+        lines.append(f'{pad}subgraph "cluster_{escape(thimac.id)}" {{')
+        lines.append(f'{pad}  label="{escape(thimac.name)}";')
+        for action in model.actions_of(thimac.id):
+            local = action.id.rsplit("/", 1)[-1]
+            lines.append(
+                f'{pad}  "{escape(action.id)}" '
+                f'[shape=box, label="{escape(f"{action.kind}: {local}")}"];'
+            )
+        for storage in model.storages_of(thimac.id):
+            lines.append(
+                f'{pad}  "{escape(storage.id)}" '
+                f'[shape=cylinder, label="{escape(storage.name)}"];'
+            )
+    for flow in model.flows:
+        lines.append(f'  "{escape(flow.src)}" -> "{escape(flow.dst)}";')
+    for trigger in model.triggers:
+        attrs = "style=dashed"
+        if trigger.condition is not None:
+            attrs += f', label="{escape(trigger.condition)}"'
+        lines.append(
+            f'  "{escape(trigger.src)}" -> "{escape(trigger.dst)}" '
+            f"[{attrs}];"
+        )
+    lines.append("}")
     return "\n".join(lines) + "\n"

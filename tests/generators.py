@@ -46,7 +46,7 @@ from tmkit import (
     build_chronology,
     define_event,
 )
-from tmkit.convert import FLOW_NODE_KINDS
+from tmkit.flowchart import FLOW_NODE_KINDS
 
 _WORDS = (
     "alpha", "bravo", "case", "delta", "entry", "form", "gate", "hint",

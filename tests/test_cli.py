@@ -1136,10 +1136,12 @@ def modules_loaded_by(*args):
 
 
 # No command loads ``dataclasses``.  Reading a ``.tm`` file loads no
-# writer; the report and the chronology's DOT load no ``convert``.  Only
-# ``simulate``, ``conform`` and a ``report`` with a walk load ``walk``; only
-# ``check``, ``report`` and ``simplify`` load ``rules``; reading a
-# ``.json`` file loads no ``dsl``.
+# writer; the report and the chronology's DOT load no ``convert``, and
+# neither does the model's DOT.  Only ``simulate``, ``conform`` and a
+# ``report`` with a walk load ``walk``; only ``check``, ``report`` and
+# ``simplify`` load ``rules``; only ``import`` loads ``flowchart``.  A
+# command that reads no ``.tm`` file loads no ``dsl``, even where it writes
+# model text (``import``, ``simplify`` on a ``.json`` file).
 @pytest.mark.parametrize(
     "args, layers",
     [
@@ -1154,15 +1156,13 @@ def modules_loaded_by(*args):
             ["simplify", fixture_path("atm.tm")],
             TM_LAYERS + ["tmkit.rules", "tmkit.writer"],
         ),
+        (["simplify", "{json}"], JSON_LAYERS + ["tmkit.rules", "tmkit.writer"]),
         (["report", fixture_path("atm.tm")], TM_LAYERS + ["tmkit.report", "tmkit.rules"]),
         (
             ["report", fixture_path("atm.tm"), "--scenario", scenario_arg("atm_happy")],
             TM_LAYERS + ["tmkit.report", "tmkit.rules", "tmkit.walk"],
         ),
-        (
-            ["export", "--format", "dot", fixture_path("atm.tm")],
-            TM_LAYERS + ["tmkit.convert", "tmkit.writer"],
-        ),
+        (["export", "--format", "dot", fixture_path("atm.tm")], TM_LAYERS + ["tmkit.writer"]),
         (["export", "--format", "json", "{json}"], JSON_LAYERS),
         (
             ["export", "--format", "dot", "--part", "chronology", fixture_path("ordering.tm")],
@@ -1175,7 +1175,7 @@ def modules_loaded_by(*args):
         (["conform", fixture_path("atm.tm"), "{trace}"], TM_LAYERS + ["json", "tmkit.walk"]),
         (
             ["import", fixture_path("ordering_chart.json")],
-            TM_LAYERS + ["tmkit.convert", "tmkit.writer", "json"],
+            JSON_LAYERS + ["tmkit.flowchart", "tmkit.writer"],
         ),
     ],
 )

@@ -37,9 +37,10 @@ from tmkit import (
     to_json,
     validate,
 )
-from tmkit import convert
-from tmkit.convert import (
-    FLOW_NODE_KINDS, FLOWCHART_SCHEMA, MODEL_SCHEMA, FlowchartDoc, FlowEdge, FlowNode,
+from tmkit import convert, flowchart
+from tmkit.convert import MODEL_SCHEMA
+from tmkit.flowchart import (
+    FLOW_NODE_KINDS, FLOWCHART_SCHEMA, FlowchartDoc, FlowEdge, FlowNode,
 )
 from tmkit.errors import decode_json
 from tmkit.model import (
@@ -327,7 +328,7 @@ def import_by_cases(chart):
     ``import_flowchart``.  Its refusals are the ones first written too:
     with no id-clash check, a clash reaches the builder as a ModelError."""
     nodes_by_id = {n.id: n for n in chart.nodes}
-    convert._reject_unmappable(chart, nodes_by_id)
+    flowchart._reject_unmappable(chart, nodes_by_id)
 
     notes = []
     builder = ModelBuilder(chart.name)
@@ -446,7 +447,7 @@ def import_outcome(importer, chart):
 
 
 def test_every_chart_node_kind_has_actions_listed():
-    assert tuple(convert._NODE_ACTIONS) == FLOW_NODE_KINDS
+    assert tuple(flowchart._NODE_ACTIONS) == FLOW_NODE_KINDS
 
 
 @given(seeds)
@@ -1070,7 +1071,7 @@ def load_flowchart_by_walk(text):
     lane_set = set(lanes)
     if len(lane_set) != len(lanes):
         raise ConvertError("flowchart declares a lane twice")
-    nodes = tuple(FlowNode(*map(n.get, convert._CHART_NODE)) for n in data["nodes"])
+    nodes = tuple(FlowNode(*map(n.get, flowchart._CHART_NODE)) for n in data["nodes"])
     seen = set()
     for node in nodes:
         if node.id in seen:
@@ -1078,7 +1079,7 @@ def load_flowchart_by_walk(text):
         seen.add(node.id)
         if node.lane not in lane_set:
             raise ConvertError(f"node {node.id!r} sits in unknown lane {node.lane!r}")
-    edges = tuple(FlowEdge(*map(e.get, convert._CHART_EDGE)) for e in data["edges"])
+    edges = tuple(FlowEdge(*map(e.get, flowchart._CHART_EDGE)) for e in data["edges"])
     pairs = set()
     for edge in edges:
         for ref in (edge.src, edge.dst):

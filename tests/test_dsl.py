@@ -33,7 +33,9 @@ from tmkit.dsl import (
     KEYWORDS,
     SourceSpan,
     _INT,
+    _KINDS,
     _NAME,
+    _TOKEN_RE,
     _Parser,
     _resolve,
     escape,
@@ -1243,6 +1245,60 @@ def test_a_bare_word_is_written_exactly_when_the_lexer_reads_it_back(word, what)
     except FormatError:
         written = False
     assert written == readable
+
+
+def bare_by_lexer(word: str, what: str) -> str:
+    """``writer._bare`` as it was when it asked the lexer: ``word`` is
+    written bare as a ``what`` if the token pattern reads it whole as one
+    unpadded token whose kind the parser takes there."""
+    match = _TOKEN_RE.fullmatch(word)
+    kind = _KINDS.get(word[:1]) if match and match.start(1) == 0 else None
+    if what == "anchor":
+        readable = kind in ("NAME", "INT")
+    elif what == "reference":
+        readable = kind == "NAME" and word not in KEYWORDS
+    else:
+        readable = kind == "NAME" and word not in KEYWORDS and "/" not in word
+    if not readable:
+        raise FormatError(f"cannot write {word!r} as a bare {what}: parse refuses it")
+    return word
+
+
+def outcome(write, word: str, what: str) -> str:
+    try:
+        return f"written {write(word, what)!r}"
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+#: Pieces of words the lexer may read otherwise than the patterns do:
+#: keywords, '/'-paths, digits (ASCII and not), letters (ASCII and not),
+#: blanks, comments, quotes, arrows and lone punctuation.
+_WORD_PIECES = [
+    *sorted(KEYWORDS), "a/b", "/", "//", "0", "7", "12", "\u0663", "\u00b2",
+    "\u0661", "\u00e9", "\u03a9", "\u00df", "\u0131", "_", "a", "Z",
+    " ", "\t", "\n", "\r", "\x0b", "\x0c", "\xa0", "#", "#c\n", '"', '""',
+    '"a"', "->", "~>", "-", "~", "@", "{", "}", ",", "\\", "\x00",
+]
+_lexer_words = st.lists(
+    st.one_of(st.sampled_from(_WORD_PIECES), st.characters(), st.text(max_size=3)),
+    max_size=4,
+).map("".join)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(word=_lexer_words, what=st.sampled_from(_BARE_WHATS))
+@example(word="", what="anchor")
+@example(word="1a", what="anchor")
+@example(word="\u0663", what="anchor")
+@example(word="a/", what="reference")
+@example(word="a\n", what="reference")
+@example(word="#", what="reference")
+@example(word="->", what="anchor")
+@example(word="model/x", what="reference")
+@example(word="x/model", what="action name")
+def test_a_bare_word_is_judged_as_the_lexer_judged_it(word, what):
+    assert outcome(_bare, word, what) == outcome(bare_by_lexer, word, what)
 
 
 def test_format_accepts_bare_models():

@@ -1,12 +1,15 @@
-"""Work per model size: the text-to-model and dynamics layers do linear work.
+"""Work per model size: the text-to-model, model-out and dynamics layers
+do linear work.
 
-Each text-to-model layer runs on rings of 250, 1,000 and 4,000 thimacs,
-and the Python and C calls it makes are counted.  The count is a fixed
-part plus a part per thimac, so the count at 4,000 must lie on the line
-through the other two.  The dynamics layer is counted the same way per
-step of a walk, over loop budgets of 25, 100 and 400.  A count does not
-see a scan inside one C call, such as a regex over the whole text or
-``x in some_list``, so ``parse`` is also timed over an 8x span.
+Each text-to-model layer, the two model writers ``to_json`` and
+``to_dot``, and ``validate`` run on rings of 250, 1,000 and 4,000
+thimacs, and the Python and C calls each makes are counted.  The count is
+a fixed part plus a part per thimac, so the count at 4,000 must lie on the
+line through the other two.  The dynamics layer is counted the same way
+per step of a walk, over loop budgets of 25, 100 and 400.  A count does
+not see a scan inside one C call, such as a regex over the whole text or
+``x in some_list``, so ``parse``, the writers and ``validate`` are also
+timed over an 8x span.
 """
 import gc
 import math
@@ -27,9 +30,11 @@ from tmkit import (
     parse,
     parse_scenario,
     simulate,
+    to_dot,
     to_json,
     trace_from_json,
     trace_to_json,
+    validate,
 )
 from tmkit.model import StaticModel
 
@@ -43,6 +48,11 @@ def ring(n: int):
     """The ring document of ``n`` thimacs and its text."""
     doc = ring_document(n, Random(n))
     return doc, format_document(doc)
+
+
+def copied(model: StaticModel) -> StaticModel:
+    """``model`` anew, so that its indexes are built again."""
+    return StaticModel(*(getattr(model, f) for f in model._fields))
 
 
 def count_calls(run, code=None) -> int:
@@ -88,7 +98,7 @@ def define_ring_events(n: int):
     model = doc.model
 
     def run():
-        fresh = StaticModel(*(getattr(model, f) for f in model._fields))
+        fresh = copied(model)
         for event in doc.events:  # on a copy, so the indexes are built again
             define_event(fresh, event.id, event.label, event.region)
 
@@ -120,8 +130,27 @@ def read_ring_json(n: int):
     return lambda: from_json(text)
 
 
+def write_ring_json(n: int):
+    doc = ring(n)[0]
+    return lambda: to_json(doc)
+
+
+def draw_ring_dot(n: int):
+    model = ring(n)[0].model
+    return lambda: to_dot(copied(model))
+
+
+def validate_ring(n: int):
+    model = ring(n)[0].model
+    return lambda: validate(copied(model))
+
+
 @pytest.mark.parametrize(
-    "layer", [parse_ring, define_ring_events, replay_ring_model, read_ring_json]
+    "layer",
+    [
+        parse_ring, define_ring_events, replay_ring_model, read_ring_json,
+        write_ring_json, draw_ring_dot, validate_ring,
+    ],
 )
 def test_calls_grow_linearly_with_the_ring(layer):
     counts = [count_calls(layer(n)) for n in SIZES]
@@ -196,8 +225,20 @@ def best_time(run, repeats: int = 3) -> float:
     return best
 
 
+def time_slope(layer) -> float:
+    """How ``layer``'s time grows with the ring, as the exponent k of
+    time ~ n**k from 500 to 4,000 thimacs: 8x the thimacs takes about 8x
+    the time when linear (k = 1), 64x when quadratic (k = 2)."""
+    small, large = (best_time(layer(n)) for n in (500, 4000))
+    return math.log(large / small) / math.log(4000 / 500)
+
+
 def test_parse_time_grows_linearly_with_the_ring():
-    # 8x the thimacs: about 8x the time when linear, 64x when quadratic
-    small, large = (best_time(parse_ring(n)) for n in (500, 4000))
-    slope = math.log(large / small) / math.log(4000 / 500)
-    assert slope < 1.6, (small, large)
+    slope = time_slope(parse_ring)
+    assert slope < 1.6, slope
+
+
+@pytest.mark.parametrize("layer", [write_ring_json, draw_ring_dot, validate_ring])
+def test_time_grows_linearly_with_the_ring(layer):
+    slope = time_slope(layer)
+    assert slope < 1.6, slope

@@ -6,7 +6,7 @@ from random import Random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmkit import (
@@ -30,7 +30,7 @@ from tmkit import (
 )
 from tmkit import model as model_module
 from tmkit.model import MAX_DEPTH, Diagnostic, NestingError, check_depth
-from tmkit.rules import _check_containment
+from tmkit.rules import _check_containment, _errors
 
 from generators import random_document, random_legal_model, random_raw_model
 
@@ -231,6 +231,129 @@ def test_builder_ids_and_refusals_match_the_counter_loop(calls):
     builder, reference = ModelBuilder("m"), CountingBuilder("m")
     assert run_calls(builder, calls) == run_calls(reference, calls)
     assert builder.build() == reference.build()
+
+
+def add_edge_by_one(builder, edges, record, what, src, dst, id, *extra):
+    """``ModelBuilder._add_edge`` as it was before the builder took edges
+    in batches: check one ``Flow`` or ``Trigger`` and append it to
+    ``edges``."""
+    nodes = builder.node_ids
+    if src not in nodes or dst not in nodes:
+        end = dst if src in nodes else src
+        raise ModelError(f"{what} references unknown node {end!r}")
+    if src == dst:
+        raise ModelError(f"{what} may not loop on {src!r}")
+    eid = builder._claim(id, what)
+    edges.append(record(eid, src, dst, *extra))
+    return eid
+
+
+class OneByOneBuilder(ModelBuilder):
+    """The builder that adds every edge, a batch's too, through
+    ``add_edge_by_one``, one at a time."""
+
+    def add_flow(self, src, dst, id=None):
+        return add_edge_by_one(self, self._flows, Flow, "flow", src, dst, id)
+
+    def add_trigger(self, src, dst, condition=None, id=None):
+        return add_edge_by_one(
+            self, self._triggers, Trigger, "trigger", src, dst, id, condition
+        )
+
+    def add_flows(self, edges):
+        return [self.add_flow(src, dst) for src, dst in edges]
+
+    def add_triggers(self, edges):
+        return [self.add_trigger(src, dst, condition) for src, dst, condition in edges]
+
+
+#: Edge calls: the method, each edge's two ends as picks (see
+#: ``run_edge_calls``), and the id of a one-edge call.
+edge_calls = st.lists(
+    st.tuples(
+        st.sampled_from(["add_flows", "add_triggers", "add_flow", "add_trigger"]),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=6),
+        st.none() | st.sampled_from(["flow1", "flow3", "flow5", "trigger1", "p"]),
+    ),
+    max_size=12,
+)
+
+
+def run_edge_calls(builder, calls):
+    """Each edge call's ids, or the text of its ``ModelError``, after
+    thimacs and nodes whose ids an auto id would take (``flow2``,
+    ``flow4``, ``trigger2``).  An end picks one of the four nodes, the
+    unknown ``ghost`` (4) or the thimac ``root``, which is no node (5); a
+    pick that repeats the other end's makes a self-loop.  A one-edge call
+    adds its first edge, if it has one, with the call's id."""
+    for name in ("root", "flow2", "trigger2"):
+        builder.add_thimac(name, id=name)
+    nodes = [
+        builder.add_action("process", "root", id="p"),
+        builder.add_action("create", "root", id="q"),
+        builder.add_storage("flow2", "s", id="s"),
+        builder.add_action("release", "flow2", id="flow4"),
+        "ghost",
+        "root",
+    ]
+    out = []
+    for method, picks, id in calls:
+        ends = [(nodes[a], nodes[b]) for a, b in picks]
+        if method == "add_flows":
+            args = (ends,)
+        elif method == "add_triggers":
+            args = ([(src, dst, f"c{i}" if i % 2 else None) for i, (src, dst) in enumerate(ends)],)
+        elif not ends:
+            continue
+        elif method == "add_flow":
+            args = (*ends[0], id)
+        else:
+            args = (*ends[0], "c", id)
+        try:
+            out.append(getattr(builder, method)(*args))
+        except ModelError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+@given(edge_calls)
+@settings(max_examples=400, deadline=None)
+@example([("add_flows", [(0, 1), (1, 4), (0, 0)], None)])  # dangling before a loop
+@example([("add_flows", [(0, 1), (2, 2), (1, 5)], None)])  # a loop before a non-node
+@example([("add_flow", [(0, 1)], "flow3"), ("add_flows", [(0, 1)] * 3, None)])
+@example([("add_flows", [(0, 1)] * 2, None), ("add_flow", [(1, 0)], "flow3")])
+def test_a_batch_of_edges_is_added_as_one_by_one(calls):
+    builder, reference = ModelBuilder("m"), OneByOneBuilder("m")
+    assert run_edge_calls(builder, calls) == run_edge_calls(reference, calls)
+    assert builder.build() == reference.build()
+
+
+def test_a_batch_draws_auto_ids_past_taken_ones():
+    builder = ModelBuilder("m")
+    for name in ("flow2", "trigger1"):
+        builder.add_thimac(name, id=name)
+    a = builder.add_action("create", "flow2", id="a")
+    b = builder.add_action("process", "flow2", id="b")
+    builder.add_action("release", "flow2", id="flow4")
+    assert builder.add_flows([(a, b), (b, a), (a, b)]) == ["flow1", "flow3", "flow5"]
+    assert builder.add_triggers([(b, a, "go"), (a, b, None)]) == ["trigger2", "trigger3"]
+    assert builder.add_flows([]) == []
+    model = builder.build()
+    assert [f.id for f in model.flows] == ["flow1", "flow3", "flow5"]
+    assert model.triggers[0] == Trigger("trigger2", b, a, "go")
+
+
+def test_a_refused_batch_keeps_the_edges_before_the_refused_one():
+    builder = two_thimac_builder()
+    a = builder.add_action("create", "a", id="a/x")
+    b = builder.add_action("process", "a", id="a/y")
+    with pytest.raises(ModelError, match="^flow may not loop on 'a/y'$"):
+        builder.add_flows([(a, b), (b, b), (a, "ghost")])
+    with pytest.raises(ModelError, match="^trigger references unknown node 'ghost'$"):
+        builder.add_triggers([(b, a, "c"), ("ghost", a, None), (a, a, None)])
+    model = builder.build()
+    assert model.flows == (Flow("flow1", a, b),)
+    assert model.triggers == (Trigger("trigger1", b, a, "c"),)
 
 
 def depth_by_walk(model, thimac):
@@ -613,6 +736,36 @@ def test_simplify_rejects_error_models():
     with pytest.raises(SimplifyError) as exc:
         simplify(model)
     assert any(d.rule == "R2" for d in exc.value.diagnostics)
+
+
+def mutated_model(rng: Random) -> StaticModel:
+    """A random document's model with a few fields rewritten: a parent,
+    owner or endpoint set to any id, a thimac's too, or to ``ghost`` (so
+    containment cycles, dangling references and self-loops), an action's
+    kind changed, or a name, label or condition set to an id."""
+    model = random_document(rng).model
+    sections = {name: list(getattr(model, name)) for name in model._fields[1:]}
+    ids = [element.id for part in sections.values() for element in part] + ["ghost"]
+    for _ in range(rng.randint(0, 4)):
+        part = sections[rng.choice([name for name, part in sections.items() if part])]
+        place = rng.randrange(len(part))
+        field = rng.choice(part[place]._fields[1:])
+        value = rng.choice(ACTION_KINDS if field == "kind" else ids)
+        part[place] = part[place]._replace(**{field: value})
+    return StaticModel(model.name, **{name: tuple(p) for name, p in sections.items()})
+
+
+@given(seeds)
+@settings(max_examples=300, deadline=None)
+def test_the_simplify_gate_finds_the_errors_validate_finds(seed):
+    model = mutated_model(Random(seed))
+    errors = tuple(d for d in validate(model) if d.severity == "error")
+    assert _errors(model) == errors
+    if not errors or not any(a.kind in TRANSPORT_KINDS for a in model.actions):
+        return
+    with pytest.raises(SimplifyError) as raised:
+        simplify(model)
+    assert raised.value.diagnostics == errors
 
 
 def test_simplify_does_not_mutate_input():

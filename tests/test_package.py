@@ -26,7 +26,7 @@ PUBLIC_NAMES = [
     "SimplifyError", "validate", "simplify",
     # dynamics
     "Event", "ChronEdge", "ChronologyGraph", "Document", "DynamicsError",
-    "define_event", "check_coverage", "build_chronology",
+    "FormatError", "define_event", "check_coverage", "build_chronology",
     "structurally_equal_documents",
     # walk
     "Scenario", "Trace", "Violation", "ConformanceResult", "SimulationError",
@@ -34,17 +34,18 @@ PUBLIC_NAMES = [
     "simulate", "conformance", "parse_scenario", "trace_to_json",
     "trace_from_json",
     # dsl
-    "ParseError", "FormatError", "SourceSpan", "parse",
+    "ParseError", "SourceSpan", "parse",
     # writer
-    "format_document",
+    "format_document", "to_dot",
     # logic
     "Literal", "Origin", "Implication", "Argument", "ProofPath", "LogicError",
     "MAX_VARIABLES", "close_contrapositive", "derive", "format_proof",
     "truth_table_validate", "parse_argument", "format_argument", "encode_as_tm",
     # convert
-    "ConvertError", "FlowNode", "FlowEdge", "FlowchartDoc", "FLOWCHART_SCHEMA",
-    "MODEL_SCHEMA", "load_flowchart", "import_flowchart", "to_dot", "to_json",
-    "from_json",
+    "ConvertError", "MODEL_SCHEMA", "to_json", "from_json",
+    # flowchart
+    "FlowNode", "FlowEdge", "FlowchartDoc", "FLOWCHART_SCHEMA", "load_flowchart",
+    "import_flowchart",
     # report
     "chronology_to_dot", "generate_report",
     # errors
@@ -58,7 +59,7 @@ DATA_HOMES = {
     "TRANSPORT_KINDS": "tmkit.model",
     "LEGAL_FLOW_PAIRS": "tmkit.model",
     "MAX_VARIABLES": "tmkit.logic",
-    "FLOWCHART_SCHEMA": "tmkit.convert",
+    "FLOWCHART_SCHEMA": "tmkit.flowchart",
     "MODEL_SCHEMA": "tmkit.convert",
 }
 
@@ -118,8 +119,8 @@ def test_an_unknown_name_is_the_usual_attribute_error():
 
 #: The modules that define tmkit's types (``__main__`` runs the CLI).
 MODULES = (
-    "model", "rules", "dynamics", "walk", "dsl", "writer", "logic", "convert", "report",
-    "cli", "errors",
+    "model", "rules", "dynamics", "walk", "dsl", "writer", "logic", "convert",
+    "flowchart", "report", "cli", "errors",
 )
 
 #: One of each record type; every one is a named tuple.
