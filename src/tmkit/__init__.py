@@ -39,6 +39,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "Document",
         "DynamicsError",
         "FormatError",
+        "SimulationError",
         "define_event",
         "check_coverage",
         "build_chronology",
@@ -49,7 +50,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "Trace",
         "Violation",
         "ConformanceResult",
-        "SimulationError",
         "ScenarioExhaustedError",
         "NoEnabledSuccessorError",
         "ScenarioError",

@@ -215,7 +215,8 @@ def events(model_file: str, coverage: bool) -> None:
 @click.option("-o", "--output", type=click.Path(dir_okay=False))
 def simulate(model_file: str, scenario_file: str, output: Optional[str]) -> None:
     """Walk the chronology under a scenario; print the trace as JSON."""
-    from .walk import SimulationError, simulate_to_json
+    from .dynamics import SimulationError
+    from .walk import simulate_to_json
 
     doc = _load_document(model_file)
     if doc.chronology is None:
@@ -329,17 +330,12 @@ def export(model_file: str, fmt: str, part: str, output: Optional[str]) -> None:
 )
 def report(model_file: str, scenario_files: tuple[str, ...]) -> None:
     """Summarize a document: thimacs, findings, events, walks."""
+    from .dynamics import SimulationError
     from .report import generate_report
 
     doc = _load_document(model_file)
-    if not scenario_files:  # no walk: the walk's code is not loaded
-        _write(None, generate_report(doc))
-        return
-    from .walk import SimulationError
-
-    scenarios = [_load_scenario(f) for f in scenario_files]
     try:
-        text = generate_report(doc, scenarios)
+        text = generate_report(doc, [_load_scenario(f) for f in scenario_files])
     except SimulationError as exc:
         _fail(str(exc), 1)
     _write(None, text)

@@ -28,12 +28,12 @@ are the containment paths, so nesting is the namespace.
 The lexer takes the tokens' text from one ``findall`` of the token
 pattern, whitespace and comments folded into each match, and reads each
 token's kind off its first character; only strings are checked and
-unescaped.  It keeps no offsets: the first error makes them, with one
-``finditer`` of the same pattern, for its line and column.  The parser
-reads the tokens once, by index, and checks each block as it closes.
-References inside the model block may point forward: its edges resolve
-at its ``}``.  So of several faults, the first in reading order is the
-one reported.
+unescaped.  It keeps no offsets: an error finds its token again with a
+``finditer`` of the same pattern, and counts the line breaks before it
+for its line and column.  The parser reads the tokens once, by index,
+and checks each block as it closes.  References inside the model block
+may point forward: its edges resolve at its ``}``.  So of several
+faults, the first in reading order is the one reported.
 
 The canonical writer, ``format_document``, is in ``writer``, so a command
 that only reads a model never loads it.  The lexical rules the two share --
@@ -44,8 +44,8 @@ none of this module.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from collections import namedtuple
+from itertools import islice
 from typing import Container, NoReturn, Optional
 
 from .dynamics import (
@@ -125,8 +125,6 @@ class _Parser:
 
     def __init__(self, text: str):
         self._text = text
-        self._matches: Optional[list[re.Match]] = None  # made by the first span
-        self._newlines: Optional[list[int]] = None  # made by the first span
         self._kinds, self._values = self._lex(text)
 
     def _lex(self, text: str) -> tuple[list[str], list[str]]:
@@ -166,16 +164,13 @@ class _Parser:
         return kinds, values
 
     def _match(self, i: int) -> re.Match:
-        """Token ``i``'s match, from one ``finditer`` made on first use."""
-        if self._matches is None:
-            self._matches = list(_TOKEN_RE.finditer(self._text))
-        return self._matches[i]
+        """Token ``i``'s match, found again from the start of the text;
+        only an error asks for one."""
+        return next(islice(_TOKEN_RE.finditer(self._text), i, None))
 
     def _span_at(self, offset: int, length: int) -> SourceSpan:
-        if self._newlines is None:
-            self._newlines = [m.start() for m in re.finditer("\n", self._text)]
-        line = bisect_left(self._newlines, offset)  # line breaks before offset
-        line_start = self._newlines[line - 1] + 1 if line else 0
+        line = self._text.count("\n", 0, offset)  # line breaks before offset
+        line_start = self._text.rfind("\n", 0, offset) + 1
         return SourceSpan(line + 1, offset - line_start + 1, length)
 
     def _span(self, i: int) -> SourceSpan:

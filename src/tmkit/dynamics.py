@@ -59,6 +59,10 @@ class NoInitialEventError(DynamicsError):
     pass
 
 
+class SimulationError(DynamicsError):
+    """A run cannot proceed."""
+
+
 class Event(namedtuple("Event", "id label region")):
     """``region`` is a frozenset of action ids."""
 

@@ -374,9 +374,10 @@ def truth_table_validate(
 # argument files
 
 
-# A variable is a word of the DSL (``dsl._WORD``), spelled again here
-# because ``prove`` and ``validate-arg`` must not load ``dsl``.  Blanks
-# are what ``str.strip()`` removes, short of the line break.
+# A variable is a word of the DSL (``dynamics._WORD``), spelled again
+# here because ``prove`` and ``validate-arg`` load neither ``dynamics``
+# nor ``model``.  Blanks are what ``str.strip()`` removes, short of the
+# line break.
 _WORD = r"[A-Za-z_][A-Za-z0-9_]*"
 _BLANK = r"[^\S\n]*"
 

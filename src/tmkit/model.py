@@ -407,8 +407,7 @@ class ModelBuilder:
         return sid
 
     def add_flow(self, src: str, dst: str, id: Optional[str] = None) -> str:
-        ids = None if id is None else [id]
-        return self._add_edges(self._flows, Flow, "flow", [(src, dst)], ids)[0]
+        return self._add_edges(self._flows, Flow, "flow", [(src, dst)], id)[0]
 
     def add_flows(self, edges: Iterable[tuple[str, str]]) -> list[str]:
         """Add each ``(src, dst)`` as a flow with an auto id, in order, and
@@ -424,9 +423,8 @@ class ModelBuilder:
         condition: Optional[str] = None,
         id: Optional[str] = None,
     ) -> str:
-        ids = None if id is None else [id]
         rows = [(src, dst, condition)]
-        return self._add_edges(self._triggers, Trigger, "trigger", rows, ids)[0]
+        return self._add_edges(self._triggers, Trigger, "trigger", rows, id)[0]
 
     def add_triggers(
         self, edges: Iterable[tuple[str, str, Optional[str]]]
@@ -441,12 +439,12 @@ class ModelBuilder:
         record: type,
         what: str,
         rows: list[tuple],
-        ids: Optional[list[Optional[str]]] = None,
+        id: Optional[str] = None,
     ) -> list[str]:
         """Check a batch of ``Flow``s or ``Trigger``s, each row its fields
         after the id, and append them to ``edges``.  ``what`` names them in
-        messages and prefixes their auto ids; ``ids`` holds each one's id,
-        or None for an auto id, and is None when every id is.
+        messages and prefixes their auto ids.  The rows take auto ids, or a
+        batch of one row takes ``id`` when it is given.
 
         The endpoints and self-loops of the whole batch are checked by set
         operations; only a batch that holds a refused edge is walked, for
@@ -469,16 +467,11 @@ class ModelBuilder:
                 if src == dst:
                     refusal = ModelError(f"{what} may not loop on {src!r}")
                     break
-        if ids is None:
+        if id is None:
             claimed = list(islice(self._auto_ids(what), refused))
             self._ids.update(claimed)
-        else:
-            claimed = []
-            try:
-                for id in ids[:refused]:
-                    claimed.append(self._claim(id, what))
-            except ModelError as exc:  # a duplicate id, before ``refused``
-                refusal = exc
+        else:  # one row: its id is claimed only if its edge is not refused
+            claimed = [self._claim(id, what)] if refused else []
         edges.extend(map(record, claimed, srcs, dsts, *extra))  # as many as claimed
         if refusal is not None:
             raise refusal

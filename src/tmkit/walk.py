@@ -9,10 +9,11 @@ A walk runs on event numbers, each event's place in
 ``chronology.events``: ``_Plan`` indexes every event's successors,
 guards and bounded edges by number, the walk keeps a list of budgets,
 and it records itself as a list of numbers.  The trace file and the
-report's walk lines are filled in from one template per event.  A trace
-is checked a column at a time, on int codes for its pairs of steps, and
-only one that fails is read or walked step by step, which words each
-message.
+report's walk lines are filled in from one template per event.
+``conformance`` walks a trace step by step, which words each message.
+``tmkit conform`` decides on the trace file's columns first, on int codes
+for its pairs of steps (``conform_json``), and reads and walks step by
+step only a trace that they refuse.
 """
 from __future__ import annotations
 
@@ -29,16 +30,13 @@ from .dynamics import (
     DynamicsError,
     Event,
     NoInitialEventError,
+    SimulationError,
 )
 from .errors import _list, _template, decode_json
 
 
 class ScenarioError(DynamicsError):
     """A scenario file or decision table is malformed."""
-
-
-class SimulationError(DynamicsError):
-    """A run cannot proceed."""
 
 
 class ScenarioExhaustedError(SimulationError):
@@ -285,45 +283,10 @@ def conformance(trace: Trace, chronology: ChronologyGraph) -> ConformanceResult:
     and respect loop bounds?
 
     Never raises; the first violation is returned as data.  The trace is
-    checked a column at a time first (``_conforms``); only one that fails
-    is walked step by step (``_first_violation``), which words the
-    violation, so the walk stays the one source of each message.  A step
-    that is no pair, or an event that cannot be hashed, is left to the
-    walk.
+    walked step by step, which words each message.  ``tmkit conform``
+    decides on a trace file's columns first (``conform_json``) and walks
+    only a trace that they refuse.
     """
-    steps = trace.steps
-    if not steps:
-        return ConformanceResult(True, None)
-    try:
-        events, indices = zip(*steps, strict=True)
-    except (TypeError, ValueError):
-        return _first_violation(trace, chronology)
-    if indices == tuple(range(len(indices))) and _conforms(events, chronology):
-        return ConformanceResult(True, None)
-    return _first_violation(trace, chronology)
-
-
-def _conforms(events, chronology: ChronologyGraph) -> bool:
-    """Whether a walk through ``events``, indexed in sequence, keeps to
-    the chronology: every event is known, the first is initial, every
-    pair of steps is an edge, and no bounded edge is taken more often
-    than its bound.  Decided on event numbers and pair codes with
-    C-level builtins."""
-    plan = _plan(chronology)
-    try:
-        numbers = list(map(plan.number.__getitem__, events))
-    except (KeyError, TypeError):  # an unknown or unhashable event
-        return False
-    if numbers[0] not in plan.initial:
-        return False
-    taken = Counter(map(add, map(plan.scaled.__getitem__, numbers), numbers[1:]))
-    return taken.keys() <= plan.edges and all(
-        taken[code] <= bound for code, bound in plan.bounds.items()
-    )
-
-
-def _first_violation(trace: Trace, chronology: ChronologyGraph) -> ConformanceResult:
-    """The walk: the first step that breaks the chronology, as data."""
     def fail(step: int, message: str) -> ConformanceResult:
         return ConformanceResult(False, Violation(step, message))
 
@@ -354,6 +317,25 @@ def _first_violation(trace: Trace, chronology: ChronologyGraph) -> ConformanceRe
                     )
         previous = event_id
     return ConformanceResult(True, None)
+
+
+def _conforms(events, chronology: ChronologyGraph) -> bool:
+    """Whether a walk through ``events``, indexed in sequence, keeps to
+    the chronology: every event is known, the first is initial, every
+    pair of steps is an edge, and no bounded edge is taken more often
+    than its bound.  Decided on event numbers and pair codes with
+    C-level builtins."""
+    plan = _plan(chronology)
+    try:
+        numbers = list(map(plan.number.__getitem__, events))
+    except (KeyError, TypeError):  # an unknown or unhashable event
+        return False
+    if numbers[0] not in plan.initial:
+        return False
+    taken = Counter(map(add, map(plan.scaled.__getitem__, numbers), numbers[1:]))
+    return taken.keys() <= plan.edges and all(
+        taken[code] <= bound for code, bound in plan.bounds.items()
+    )
 
 
 # ---------------------------------------------------------------------------

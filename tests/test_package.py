@@ -26,10 +26,10 @@ PUBLIC_NAMES = [
     "SimplifyError", "validate", "simplify",
     # dynamics
     "Event", "ChronEdge", "ChronologyGraph", "Document", "DynamicsError",
-    "FormatError", "define_event", "check_coverage", "build_chronology",
-    "structurally_equal_documents",
+    "FormatError", "SimulationError", "define_event", "check_coverage",
+    "build_chronology", "structurally_equal_documents",
     # walk
-    "Scenario", "Trace", "Violation", "ConformanceResult", "SimulationError",
+    "Scenario", "Trace", "Violation", "ConformanceResult",
     "ScenarioExhaustedError", "NoEnabledSuccessorError", "ScenarioError",
     "simulate", "conformance", "parse_scenario", "trace_to_json",
     "trace_from_json",

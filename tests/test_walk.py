@@ -49,7 +49,7 @@ from tmkit.walk import (
     simulate_to_json,
 )
 
-from conftest import ODD_NAMES
+from conftest import ODD_NAMES, load_scenario
 from test_dynamics import (
     GUARDS,
     PERCENT_NAMES,
@@ -409,6 +409,29 @@ def test_a_walk_past_a_bound_fails_the_column_check_and_is_worded_by_the_walk():
     assert str(result.violation) == (
         "step 7: edge E3 -> E2 taken 3 times, over its loop bound 2"
     )
+
+
+def test_conform_json_runs_the_column_check_at_most_once(monkeypatch, atm_doc, ordering_doc):
+    from tmkit import walk
+
+    calls = []
+    column_check = walk._conforms
+    monkeypatch.setattr(
+        walk, "_conforms", lambda *args: calls.append(args) or column_check(*args)
+    )
+    ordering_walk = simulate(ordering_doc.chronology, load_scenario("ordering_all_yes"))
+    indexed = trace_to_json(ordering_walk)
+    unindexed = json.dumps({"steps": [{"event": e} for e in ordering_walk.event_ids]})
+    for text, chronology, ok in [
+        (indexed, ordering_doc.chronology, True),
+        (indexed, atm_doc.chronology, False),
+        (unindexed, ordering_doc.chronology, True),
+    ]:
+        calls.clear()
+        result = conform_json(text, chronology)
+        assert len(calls) <= 1
+        assert result.ok is ok
+        assert result == conformance_by_walk(trace_from_json(text), chronology)
 
 
 # ---------------------------------------------------------------------------
