@@ -252,9 +252,7 @@ class _Parser:
         kinds, values = self._kinds, self._values
         stack: list[Optional[str]] = [None]
         # Each edge as read: its first token, its thimac and its condition.
-        starts: list[int] = []
-        owners: list[Optional[str]] = []
-        conditions: list[Optional[str]] = []
+        edges: list[tuple[int, Optional[str], Optional[str]]] = []
         try:
             while True:
                 kind, value = kinds[i], values[i]
@@ -271,13 +269,11 @@ class _Parser:
                         self._error(i + 1, "'->' or '~>'")
                     if kinds[i + 2] != "NAME":
                         self._error(i + 2, "a node name")
-                    starts.append(i)
-                    owners.append(stack[-1])
-                    i, condition = i + 3, None
+                    start, i, condition = i, i + 3, None
                     if arrow == "TRIG" and self._at_keyword(i, "if"):
                         i = self._expect(i + 1, "STRING", "a condition string")
                         condition = values[i - 1]
-                    conditions.append(condition)
+                    edges.append((start, stack[-1], condition))
                 elif value in ACTION_KINDS:
                     i = self._parse_action(i, stack[-1])
                 elif value == "thimac":
@@ -292,7 +288,7 @@ class _Parser:
         nodes = builder.node_ids
         flows: list[tuple[str, str]] = []
         triggers: list[tuple[str, str, Optional[str]]] = []
-        for src, owner, condition in zip(starts, owners, conditions):
+        for src, owner, condition in edges:
             src_id = _resolve(values[src], owner, nodes)
             if src_id is None:
                 self._error(src, "a declared action or storage")

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cached_property
-from itertools import count, islice
-from operator import eq
+from itertools import count
 from typing import Container, Iterable, Iterator, Optional, TypeVar
 
 from .errors import TmkitError
@@ -325,8 +324,9 @@ class ModelBuilder:
     ids at the point of insertion, then freezes into a ``StaticModel``.
     The parser declares into one, so ``_claim`` is the only duplicate-id
     check a ``.tm`` file meets.  Flows and triggers also go in by the
-    batch (``add_flows``, ``add_triggers``), checked as the one-edge
-    calls check them."""
+    batch (``add_flows``, ``add_triggers``), one edge at a time, each
+    checked and numbered by the pass that ``add_flow`` and
+    ``add_trigger`` run."""
 
     def __init__(self, name: str):
         self.name = name
@@ -338,22 +338,18 @@ class ModelBuilder:
         self._ids: set[str] = set()
         self._depths: dict[str, int] = {}  # thimac id -> nesting depth
         self.node_ids: set[str] = set()  # actions and storages; read by the parser
-        self._fresh: dict[str, Iterator[str]] = {}  # prefix -> its auto ids
+        self._auto = {  # prefix -> its auto ids
+            prefix: fresh_ids(prefix, self._ids)
+            for prefix in ("thimac", "action", "storage", "flow", "trigger")
+        }
 
     # -- id management -----------------------------------------------------
-
-    def _auto_ids(self, prefix: str) -> Iterator[str]:
-        """``prefix``'s auto ids, one generator per prefix."""
-        fresh = self._fresh.get(prefix)
-        if fresh is None:
-            fresh = self._fresh[prefix] = fresh_ids(prefix, self._ids)
-        return fresh
 
     def _claim(self, id: Optional[str], prefix: str) -> str:
         """``id``, or if it is None the next of ``prefix``'s auto ids."""
         ids = self._ids
         if id is None:
-            id = next(self._auto_ids(prefix))
+            id = next(self._auto[prefix])
         elif id in ids:
             raise ModelError(f"duplicate id {id!r}")
         ids.add(id)
@@ -411,10 +407,10 @@ class ModelBuilder:
 
     def add_flows(self, edges: Iterable[tuple[str, str]]) -> list[str]:
         """Add each ``(src, dst)`` as a flow with an auto id, in order, and
-        return their ids.  The batch is checked as ``add_flow`` checks one
-        flow; a refused flow raises that call's ``ModelError``, and the
-        flows before it stay added."""
-        return self._add_edges(self._flows, Flow, "flow", list(edges))
+        return their ids, as calling ``add_flow`` on each would: a refused
+        flow raises that call's ``ModelError``, and the flows before it stay
+        added."""
+        return self._add_edges(self._flows, Flow, "flow", edges)
 
     def add_trigger(
         self,
@@ -431,50 +427,33 @@ class ModelBuilder:
     ) -> list[str]:
         """Add each ``(src, dst, condition)`` as a trigger with an auto id,
         in order, as ``add_flows`` adds flows."""
-        return self._add_edges(self._triggers, Trigger, "trigger", list(edges))
+        return self._add_edges(self._triggers, Trigger, "trigger", edges)
 
     def _add_edges(
         self,
         edges: list,
         record: type,
         what: str,
-        rows: list[tuple],
+        rows: Iterable[tuple],
         id: Optional[str] = None,
     ) -> list[str]:
-        """Check a batch of ``Flow``s or ``Trigger``s, each row its fields
-        after the id, and append them to ``edges``.  ``what`` names them in
-        messages and prefixes their auto ids.  The rows take auto ids, or a
-        batch of one row takes ``id`` when it is given.
-
-        The endpoints and self-loops of the whole batch are checked by set
-        operations; only a batch that holds a refused edge is walked, for
-        the first one.  A refused edge raises the ``ModelError`` that adding
-        the rows one by one would raise, and the edges before it stay
-        added."""
-        if not rows:
-            return []
-        srcs, dsts, *extra = zip(*rows)
-        nodes = self.node_ids
-        refused, refusal = len(rows), None
-        if not (nodes.issuperset(srcs) and nodes.issuperset(dsts)) or any(
-            map(eq, srcs, dsts)
-        ):
-            for refused, (src, dst) in enumerate(zip(srcs, dsts)):
-                if src not in nodes or dst not in nodes:
-                    end = dst if src in nodes else src
-                    refusal = ModelError(f"{what} references unknown node {end!r}")
-                    break
-                if src == dst:
-                    refusal = ModelError(f"{what} may not loop on {src!r}")
-                    break
-        if id is None:
-            claimed = list(islice(self._auto_ids(what), refused))
-            self._ids.update(claimed)
-        else:  # one row: its id is claimed only if its edge is not refused
-            claimed = [self._claim(id, what)] if refused else []
-        edges.extend(map(record, claimed, srcs, dsts, *extra))  # as many as claimed
-        if refusal is not None:
-            raise refusal
+        """Check each row, a ``Flow``'s or ``Trigger``'s fields after the
+        id, in turn: both ends must be nodes and differ.  Then claim its id
+        and append it to ``edges``.  ``what`` names the edges in messages
+        and prefixes their auto ids.  The rows take auto ids, or a batch of
+        one row takes ``id`` when it is given.  A refused row raises its
+        ``ModelError``, and the rows before it stay added."""
+        nodes, claimed = self.node_ids, []
+        for row in rows:
+            src, dst = row[0], row[1]
+            if src not in nodes or dst not in nodes:
+                end = dst if src in nodes else src
+                raise ModelError(f"{what} references unknown node {end!r}")
+            if src == dst:
+                raise ModelError(f"{what} may not loop on {src!r}")
+            eid = self._claim(id, what)
+            edges.append(record(eid, *row))
+            claimed.append(eid)
         return claimed
 
     def build(self) -> StaticModel:

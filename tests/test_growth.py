@@ -1,15 +1,16 @@
-"""Work per model size: the text-to-model, model-out and dynamics layers
-do linear work.
+"""Work per model size: the text-to-model, model-out, dynamics and logic
+layers do linear work.
 
-Each text-to-model layer, the two model writers ``to_json`` and
-``to_dot``, and ``validate`` run on rings of 250, 1,000 and 4,000
-thimacs, and the Python and C calls each makes are counted.  The count is
-a fixed part plus a part per thimac, so the count at 4,000 must lie on the
-line through the other two.  The dynamics layer is counted the same way
-per step of a walk, over loop budgets of 25, 100 and 400.  A count does
-not see a scan inside one C call, such as a regex over the whole text or
-``x in some_list``, so ``parse``, the writers and ``validate`` are also
-timed over an 8x span.
+Each text-to-model layer, the three model writers ``to_json``, ``to_dot``
+and ``format_document``, ``validate`` and ``simplify`` run on rings of
+250, 1,000 and 4,000 thimacs, and the Python and C calls each makes are
+counted.  The count is a fixed part plus a part per thimac, so the count
+at 4,000 must lie on the line through the other two.  The dynamics layer
+is counted the same way per step of a walk, over loop budgets of 25, 100
+and 400, and ``derive`` per premise of a chain argument.  A count does not
+see a scan inside one C call, such as a regex over the whole text or
+``x in some_list``, nor a loop that makes no call, so ``parse``, the
+writers, the rules and ``derive`` are also timed over an 8x span.
 """
 import gc
 import math
@@ -25,10 +26,13 @@ from tmkit import (
     ModelBuilder,
     conformance,
     define_event,
+    derive,
     format_document,
     from_json,
     parse,
+    parse_argument,
     parse_scenario,
+    simplify,
     simulate,
     to_dot,
     to_json,
@@ -140,21 +144,56 @@ def draw_ring_dot(n: int):
     return lambda: to_dot(copied(model))
 
 
+def format_ring(n: int):
+    doc = ring(n)[0]
+    return lambda: format_document(doc)
+
+
 def validate_ring(n: int):
     model = ring(n)[0].model
     return lambda: validate(copied(model))
+
+
+def simplify_ring(n: int):
+    model = ring(n)[0].model
+    return lambda: simplify(copied(model))
 
 
 @pytest.mark.parametrize(
     "layer",
     [
         parse_ring, define_ring_events, replay_ring_model, read_ring_json,
-        write_ring_json, draw_ring_dot, validate_ring,
+        write_ring_json, draw_ring_dot, format_ring, validate_ring,
+        simplify_ring,
     ],
 )
 def test_calls_grow_linearly_with_the_ring(layer):
     counts = [count_calls(layer(n)) for n in SIZES]
     assert fits_a_line(SIZES, counts), counts
+
+
+def chained_actions(n: int):
+    """A fresh builder holding ``n + 1`` processes in one thimac, and the
+    ``n`` edges that chain them."""
+    builder = ModelBuilder("m")
+    owner = builder.add_thimac("t")
+    nodes = [builder.add_action("process", owner) for _ in range(n + 1)]
+    return builder, list(zip(nodes, nodes[1:]))
+
+
+@pytest.mark.parametrize(
+    "one, batch", [("add_flow", "add_flows"), ("add_trigger", "add_triggers")]
+)
+def test_a_one_edge_call_costs_little_more_than_a_batch_row(one, batch):
+    builder, edges = chained_actions(1000)
+    add = getattr(builder, one)
+    by_one = count_calls(lambda: [add(*edge) for edge in edges])
+    builder, edges = chained_actions(1000)
+    if batch == "add_triggers":
+        edges = [(src, dst, None) for src, dst in edges]
+    add_all = getattr(builder, batch)
+    in_batch = count_calls(lambda: add_all(edges))
+    assert (by_one - in_batch) / len(edges) <= 3, (by_one, in_batch)
 
 
 @pytest.mark.parametrize("read", [parse_ring, read_ring_json])
@@ -209,6 +248,27 @@ def test_calls_grow_linearly_with_the_walk(layer):
     assert fits_a_line(steps, counts), counts
 
 
+def chain_argument(n: int):
+    """The argument whose ``n`` premises chain ``v0`` to ``vn``, in an
+    order shuffled by ``n``, with the goal ``v0 -> vn``."""
+    links = list(range(n))
+    Random(n).shuffle(links)
+    lines = [f"v{k} -> v{k + 1}" for k in links]
+    return parse_argument("\n".join([*lines, f"|- v0 -> v{n}"]))
+
+
+def derive_chain(n: int):
+    argument = chain_argument(n)
+    return lambda: derive(argument)
+
+
+def test_derive_calls_grow_linearly_with_the_premises():
+    runs = [derive_chain(n) for n in SIZES]
+    assert all(len(run().rules) == n for run, n in zip(runs, SIZES))
+    counts = [count_calls(run) for run in runs]
+    assert fits_a_line(SIZES, counts), counts
+
+
 def best_time(run, repeats: int = 3) -> float:
     """The least wall time of ``run()``, with the collector paused, so its
     passes over the rest of the test session's heap are not counted."""
@@ -225,12 +285,13 @@ def best_time(run, repeats: int = 3) -> float:
     return best
 
 
-def time_slope(layer) -> float:
-    """How ``layer``'s time grows with the ring, as the exponent k of
-    time ~ n**k from 500 to 4,000 thimacs: 8x the thimacs takes about 8x
-    the time when linear (k = 1), 64x when quadratic (k = 2)."""
-    small, large = (best_time(layer(n)) for n in (500, 4000))
-    return math.log(large / small) / math.log(4000 / 500)
+def time_slope(layer, small: int = 500) -> float:
+    """How ``layer``'s time grows with its size, as the exponent k of
+    time ~ n**k from ``small`` to 8x ``small`` (thimacs of a ring by
+    default): 8x the size takes about 8x the time when linear (k = 1),
+    64x when quadratic (k = 2)."""
+    low, high = (best_time(layer(n)) for n in (small, 8 * small))
+    return math.log(high / low) / math.log(8)
 
 
 def test_parse_time_grows_linearly_with_the_ring():
@@ -238,7 +299,14 @@ def test_parse_time_grows_linearly_with_the_ring():
     assert slope < 1.6, slope
 
 
-@pytest.mark.parametrize("layer", [write_ring_json, draw_ring_dot, validate_ring])
+@pytest.mark.parametrize(
+    "layer", [write_ring_json, draw_ring_dot, format_ring, validate_ring, simplify_ring]
+)
 def test_time_grows_linearly_with_the_ring(layer):
     slope = time_slope(layer)
+    assert slope < 1.6, slope
+
+
+def test_derive_time_grows_linearly_with_the_premises():
+    slope = time_slope(derive_chain, 2000)
     assert slope < 1.6, slope

@@ -24,6 +24,7 @@ from tmkit import (
     truth_table_validate,
     validate,
 )
+from tmkit import dynamics, logic
 from tmkit.logic import MAX_VARIABLES, _literal_thimac
 
 from conftest import ODD_LINE_BREAKS
@@ -399,6 +400,10 @@ def test_parse_argument_rejects_malformed_files():
         parse_argument("a -> b\n ~a->~a # no news\n|- a -> b\n")
     with pytest.raises(LogicError, match="^line 3: implication b -> itself is vacuous$"):
         parse_argument("a -> b\n\n|- b -> b\n")
+
+
+def test_a_variable_is_spelled_as_a_word_of_the_dsl():
+    assert logic._WORD == dynamics._WORD  # logic's copy spares prove loading dynamics
 
 
 @pytest.mark.parametrize("odd", ODD_LINE_BREAKS)
